@@ -22,10 +22,13 @@ coordinator:
   per-worker graph holds just the slice of the stream its queries can
   match. A shard containing a query that must observe every edge
   (``PeriodicVF2``) receives the unfiltered stream.
-* **Merge**: workers tag every record with ``(stream index, global query
-  registration position)``; a stable sort over those tags reconstructs
-  the exact emission order of the single-process engine — record-identical
-  output, enforced by ``tests/test_sharded_equivalence.py``.
+* **Merge**: workers send records back as flat rows plus a per-reply
+  edge dictionary (:mod:`repro.runtime.wire`), every row tagged with
+  ``(stream index, global query registration position)``; a stable sort
+  over those tags reconstructs the exact emission order of the
+  single-process engine, and only then are ``Edge`` / ``Match`` /
+  ``MatchRecord`` objects built — record-identical output, enforced by
+  ``tests/test_sharded_equivalence.py``.
 
 ``workers=1`` short-circuits to an in-process engine (no subprocesses, no
 pickling — the zero-overhead serial fallback), so existing callers can
@@ -71,6 +74,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..errors import QueryError, ReproRuntimeError, WorkerError
 from ..graph.types import EdgeEvent
+from ..isomorphism.match import MatchShape, shape_for_fragment
 from ..query.query_graph import QueryGraph
 from ..search.engine import ContinuousQueryEngine, RunResult, algorithm_class
 from ..search.strategy import StrategyDecision, choose_strategy
@@ -80,6 +84,7 @@ from .autoscale import AutoscaleController, AutoscalePolicy
 from .faults import FaultPlan
 from .partition import ShardPlan, estimate_query_cost, greedy_balanced, round_robin
 from .supervisor import RestartPolicy, Supervisor
+from .wire import EdgeRow, RecordRow, SourcedBatch, decode_records, encode_records
 
 _READY_TIMEOUT = 120.0
 
@@ -247,7 +252,11 @@ def _worker_main(init: _WorkerInit, task_queue, result_queue) -> None:
 
     position = {spec.name: spec.position for spec in init.specs}
     process_rows = engine.process_rows
-    tagged: List[Tuple[int, int, object]] = []
+    # The reply under construction, in wire form (see runtime/wire.py):
+    # records are encoded batch by batch as they are found, so the worker
+    # never retains MatchRecord objects between collects.
+    edge_rows: Dict[int, EdgeRow] = {}
+    record_rows: List[RecordRow] = []
     while True:
         message = task_queue.get()
         kind = message[0]
@@ -263,8 +272,7 @@ def _worker_main(init: _WorkerInit, task_queue, result_queue) -> None:
                 # byte-identical across execution paths. The returned
                 # (index, record) tags, extended with the query's global
                 # registration position, reconstruct exact emission order.
-                for index, record in process_rows(rows):
-                    tagged.append((index, position[record.query_name], record))
+                encode_records(process_rows(rows), position, edge_rows, record_rows)
             except BaseException:
                 reply(
                     "error",
@@ -288,12 +296,14 @@ def _worker_main(init: _WorkerInit, task_queue, result_queue) -> None:
                 result_queue.join_thread()
                 injector.kill_now()
         elif kind == "collect":
-            reply("collect", (message[1], tagged, engine.partial_match_count()))
-            tagged = []
+            batch = (list(edge_rows.values()), record_rows)
+            reply("collect", (message[1], batch, engine.partial_match_count()))
+            edge_rows = {}
+            record_rows = []
         elif kind == "checkpoint":
             # Queue order guarantees every batch streamed before the
             # checkpoint request has been folded in; the coordinator
-            # collects before checkpointing, so ``tagged`` is empty and
+            # collects before checkpointing, so no record is pending and
             # the snapshot is a clean between-events cut. A failed write
             # must NOT kill the worker — its in-memory window state is
             # exactly what the caller will want to snapshot again once
@@ -317,7 +327,7 @@ def _worker_main(init: _WorkerInit, task_queue, result_queue) -> None:
             # the coordinator folds both into the aggregate. Queue order
             # means the snapshot reflects every batch sent before the
             # request, exactly like describe.
-            reply("metrics", (len(tagged), engine.metrics().collect()))
+            reply("metrics", (len(record_rows), engine.metrics().collect()))
         elif kind == "close":
             return
 
@@ -431,6 +441,9 @@ class ShardedEngine:
         self._result_queue = None
         self._routes: Dict[str, Tuple[int, ...]] = {}
         self._default_route: Tuple[int, ...] = ()
+        # position -> (query name, full-query MatchShape): what the merge
+        # needs to rebuild a record from its wire row; resolved at start().
+        self._record_shapes: Dict[int, Tuple[str, MatchShape]] = {}
         self._collect_seq = 0
         # Global stream position across run() calls — doubles as the edge
         # id every worker graph assigns (matching the single-process ids).
@@ -634,6 +647,10 @@ class ShardedEngine:
             self._task_queues.append(task_queue)
             self._procs.append(proc)
         self._compile_routes()
+        self._record_shapes = {
+            spec.position: (spec.name, shape_for_fragment(spec.query))
+            for spec in self.specs
+        }
         if self.supervise:
             # Attached before the ready handshake so even startup
             # failures (a torn restore snapshot, an OOM-killed spawn)
@@ -892,19 +909,20 @@ class ShardedEngine:
             self._supervisor.drain_stash() if self._supervisor is not None else {}
         )
 
-        tagged: List[Tuple[int, int, object]] = []
+        batches: List[SourcedBatch] = []
         stats: List[WorkerStats] = []
         for slot, shard in enumerate(self._shards):
-            seq, worker_tagged, partials = replies[shard.worker_id]
+            seq, batch, partials = replies[shard.worker_id]
             if seq != self._collect_seq:
                 raise ReproRuntimeError(
                     f"worker {shard.worker_id} answered collect {seq}, "
                     f"expected {self._collect_seq}"
                 )
-            stashed = stash.get(shard.worker_id, ())
-            worker_records = len(worker_tagged) + len(stashed)
-            tagged.extend(stashed)
-            tagged.extend(worker_tagged)
+            # per worker in collection order: stashed recovery cuts, then
+            # the final reply (the merge's stable sort relies on it)
+            mine = [*stash.get(shard.worker_id, ()), (shard.worker_id, seq, batch)]
+            worker_records = sum(len(rows) for _, _, (_, rows) in mine)
+            batches += mine
             self._routed_total[shard.worker_id] = (
                 self._routed_total.get(shard.worker_id, 0) + routed_counts[slot]
             )
@@ -923,10 +941,9 @@ class ShardedEngine:
                 )
             )
         self.last_worker_stats = stats
-        tagged.sort(key=lambda item: (item[0], item[1]))
 
         result = RunResult()
-        result.records = [record for _, _, record in tagged]
+        result.records = decode_records(batches, self._record_shapes)
         result.edges_processed = processed
         result.elapsed_seconds = time.perf_counter() - started
         return result

@@ -61,6 +61,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import WorkerError
 from ..telemetry.registry import SECONDS_BUCKETS, HistogramSlot
+from .wire import SourcedBatch
 
 __all__ = ["RestartPolicy", "Supervisor", "backoff_delay"]
 
@@ -183,9 +184,9 @@ class Supervisor:
         self._snapshots: List[Optional[str]] = [
             engine._restore_files.get(shard.worker_id) for shard in engine._shards
         ]
-        #: records drained by recovery checkpoints, merged into the next
-        #: run() result: slot -> [(stream index, position, record), ...]
-        self._stash: List[List[Tuple[int, int, object]]] = [[] for _ in range(n)]
+        #: record batches drained by recovery checkpoints (wire form, each
+        #: with its own edge dictionary), merged into the next run() result
+        self._stash: List[List[SourcedBatch]] = [[] for _ in range(n)]
         self._incarnations: List[int] = [0] * n
         self._slot_of: Dict[int, int] = {
             shard.worker_id: slot for slot, shard in enumerate(engine._shards)
@@ -235,12 +236,13 @@ class Supervisor:
         try:
             self._raw_put(slot, ("collect", seq))
             self._raw_put(slot, ("checkpoint", str(path)))
-            _, tagged, _ = self._await(
-                slot, "collect", match=lambda payload: payload[0] == seq
+            _, batch, _ = self._filter_collect(
+                slot,
+                self._await(slot, "collect", match=lambda payload: payload[0] == seq),
             )
-            cutoff = self._stash_cursor[slot]
-            self._stash[slot].extend(t for t in tagged if t[0] > cutoff)
-            self._stash_cursor[slot] = tip
+            if batch[1]:
+                worker_id = engine._shards[slot].worker_id
+                self._stash[slot].append((worker_id, seq, batch))
             failure = self._await(slot, "checkpoint")
         except _WorkerDied as died:
             self.recover(
@@ -273,9 +275,9 @@ class Supervisor:
             f"recover-{self._recovery_checkpoints:06d}-shard-{worker_id}.bin"
         )
 
-    def drain_stash(self) -> Dict[int, List[Tuple[int, int, object]]]:
-        """Stashed records per worker id, cleared — call once per run()."""
-        out: Dict[int, List[Tuple[int, int, object]]] = {}
+    def drain_stash(self) -> Dict[int, List[SourcedBatch]]:
+        """Stashed batches per worker id, cleared — call once per run()."""
+        out: Dict[int, List[SourcedBatch]] = {}
         for slot, shard in enumerate(self._engine._shards):
             if self._stash[slot]:
                 out[shard.worker_id] = self._stash[slot]
@@ -343,13 +345,17 @@ class Supervisor:
             return payload
 
     def _filter_collect(self, slot: int, payload) -> tuple:
-        """Drop replay-duplicate records; advance the stash cursor."""
-        seq, tagged, partials = payload
+        """Drop replay-duplicate records; advance the stash cursor.
+
+        Only column 0 (the stream index) of the batch's record rows is
+        read; the edge dictionary rides along untouched.
+        """
+        seq, (edge_rows, record_rows), partials = payload
         cutoff = self._stash_cursor[slot]
-        if tagged and tagged[0][0] <= cutoff:
-            tagged = [t for t in tagged if t[0] > cutoff]
+        if record_rows and record_rows[0][0] <= cutoff:
+            record_rows = [row for row in record_rows if row[0] > cutoff]
         self._stash_cursor[slot] = self._tip[slot]
-        return (seq, tagged, partials)
+        return (seq, (edge_rows, record_rows), partials)
 
     def _await(
         self,

@@ -60,6 +60,7 @@ class Config:
         ("sjtree/node.py", "insert"),
         ("sjtree/node.py", "probe"),
         ("sjtree/node.py", "expire"),
+        ("runtime/wire.py", "encode_records"),
     )
     #: string-keyed graph API calls that have interned-code twins; hot
     #: functions must use the ``*_code`` variants.
