@@ -36,10 +36,23 @@ exercise both paths in one process.
 from __future__ import annotations
 
 import os
-from typing import Iterator, List, Optional, Sequence
+from itertools import chain
+from typing import (
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from ..errors import ReproRuntimeError
 from .types import VOCABULARY, EdgeEvent
+
+_Key = TypeVar("_Key", bound=Hashable)
 
 #: numpy module when importable, else None — resolved once at import.
 _NUMPY = None
@@ -55,6 +68,15 @@ _active = _NUMPY
 #: chunks smaller than this skip numpy even when available: buffer
 #: construction overhead beats the vectorization win on tiny batches.
 MIN_VECTOR_CHUNK = 32
+
+#: :func:`pair_sums` — cells per dense block of the count matrix (bounds
+#: the kernel's working memory whatever the number of rows) ...
+PAIR_BLOCK_CELLS = 1 << 18
+#: ... the widest matrix it will square (two ``width**2`` int64 buffers) ...
+PAIR_MAX_WIDTH = 1024
+#: ... and the mean row fill below which squaring mostly multiplies
+#: zeros and the sparse pure-Python loop is the cheaper kernel.
+PAIR_MIN_FILL = 1 / 8
 
 
 def backend_name() -> str:
@@ -252,3 +274,76 @@ class EdgeChunk:
 
     def __len__(self) -> int:
         return self.n
+
+
+# ----------------------------------------------------------------------
+# count-matrix kernel (selectivity statistics)
+# ----------------------------------------------------------------------
+
+
+def pair_sums(
+    rows: Sequence[Dict[_Key, int]], index: Mapping[_Key, int]
+) -> List[Tuple[int, int, int]]:
+    """Algorithm 5's combine step over sparse count rows.
+
+    Each row maps a key to its (positive) multiplicity at one vertex;
+    ``index`` numbers the keys ``0..width-1``. Returns the non-zero
+    ``(a, b, count)`` with ``a <= b``, ascending: ``count`` is the sum
+    over rows of ``n_a * (n_a - 1) / 2`` when ``a == b`` and of
+    ``n_a * n_b`` otherwise.
+
+    numpy path: the rows are written, a bounded block at a time, into a
+    dense count matrix ``C`` and ``CᵀC`` accumulated. It is taken while
+    the matrix is narrow and full enough for that to beat the loop, and
+    kept only if the counts cannot have wrapped int64. Otherwise, and
+    always without numpy, the literal per-row loop over Python integers
+    runs — with identical results.
+    """
+    width = len(index)
+    np = _active
+    if (
+        np is not None
+        and width <= PAIR_MAX_WIDTH
+        and sum(map(len, rows)) >= len(rows) * width * PAIR_MIN_FILL
+    ):
+        gram = np.zeros((width, width), dtype=np.int64)
+        column_sums = np.zeros(width, dtype=np.int64)
+        step = max(PAIR_BLOCK_CELLS // max(width, 1), 1)
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            sizes = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+            filled = int(sizes.sum())
+            columns = np.fromiter(
+                map(index.__getitem__, chain.from_iterable(block)),
+                dtype=np.int64,
+                count=filled,
+            )
+            counts = np.fromiter(
+                chain.from_iterable(map(dict.values, block)),
+                dtype=np.int64,
+                count=filled,
+            )
+            dense = np.zeros((len(block), width), dtype=np.int64)
+            dense[np.repeat(np.arange(len(block)), sizes), columns] = counts
+            gram += dense.T @ dense
+            column_sums += dense.sum(axis=0)
+        # no entry exceeds (sum of all counts)**2: exact while that fits
+        if int(column_sums.sum()) < 1 << 31:
+            diagonal = np.arange(width)
+            gram[diagonal, diagonal] = (gram.diagonal() - column_sums) // 2
+            firsts, seconds = np.nonzero(np.triu(gram))
+            return list(
+                zip(firsts.tolist(), seconds.tolist(), gram[firsts, seconds].tolist())
+            )
+    sums: Dict[int, int] = {}
+    for row in rows:
+        pairs = sorted([(index[key], count) for key, count in row.items()])
+        for position, (first, n_first) in enumerate(pairs):
+            base = first * width
+            if n_first > 1:
+                at = base + first
+                sums[at] = sums.get(at, 0) + n_first * (n_first - 1) // 2
+            for second, n_second in pairs[position + 1 :]:  # LEXICALLY-GREATER
+                at = base + second
+                sums[at] = sums.get(at, 0) + n_first * n_second
+    return [(*divmod(at, width), sums[at]) for at in sorted(sums)]

@@ -56,7 +56,6 @@ All structural failures raise :class:`~repro.errors.CheckpointError`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -319,22 +318,20 @@ def _dump_estimator(w: BinaryWriter, estimator: SelectivityEstimator) -> None:
     w.write_varint(estimator.events_observed)
     histogram = estimator.edge_histogram.as_dict()
     w.write_varint(len(histogram))
-    for etype, count in histogram.items():
+    for etype, count in sorted(histogram.items()):
         w.write_str(etype)
         w.write_varint(count)
-    counter = estimator.path_counter
-    per_vertex = counter._per_vertex
+    per_vertex, table = estimator.path_counter.export_state()
     w.write_varint(len(per_vertex))
-    for vertex, tokens in per_vertex.items():
+    for vertex, tokens in per_vertex:
         w.write_value(vertex)
         w.write_varint(len(tokens))
-        for (direction, label), count in tokens.items():
+        for (direction, label), count in tokens:
             w.write_str(direction)
             w.write_str(label)
             w.write_varint(count)
-    paths = counter._paths
-    w.write_varint(len(paths))
-    for (token_a, token_b), count in paths.items():
+    w.write_varint(len(table))
+    for (token_a, token_b), count in table:
         w.write_str(token_a[0])
         w.write_str(token_a[1])
         w.write_str(token_b[0])
@@ -688,21 +685,23 @@ def _load_estimator(r: BinaryReader, estimator: SelectivityEstimator) -> None:
     histogram = estimator.edge_histogram
     for _ in range(r.read_varint()):
         histogram.add(r.read_str(), r.read_varint())
-    counter = estimator.path_counter
-    total = 0
+    per_vertex = []
     for _ in range(r.read_varint()):
         vertex = r.read_value()
-        tokens = counter._per_vertex.setdefault(vertex, Counter())
+        tokens = []
         for _ in range(r.read_varint()):
             token = (r.read_str(), r.read_str())
-            tokens[token] += r.read_varint()
+            tokens.append((token, r.read_varint()))
+        per_vertex.append((vertex, tokens))
+    table = []
     for _ in range(r.read_varint()):
         token_a = (r.read_str(), r.read_str())
         token_b = (r.read_str(), r.read_str())
-        count = r.read_varint()
-        counter._paths[(token_a, token_b)] = count
-        total += count
-    counter._total = total
+        table.append(((token_a, token_b), r.read_varint()))
+    try:
+        estimator.path_counter.load_state(per_vertex, table)
+    except ValueError as exc:
+        raise CheckpointError(f"snapshot estimator state is corrupt: {exc}") from exc
 
 
 def estimator_from_section(data: bytes) -> SelectivityEstimator:

@@ -497,7 +497,8 @@ class ShardedEngine:
     # ------------------------------------------------------------------
 
     def warmup(self, events: Iterable[EdgeEvent]) -> int:
-        """Feed a stream prefix to the coordinator's selectivity estimator."""
+        """Feed a stream prefix to the coordinator's selectivity estimator
+        (an iterator is advanced by exactly the events counted)."""
         if self._started or self._finished:
             raise QueryError("cannot warm up after streaming has started")
         return self.estimator.observe_events(events)

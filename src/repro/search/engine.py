@@ -207,7 +207,11 @@ class ContinuousQueryEngine:
     # ------------------------------------------------------------------
 
     def warmup(self, events: Iterable[EdgeEvent]) -> int:
-        """Feed a stream prefix to the selectivity estimator only."""
+        """Feed a stream prefix to the selectivity estimator only.
+
+        An iterator is advanced by exactly the events counted, so the
+        caller can go on to ``run()`` the rest of it.
+        """
         return self.estimator.observe_events(events)
 
     def register(

@@ -17,7 +17,7 @@ enablements. Duplicate discoveries are suppressed by the node tables.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..analysis.profiling import ProfileCounters
 from ..graph.streaming_graph import StreamingGraph
@@ -84,6 +84,12 @@ class LazySearch(SearchAlgorithm):
             if sibling.is_leaf and sibling.leaf_index:
                 self._enable_target[node.node_id] = sibling.leaf_index
         self._leaves = tree.leaves()
+        #: the insert hook, made once (a per-edge closure handing *itself*
+        #: to the backfill is a function<->cell cycle per edge that only
+        #: the cyclic GC frees), and the sink it emits into: the current
+        #: edge's, rebound by every per-edge entry point.
+        self._hook = self._on_insert
+        self._sink: Optional[Callable[[Match], None]] = None
         #: type-indexed leaf dispatch: an edge only visits leaves whose
         #: fragment contains its type (skipped leaves would fail every
         #: anchor-role seed and never touch the bitmap, so the gating and
@@ -98,8 +104,8 @@ class LazySearch(SearchAlgorithm):
 
     def process_edge(self, edge: Edge) -> List[Match]:
         results: List[Match] = []
-        sink = results.append
-        hook = self._make_hook(sink)
+        self._sink = sink = results.append
+        hook = self._hook
         profile = self.profile if self.profile.enabled else None
         if not self.compiled_plans:
             return self._process_edge_legacy(edge, results, sink, hook, profile)
@@ -146,9 +152,9 @@ class LazySearch(SearchAlgorithm):
         plan execution reads only the graph).
 
         The bitmap gate stays per edge (enablement is data-dependent) but
-        its leaf index is pre-resolved; the insert hook is per edge (it
-        closes over this edge's sink) exactly as in the per-edge path —
-        hook firing order relative to sibling probes is preserved by
+        its leaf index is pre-resolved; the insert hook emits into this
+        edge's sink exactly as in the per-edge path — hook firing order
+        relative to sibling probes is preserved by
         :meth:`SJTree.compile_leaf_insert`.
         """
         if not self.compiled_plans:
@@ -172,15 +178,14 @@ class LazySearch(SearchAlgorithm):
         bitmap = self.bitmap
         profile = self.profile
         process_edge = self.process_edge
-        make_hook = self._make_hook
+        hook = self._hook
         Match_ = Match
 
         def handle(edge: Edge) -> List[Match]:
             if profile.enabled:
                 return process_edge(edge)
             results: List[Match] = []
-            sink = results.append
-            hook = make_hook(sink)
+            self._sink = sink = results.append
             enabled = bitmap.enabled
             cutoff = window._cutoff  # plain attr: skip the property call
             src = edge.src
@@ -239,19 +244,16 @@ class LazySearch(SearchAlgorithm):
 
     # ------------------------------------------------------------------
 
-    def _make_hook(self, sink) -> "callable":
-        def on_insert(node: SJTreeNode, match: Match) -> None:
-            target = self._enable_target.get(node.node_id)
-            if target is None:
-                return
-            self._enable_and_backfill(target, match, sink, on_insert)
+    def _on_insert(self, node: SJTreeNode, match: Match) -> None:
+        target = self._enable_target.get(node.node_id)
+        if target is not None:
+            self._enable_and_backfill(target, match)
 
-        return on_insert
-
-    def _enable_and_backfill(self, leaf_index: int, match: Match, sink, hook) -> None:
+    def _enable_and_backfill(self, leaf_index: int, match: Match) -> None:
         """Turn on leaf ``leaf_index`` for the match's vertices; on fresh
         enablement, retrospectively search the vertex neighbourhood."""
         leaf = self._leaves[leaf_index]
+        sink, hook = self._sink, self._hook
         profile = self.profile if self.profile.enabled else None
         # deterministic vertex order: retro matches are *inserted* per
         # vertex, so set-iteration (hash-seed-dependent) order here would

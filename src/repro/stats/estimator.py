@@ -11,26 +11,36 @@ histogram and the 2-edge path counter behind one warmup API:
 
 The estimator is deliberately *independent of the data graph store*: it
 keeps only per-vertex token counters, so warmup does not require holding
-the warmup edges in memory.
+the warmup edges in memory — :meth:`SelectivityEstimator.observe_events`
+reads the stream a bounded chunk at a time.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from collections import Counter
+from itertools import islice
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import EstimationError
-from ..graph.types import Edge, EdgeEvent
+from ..graph.columnar import EdgeChunk
+from ..graph.types import IN, OUT, VOCABULARY, Edge, EdgeEvent
 from .histogram import EdgeTypeHistogram
 from .paths import (
     EdgeMapFn,
     PathSignature,
+    Token,
     TwoEdgePathCounter,
     default_edge_map,
 )
 from .selectivity import LeafSelectivity, SelectivityDistribution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..graph.streaming_graph import StreamingGraph
     from ..query.query_graph import QueryGraph
+
+#: events :meth:`SelectivityEstimator.observe_events` holds at a time:
+#: warm-up memory is bounded by this, never by the length of the prefix.
+OBSERVE_CHUNK = 4096
 
 
 class SelectivityEstimator:
@@ -40,6 +50,8 @@ class SelectivityEstimator:
         self.edge_histogram = EdgeTypeHistogram()
         self.path_counter = TwoEdgePathCounter(map_edge)
         self._events_observed = 0
+        # a custom Map() sees each edge: no per-type tokens to share
+        self._per_event = map_edge is not default_edge_map
 
     # -- warmup --------------------------------------------------------------
 
@@ -62,12 +74,45 @@ class SelectivityEstimator:
         )
 
     def observe_events(self, events: Iterable[EdgeEvent]) -> int:
-        """Warm up from an event iterable; returns the number consumed."""
-        consumed = 0
-        for event in events:
-            self.observe_event(event)
-            consumed += 1
+        """Warm up from an event iterable; returns the number consumed.
+
+        Pulls exactly the events it counts (an iterator shared with a
+        later consumer is left at the next event) and leaves the path
+        table derived, so that cost is part of the warm-up.
+        """
+        consumed = self._observe_chunks(events)
+        self.path_counter.refresh()
         return consumed
+
+    def _observe_chunks(self, events: Iterable[EdgeEvent]) -> int:
+        consumed = 0
+        if self._per_event:
+            for event in events:
+                self.observe_event(event)
+                consumed += 1
+            return consumed
+        iterator = iter(events)
+        while True:
+            batch = list(islice(iterator, OBSERVE_CHUNK))
+            if not batch:
+                return consumed
+            self._observe_chunk(batch)
+            consumed += len(batch)
+
+    def _observe_chunk(self, events: List[EdgeEvent]) -> None:
+        """Fold one bounded batch in (identity ``Map()`` only): a
+        histogram add per distinct type, then the endpoint columns into
+        the per-vertex token counts."""
+        chunk = EdgeChunk.from_events(events)
+        tokens: Dict[int, Tuple[Token, Token]] = {}
+        for code, count in Counter(chunk.codes).items():
+            etype = VOCABULARY.etype_name(code)
+            self.edge_histogram.add(etype, count)
+            tokens[code] = ((OUT, etype), (IN, etype))
+        self.path_counter.add_columns(
+            chunk.srcs, chunk.dsts, map(tokens.__getitem__, chunk.codes)
+        )
+        self._events_observed += chunk.n
 
     @property
     def events_observed(self) -> int:
@@ -158,7 +203,7 @@ class SelectivityEstimator:
 
 
 def estimator_from_graph(
-    graph, map_edge: Optional[EdgeMapFn] = None
+    graph: "StreamingGraph", map_edge: Optional[EdgeMapFn] = None
 ) -> SelectivityEstimator:
     """Build an estimator from the live edges of an existing graph store."""
     estimator = SelectivityEstimator(map_edge or default_edge_map)

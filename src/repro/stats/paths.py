@@ -1,5 +1,6 @@
 """2-edge path statistics — Algorithm 5 (COUNT-2-EDGE-PATHS) and a
-streaming, eviction-aware equivalent.
+streaming, eviction-aware equivalent that keeps Algorithm 5's per-vertex
+token counts per edge and derives the signature table per batch.
 
 A *2-edge path* is an unordered pair of distinct edges sharing a centre
 vertex. Its type — the **path signature** — is the unordered pair of
@@ -15,8 +16,10 @@ with :meth:`repro.graph.StreamingGraph.incident_edges` reporting them once.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..graph.columnar import pair_sums
 from ..graph.types import IN, OUT, Edge, VertexId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -30,6 +33,11 @@ PathSignature = Tuple[Token, Token]
 
 #: Signature for ``map_edge`` callbacks: (edge, centre_vertex) -> type label.
 EdgeMapFn = Callable[[Edge, VertexId], str]
+
+#: :meth:`TwoEdgePathCounter.export_state`: token multiplicities per vertex
+VertexTokens = List[Tuple[VertexId, List[Tuple[Token, int]]]]
+#: ... and the signature table derived from them.
+SignatureCounts = List[Tuple[PathSignature, int]]
 
 
 def default_edge_map(edge: Edge, centre: VertexId) -> str:
@@ -59,7 +67,7 @@ def edge_token(
 def count_two_edge_paths(
     graph: "StreamingGraph",
     map_edge: EdgeMapFn = default_edge_map,
-) -> Counter:
+) -> Counter[PathSignature]:
     """Algorithm 5, literally: batch-count all 2-edge paths in ``graph``.
 
     For every vertex ``v``, count the tokens of its incident edges, then
@@ -85,105 +93,186 @@ def count_two_edge_paths(
 class TwoEdgePathCounter:
     """Streaming, eviction-aware 2-edge path distribution.
 
-    Maintains per-vertex token counters so each edge insertion/removal
-    updates the global signature counts in ``O(k)`` where ``k`` is the
-    number of distinct tokens at the two endpoints. The result is always
-    identical to re-running :func:`count_two_edge_paths` on the live graph
-    (a property-based test enforces this).
+    The maintained state is Algorithm 5's sufficient statistic: how many
+    live edges carry each token at each vertex. An insertion or removal
+    is one dict update per endpoint. The signature table is *derived*
+    from that state with Algorithm 5's closed form, once per batch of
+    updates — on :meth:`refresh`, or on the first read after a change —
+    so the cost is ``O(1)`` per edge plus ``O(Σᵥ kᵥ²)`` per derive, with
+    ``kᵥ`` the distinct tokens at vertex ``v``. Every read is identical
+    to re-running :func:`count_two_edge_paths` on the live graph (a
+    property-based test enforces this).
     """
 
     def __init__(self, map_edge: EdgeMapFn = default_edge_map) -> None:
         self._map_edge = map_edge
-        self._per_vertex: Dict[VertexId, Counter[Token]] = {}
-        self._paths: Counter[PathSignature] = Counter()
+        self._per_vertex: Dict[VertexId, Dict[Token, int]] = {}
+        # derived from ``_per_vertex`` by refresh(), in sorted signature order
+        self._paths: Dict[PathSignature, int] = {}
         self._total = 0
+        self._stale = False
 
     # -- stream maintenance -------------------------------------------------
 
     def add_edge(self, edge: Edge) -> None:
         """Account for a newly inserted edge."""
-        if edge.src == edge.dst:
-            self._add_token(edge.src, (OUT, self._map_edge(edge, edge.src)))
-        else:
-            self._add_token(edge.src, (OUT, self._map_edge(edge, edge.src)))
-            self._add_token(edge.dst, (IN, self._map_edge(edge, edge.dst)))
+        src, dst = edge.src, edge.dst
+        self._add_token(src, (OUT, self._map_edge(edge, src)))
+        if dst != src:
+            self._add_token(dst, (IN, self._map_edge(edge, dst)))
 
     def remove_edge(self, edge: Edge) -> None:
         """Account for an evicted edge."""
-        if edge.src == edge.dst:
-            self._remove_token(edge.src, (OUT, self._map_edge(edge, edge.src)))
-        else:
-            self._remove_token(edge.src, (OUT, self._map_edge(edge, edge.src)))
-            self._remove_token(edge.dst, (IN, self._map_edge(edge, edge.dst)))
+        src, dst = edge.src, edge.dst
+        self._remove_token(src, (OUT, self._map_edge(edge, src)))
+        if dst != src:
+            self._remove_token(dst, (IN, self._map_edge(edge, dst)))
+
+    def add_columns(
+        self,
+        srcs: Iterable[VertexId],
+        dsts: Iterable[VertexId],
+        tokens: Iterable[Tuple[Token, Token]],
+    ) -> None:
+        """:meth:`add_edge` over parallel columns: one edge per position,
+        ``tokens`` giving its ``(OUT token, IN token)`` already mapped."""
+        per_vertex = self._per_vertex
+        for src, dst, (out_token, in_token) in zip(srcs, dsts, tokens):
+            local = per_vertex.get(src)
+            if local is None:
+                local = per_vertex[src] = {}
+            local[out_token] = local.get(out_token, 0) + 1
+            if dst != src:
+                local = per_vertex.get(dst)
+                if local is None:
+                    local = per_vertex[dst] = {}
+                local[in_token] = local.get(in_token, 0) + 1
+        self._stale = True
 
     def _add_token(self, vertex: VertexId, token: Token) -> None:
-        local = self._per_vertex.setdefault(vertex, Counter())
-        # The new edge pairs up with every existing incident edge.
-        for other, count in local.items():
-            sig = make_signature(token, other)
-            self._paths[sig] += count
-            self._total += count
-        local[token] += 1
+        local = self._per_vertex.get(vertex)
+        if local is None:
+            local = self._per_vertex[vertex] = {}
+        local[token] = local.get(token, 0) + 1
+        self._stale = True
 
     def _remove_token(self, vertex: VertexId, token: Token) -> None:
         local = self._per_vertex.get(vertex)
-        if local is None or local.get(token, 0) == 0:
+        if local is None or token not in local:
             raise ValueError(f"token {token} not present at vertex {vertex!r}")
-        local[token] -= 1
-        if local[token] == 0:
+        count = local[token]
+        if count > 1:
+            local[token] = count - 1
+        else:
             del local[token]
-        if not local:
-            del self._per_vertex[vertex]
-        # The removed edge was paired with every *remaining* incident edge.
-        if local is not None and (vertex in self._per_vertex):
-            for other, count in local.items():
-                sig = make_signature(token, other)
-                self._paths[sig] -= count
-                if self._paths[sig] == 0:
-                    del self._paths[sig]
-                self._total -= count
+            if not local:
+                del self._per_vertex[vertex]
+        self._stale = True
+
+    def refresh(self) -> None:
+        """Re-derive the signature table if the counts changed since the
+        last derive (reads do this themselves; a warm-up calls it so the
+        cost is paid there and not by the first query registered)."""
+        if not self._stale:
+            return
+        rows = list(self._per_vertex.values())
+        tokens = sorted(set(chain.from_iterable(rows)))
+        index = {token: code for code, token in enumerate(tokens)}
+        self._paths = {
+            make_signature(tokens[first], tokens[second]): count
+            for first, second, count in pair_sums(rows, index)
+        }
+        self._total = sum(self._paths.values())
+        self._stale = False
 
     # -- queries ------------------------------------------------------------
 
     @property
     def total(self) -> int:
         """Total number of live 2-edge paths."""
+        self.refresh()
         return self._total
 
     def count(self, signature: PathSignature) -> int:
         """Occurrences of a path signature (0 if unseen)."""
+        self.refresh()
         return self._paths.get(signature, 0)
 
     def seen(self, signature: PathSignature) -> bool:
         """True if the signature occurs in the live graph."""
+        self.refresh()
         return signature in self._paths
 
     def selectivity(self, signature: PathSignature) -> float:
         """``S(g)`` for the 2-edge path: count over all 2-edge paths."""
+        self.refresh()
         if self._total == 0:
             return 0.0
         return self._paths.get(signature, 0) / self._total
 
     def signatures(self) -> Iterable[PathSignature]:
         """All live signatures."""
+        self.refresh()
         return self._paths.keys()
 
-    def as_counter(self) -> Counter:
+    def as_counter(self) -> Counter[PathSignature]:
         """Copy of the raw counts (for comparisons against Algorithm 5)."""
+        self.refresh()
         return Counter(self._paths)
 
     def distribution(self) -> list[tuple[PathSignature, int]]:
         """Signatures ascending by count — rarest (most selective) first."""
+        self.refresh()
         return sorted(self._paths.items(), key=lambda kv: (kv[1], kv[0]))
 
     def __len__(self) -> int:
+        self.refresh()
         return len(self._paths)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"TwoEdgePathCounter(signatures={len(self._paths)}, "
-            f"paths={self._total})"
+            f"TwoEdgePathCounter(vertices={len(self._per_vertex)}, "
+            f"stale={self._stale})"
         )
+
+    # -- persistence ----------------------------------------------------------
+
+    def export_state(self) -> Tuple[VertexTokens, SignatureCounts]:
+        """The per-vertex counts (vertices in first-seen order, tokens
+        sorted) and the derived table (signatures sorted): canonical, so
+        equal streams give equal exports however they were folded in."""
+        self.refresh()
+        per_vertex = [
+            (vertex, sorted(local.items()))
+            for vertex, local in self._per_vertex.items()
+        ]
+        return per_vertex, list(self._paths.items())
+
+    def load_state(self, per_vertex: VertexTokens, table: SignatureCounts) -> None:
+        """Replace the state with an :meth:`export_state` result.
+
+        ``table`` is redundant by construction; it is checked against the
+        one derived from ``per_vertex``. Raises ``ValueError`` when they
+        disagree, a vertex or a token within a vertex repeats (or a vertex
+        has none), a direction is unknown or a count is not positive.
+        """
+        loaded: Dict[VertexId, Dict[Token, int]] = {}
+        for vertex, counts in per_vertex:
+            local = {make_token(*token): count for token, count in counts}
+            fewest = min(local.values(), default=0)
+            if vertex in loaded or len(local) != len(counts) or fewest < 1:
+                raise ValueError(
+                    f"vertex {vertex!r}: a repeated vertex or token, or a "
+                    "count below 1"
+                )
+            loaded[vertex] = local
+        self._per_vertex = loaded
+        self._stale = True
+        self.refresh()
+        if len(table) != len(self._paths) or dict(table) != self._paths:
+            raise ValueError(
+                "stored signature table disagrees with the per-vertex counts"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ looks like *now*.
 :class:`WindowedSelectivityEstimator` subscribes to a
 :class:`~repro.graph.StreamingGraph`'s arrival order and mirrors its
 evictions, keeping both the 1-edge histogram and the 2-edge path counter
-exact for the live window at O(1) amortised per edge.
+exact for the live window at O(1) amortised per edge (the path *table* is
+derived from the counts when it is next read, not per edge).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable
+from typing import Deque, Iterable, List
 
 from ..graph.types import Edge, EdgeEvent
 from ..graph.window import TimeWindow
@@ -63,26 +64,37 @@ class WindowedSelectivityEstimator(SelectivityEstimator):
 
     def observe(self, edge: Edge) -> None:
         """Fold one edge in and retract everything that just expired."""
-        self._window.advance(edge.timestamp)
-        cutoff = self._window.cutoff
-        while self._live and self._live[0].timestamp < cutoff:
-            expired = self._live.popleft()
-            self.edge_histogram.remove(expired.etype)
-            self.path_counter.remove_edge(expired)
+        self._retract_before(self._window.advance(edge.timestamp))
         super().observe(edge)
         self._live.append(edge)
 
     def observe_events(self, events: Iterable[EdgeEvent]) -> int:
-        """Events must arrive in non-decreasing timestamp order."""
-        consumed = 0
-        for event in events:
-            self.observe_event(event)
-            consumed += 1
-        return consumed
+        """Events must arrive in non-decreasing timestamp order.
+
+        Unlike the base class this leaves the path table to the next
+        read: a window is fed far more often than it is asked.
+        """
+        return self._observe_chunks(events)
+
+    def _observe_chunk(self, events: List[EdgeEvent]) -> None:
+        # Adding the whole batch and then retracting up to its last cutoff
+        # ends in the same window as doing both per event: the cutoff only
+        # moves forward, and an edge is retracted strictly after it was added.
+        super()._observe_chunk(events)
+        self._live.extend(Edge(-1, e.src, e.dst, e.etype, e.timestamp) for e in events)
+        self._retract_before(self._window.advance(max(e.timestamp for e in events)))
+
+    def _retract_before(self, cutoff: float) -> None:
+        live = self._live
+        while live and live[0].timestamp < cutoff:
+            self._retract_oldest()
+
+    def _retract_oldest(self) -> None:
+        expired = self._live.popleft()
+        self.edge_histogram.remove(expired.etype)
+        self.path_counter.remove_edge(expired)
 
     def retract_all(self) -> None:
         """Empty the window (used when re-basing onto a new stream)."""
         while self._live:
-            expired = self._live.popleft()
-            self.edge_histogram.remove(expired.etype)
-            self.path_counter.remove_edge(expired)
+            self._retract_oldest()

@@ -195,3 +195,54 @@ def test_numpy_backend_available_matches_env():
         assert columnar.backend_name() == "python"
         with pytest.raises(RuntimeError):
             columnar.set_backend("numpy")
+
+
+# ---------------------------------------------------------------------------
+# pair_sums: the count-matrix kernel behind the 2-edge path table
+# ---------------------------------------------------------------------------
+
+
+def pair_sums_reference(rows, index):
+    """Every unordered pair of distinct items across each row's multiset."""
+    expected = {}
+    for row in rows:
+        items = [index[key] for key, count in row.items() for _ in range(count)]
+        for i, first in enumerate(items):
+            for second in items[i + 1 :]:
+                pair = (min(first, second), max(first, second))
+                expected[pair] = expected.get(pair, 0) + 1
+    return [(a, b, count) for (a, b), count in sorted(expected.items())]
+
+
+sparse_rows = st.lists(
+    st.dictionaries(st.integers(0, 11), st.integers(1, 4), max_size=6), max_size=12
+)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("block_cells", [1, 40, columnar.PAIR_BLOCK_CELLS])
+@settings(max_examples=60, deadline=None)
+@given(rows=sparse_rows, width=st.sampled_from([12, 200]))
+def test_pair_sums_equals_pairwise_enumeration(backend, block_cells, rows, width):
+    """Dense rows take the blocked CᵀC, width 200 the sparse loop: both
+    enumerate the same pairs, whatever the block size."""
+    columnar.set_backend(backend)
+    columnar.PAIR_BLOCK_CELLS, saved = block_cells, columnar.PAIR_BLOCK_CELLS
+    try:
+        index = {key: key for key in range(width)}
+        assert columnar.pair_sums(rows, index) == pair_sums_reference(rows, index)
+    finally:
+        columnar.PAIR_BLOCK_CELLS = saved
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pair_sums_stays_exact_past_int64(backend):
+    columnar.set_backend(backend)
+    big = 1 << 40
+    rows = [{"a": big, "b": big}, {"a": 3}]
+    assert columnar.pair_sums(rows, {"a": 0, "b": 1}) == [
+        (0, 0, big * (big - 1) // 2 + 3),
+        (0, 1, big * big),
+        (1, 1, big * (big - 1) // 2),
+    ]
+    assert columnar.pair_sums([], {}) == []

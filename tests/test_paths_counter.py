@@ -148,6 +148,83 @@ class TestStreamingCounter:
         assert counter.as_counter() == count_two_edge_paths(graph)
 
 
+class TestMaintainedState:
+    """The counter keeps per-vertex token counts; the table is derived."""
+
+    ROWS = [
+        ("a", "b", "T"),
+        ("b", "c", "U"),
+        ("b", "b", "T"),  # self-loop
+        ("a", "b", "T"),  # parallel edge
+        (1, "b", "U"),  # int id among strs
+    ]
+
+    def filled(self):
+        counter = TwoEdgePathCounter()
+        graph = graph_from_tuples(self.ROWS)
+        for edge in graph.edges():
+            counter.add_edge(edge)
+        return counter, graph
+
+    def test_add_columns_equals_add_edge(self):
+        counter, graph = self.filled()
+        columns = TwoEdgePathCounter()
+        edges = list(graph.edges())
+        columns.add_columns(
+            [e.src for e in edges],
+            [e.dst for e in edges],
+            [((OUT, e.etype), (IN, e.etype)) for e in edges],
+        )
+        assert columns.export_state() == counter.export_state()
+        assert columns.as_counter() == count_two_edge_paths(graph)
+
+    def test_export_is_canonical_and_round_trips(self):
+        counter, graph = self.filled()
+        per_vertex, table = counter.export_state()
+        assert [vertex for vertex, _ in per_vertex] == ["a", "b", "c", 1]
+        assert all(tokens == sorted(tokens) for _, tokens in per_vertex)
+        assert table == sorted(count_two_edge_paths(graph).items())
+        restored = TwoEdgePathCounter()
+        restored.load_state(per_vertex, table)
+        assert restored.export_state() == (per_vertex, table)
+        assert restored.total == counter.total
+        # the restored counter keeps streaming
+        edge = next(graph.edges())
+        restored.remove_edge(edge)
+        counter.remove_edge(edge)
+        assert restored.export_state() == counter.export_state()
+
+    def test_emptied_vertex_leaves_no_trace(self):
+        counter, graph = self.filled()
+        for edge in graph.edges():
+            counter.remove_edge(edge)
+        assert counter.export_state() == ([], [])
+        with pytest.raises(ValueError):
+            counter.remove_edge(next(graph.edges()))
+
+    @pytest.mark.parametrize(
+        "per_vertex, table, message",
+        [
+            ([("a", [((OUT, "T"), 2)])], [], "disagrees"),
+            ([("a", [((OUT, "T"), 2)])], [(sig(OUT, "T", OUT, "T"), 2)], "disagrees"),
+            (
+                [("a", [((OUT, "T"), 2)])],
+                [(sig(OUT, "T", OUT, "T"), 1), (sig(OUT, "T", OUT, "U"), 0)],
+                "disagrees",
+            ),
+            ([("a", [((OUT, "T"), 1), ((OUT, "T"), 1)])], [], "repeated"),
+            ([("a", [((OUT, "T"), 0)])], [], "below 1"),
+            ([("a", [((OUT, "T"), 2), ((IN, "T"), -1)])], [], "below 1"),
+            ([("a", [])], [], "below 1"),
+            ([("a", [((OUT, "T"), 1)]), ("a", [((IN, "T"), 1)])], [], "repeated"),
+            ([("a", [(("up", "T"), 1)])], [], "direction"),
+        ],
+    )
+    def test_load_state_rejects_inconsistent_state(self, per_vertex, table, message):
+        with pytest.raises(ValueError, match=message):
+            TwoEdgePathCounter().load_state(per_vertex, table)
+
+
 class TestQuerySignatures:
     def test_path_query_signatures(self):
         query = QueryGraph.path(["T", "U"])

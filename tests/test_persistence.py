@@ -22,10 +22,13 @@ from repro.persistence.binary import BinaryReader, BinaryWriter
 from repro.persistence.snapshot import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
+    _dump_estimator,
     engine_from_bytes,
     engine_to_bytes,
+    estimator_from_section,
 )
 from repro.query.query_graph import QueryGraph
+from repro.stats import SelectivityEstimator, estimator as estimator_module
 
 CUT_POINTS = (100, 350, 600)
 
@@ -389,6 +392,119 @@ def test_prune_removes_orphaned_tmp_files(tmp_path, workload):
     assert not orphan.exists()
     assert not stale.exists()
     assert (directory / "manifest.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# estimator section: canonical bytes, the parent's layout, hostile bytes
+# ---------------------------------------------------------------------------
+
+
+def _estimator_section(estimator) -> bytes:
+    w = BinaryWriter()
+    _dump_estimator(w, estimator)
+    return w.getvalue()
+
+
+def _write_estimator_section(observed, histogram, per_vertex, table) -> bytes:
+    """The v2 estimator layout, field by field, from explicit lists."""
+    w = BinaryWriter()
+    w.write_varint(observed)
+    w.write_varint(len(histogram))
+    for etype, count in histogram:
+        w.write_str(etype)
+        w.write_varint(count)
+    w.write_varint(len(per_vertex))
+    for vertex, tokens in per_vertex:
+        w.write_value(vertex)
+        w.write_varint(len(tokens))
+        for (direction, label), count in tokens:
+            w.write_str(direction)
+            w.write_str(label)
+            w.write_varint(count)
+    w.write_varint(len(table))
+    for (token_a, token_b), count in table:
+        for text in (*token_a, *token_b):
+            w.write_str(text)
+        w.write_varint(count)
+    return w.getvalue()
+
+
+def test_estimator_section_is_canonical(workload, monkeypatch):
+    """Per-edge, chunked and restored estimators over one stream write
+    byte-identical sections (vertices first-seen, the rest sorted)."""
+    events = workload[0][:400] + [workload[0][0].reversed()]
+    per_edge = SelectivityEstimator()
+    for event in events:
+        per_edge.observe_event(event)
+    monkeypatch.setattr(estimator_module, "OBSERVE_CHUNK", 7)
+    chunked = SelectivityEstimator()
+    chunked.observe_events(iter(events))
+    section = _estimator_section(per_edge)
+    assert _estimator_section(chunked) == section
+    restored = estimator_from_section(section)
+    assert _estimator_section(restored) == section
+    assert restored.events_observed == len(events)
+    assert restored.path_counter.total == per_edge.path_counter.total > 0
+
+
+#: a section as the pre-derive writer laid it out: tokens and signatures
+#: in the order the stream first produced them, not sorted
+_OLD_LAYOUT = (
+    3,
+    [("U", 1), ("T", 2)],
+    [
+        ("b", [(("out", "U"), 1), (("in", "T"), 2)]),
+        (7, [(("in", "U"), 1)]),
+        ("a", [(("out", "T"), 2)]),
+    ],
+    [
+        ((("in", "T"), ("out", "U")), 2),
+        ((("out", "T"), ("out", "T")), 1),
+        ((("in", "T"), ("in", "T")), 1),
+    ],
+)
+
+
+def test_estimator_section_in_the_old_order_still_restores():
+    restored = estimator_from_section(_write_estimator_section(*_OLD_LAYOUT))
+    assert restored.events_observed == 3
+    assert restored.edge_histogram.as_dict() == {"U": 1, "T": 2}
+    assert restored.path_counter.as_counter() == dict(_OLD_LAYOUT[3])
+    assert restored.path_selectivity((("in", "T"), ("out", "U"))) == 0.5
+    assert _estimator_section(restored) == _write_estimator_section(
+        3,
+        sorted(_OLD_LAYOUT[1]),
+        [(vertex, sorted(tokens)) for vertex, tokens in _OLD_LAYOUT[2]],
+        sorted(_OLD_LAYOUT[3]),
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda verts, table: table.__setitem__(0, (table[0][0], 3)),
+        lambda verts, table: table.pop(),
+        lambda verts, table: table.append(table[0]),
+        lambda verts, table: table.append(((("in", "X"), ("out", "X")), 1)),
+        lambda verts, table: table.__setitem__(
+            0, ((table[0][0][1], table[0][0][0]), 2)  # not canonical
+        ),
+        lambda verts, table: verts[0][1].append(verts[0][1][0]),
+        lambda verts, table: verts[1][1].__setitem__(0, (("in", "U"), 0)),
+        lambda verts, table: verts.append(verts[0]),
+        lambda verts, table: verts[1][1].__setitem__(0, (("up", "U"), 1)),
+    ],
+)
+def test_hostile_estimator_section_raises_checkpoint_error(mutate):
+    """A stored table that disagrees with the counts, a repeated token or
+    vertex, a zero count, an unknown direction: typed, never Key/ValueError."""
+    observed, histogram, per_vertex, table = _OLD_LAYOUT
+    per_vertex = [(vertex, list(tokens)) for vertex, tokens in per_vertex]
+    table = list(table)
+    mutate(per_vertex, table)
+    section = _write_estimator_section(observed, histogram, per_vertex, table)
+    with pytest.raises(CheckpointError, match="estimator state is corrupt"):
+        estimator_from_section(section)
 
 
 # ---------------------------------------------------------------------------

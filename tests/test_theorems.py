@@ -93,11 +93,13 @@ class TestProfileSplit:
         # iso phase below the join phase on this toy stream — the point of
         # the optimisation).
         eager, _ = run_with_tree([(0,), (1,)], lazy=False, compiled_plans=False)
-        iso = eager.profile.seconds("iso")
-        join = eager.profile.seconds("join")
-        assert iso > 0.0
-        # eager search spends most time in anchored isomorphism probes
-        assert iso > join
+        profile = eager.profile
+        # counters, not an iso-vs-join wall-clock race on a toy stream:
+        # every anchored probe was bucketed as iso, its matches as join
+        assert profile.counters["leaf_matches"] > 0
+        assert profile.phases["iso"].calls > 0
+        assert profile.phases["join"].calls > 0
+        assert profile.seconds("iso") > 0.0
 
     def test_compiled_plans_preserve_output_and_profile_shape(self):
         """The compiled fast path finds the same matches and still buckets

@@ -1,5 +1,7 @@
 """Tests for the window-exact selectivity estimator."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from repro.stats import (
     SelectivityEstimator,
     WindowedSelectivityEstimator,
     count_two_edge_paths,
+    estimator as estimator_module,
     estimator_from_graph,
 )
 
@@ -98,3 +101,71 @@ class TestAgainstLiveGraph:
             assert est.edge_selectivity(etype) == pytest.approx(
                 fresh.edge_selectivity(etype)
             )
+
+
+class TestChunkedObserve:
+    """``observe_events`` folds whole chunks in and retracts once per
+    chunk; the window it ends in is the per-event one."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        width=st.sampled_from([3.0, 8.0, 1e9]),
+        raw=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 2, "0", "a"]),
+                st.sampled_from([0, 1, 2, "0", "a"]),
+                st.sampled_from(["A", "B"]),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=35,
+        ),
+        cut=st.integers(0, 35),
+    )
+    def test_chunked_equals_per_event_and_live_graph(self, chunk, width, raw, cut):
+        events, t = [], 0.0
+        for src, dst, etype, dt in raw:
+            t += dt
+            events.append(EdgeEvent(src, dst, etype, t))
+        per_event = WindowedSelectivityEstimator(window=width)
+        graph = StreamingGraph(window=width)
+        for event in events:
+            per_event.observe_event(event)
+            graph.add_event(event)
+        chunked = WindowedSelectivityEstimator(window=width)
+        saved = estimator_module.OBSERVE_CHUNK
+        estimator_module.OBSERVE_CHUNK = chunk
+        try:
+            # two calls, the second through a shared iterator
+            shared = iter(events)
+            consumed = chunked.observe_events(itertools.islice(shared, cut))
+            consumed += chunked.observe_events(shared)
+        finally:
+            estimator_module.OBSERVE_CHUNK = saved
+        assert consumed == len(events) == chunked.events_observed
+        assert chunked.live_edges == per_event.live_edges == graph.num_edges
+        assert chunked.window.cutoff == per_event.window.cutoff
+        assert chunked.edge_histogram.as_dict() == graph.snapshot_counts()
+        # same counts; vertex order may differ (a chunk adds before it
+        # retracts, so a vertex emptied per event can survive in place)
+        ours, theirs = (
+            est.path_counter.export_state() for est in (chunked, per_event)
+        )
+        assert dict(ours[0]) == dict(theirs[0]) and ours[1] == theirs[1]
+        assert chunked.path_counter.as_counter() == count_two_edge_paths(graph)
+        chunked.retract_all()
+        assert chunked.path_counter.export_state() == ([], [])
+
+    def test_custom_map_keeps_the_window(self):
+        est = WindowedSelectivityEstimator(
+            window=5.0, map_edge=lambda edge, centre: edge.etype.lower()
+        )
+        est.observe_events(
+            [ev("a", "b", "T", 0.0), ev("b", "c", "U", 1.0), ev("x", "b", "T", 6.5)]
+        )
+        assert est.live_edges == 1
+        assert est.path_counter.export_state() == (
+            [("x", [(("out", "t"), 1)]), ("b", [(("in", "t"), 1)])],
+            [],
+        )
