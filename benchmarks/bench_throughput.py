@@ -147,14 +147,20 @@ ENGINE_REPEATS = 5
 SPEEDUP_FLOOR = 8.0
 
 #: the ``telemetry`` section: pull-based metric collection must stay
-#: effectively free. The CI-guarded figure amortises one
-#: ``engine.metrics().collect()`` over a realistic emission cadence
-#: (every :data:`TELEMETRY_CADENCE_EVENTS` events) against the fast
-#: path's per-event cost — at smoke scale the whole timed stream is
-#: ~10ms, so an in-loop on-vs-off delta would be pure scheduler noise
-#: (it is still measured and reported, with record identity asserted).
+#: effectively free. The CI-guarded figure is the average cost of one
+#: ``engine.metrics().collect()`` per metric family on the loaded
+#: end-of-stream engine: 18-26 us over 33 families on the 2-vCPU
+#: sandbox, so the ceiling leaves ~4x for slower runners and still
+#: catches a collect() that starts walking per-match state. The same
+#: cost amortised over a realistic emission cadence (every
+#: :data:`TELEMETRY_CADENCE_EVENTS` events) against the fast path's
+#: per-event cost is reported but not gated — that ratio tightens
+#: whenever the engine gets faster with collect() itself untouched. At
+#: smoke scale the whole timed stream is ~10ms, so an in-loop on-vs-off
+#: delta would be pure scheduler noise (it is still measured and
+#: reported, with record identity asserted).
 TELEMETRY_CADENCE_EVENTS = 5_000
-TELEMETRY_OVERHEAD_CEILING_PCT = 3.0
+TELEMETRY_COLLECT_US_PER_FAMILY_CEILING = 100.0
 TELEMETRY_COLLECT_SAMPLES = 25
 TELEMETRY_DENSE_SEGMENTS = 10
 
@@ -392,12 +398,12 @@ def measure_telemetry(
     record identity asserted. At smoke scale this difference sits inside
     scheduler noise, so it is reported, not gated.
 
-    *Amortised collect cost* (the CI gate): the average wall cost of one
-    ``collect()`` on the loaded end-of-stream engine, expressed as a
-    percentage of the fast path's cost to process
-    :data:`TELEMETRY_CADENCE_EVENTS` events — i.e. the overhead a run
-    emitting snapshots every 5000 events actually pays. Guarded at
-    :data:`TELEMETRY_OVERHEAD_CEILING_PCT` percent. The always-on
+    *Collect cost*: the average wall cost of one ``collect()`` on the
+    loaded end-of-stream engine, per metric family — the CI gate, at
+    :data:`TELEMETRY_COLLECT_US_PER_FAMILY_CEILING` microseconds — and,
+    reported only, as a percentage of the fast path's cost to process
+    :data:`TELEMETRY_CADENCE_EVENTS` events, i.e. the overhead a run
+    emitting snapshots every 5000 events actually pays. The always-on
     hot-path counters (dispatch hits, table probes/expiries) need no
     separate gate: they are inside the timed fast path already guarded
     by :data:`SPEEDUP_FLOOR`.
@@ -465,9 +471,12 @@ def measure_telemetry(
         "collect_seconds_avg": round(collect_seconds_avg, 6),
         "collect_samples": TELEMETRY_COLLECT_SAMPLES,
         "families": len(snapshot),
+        "collect_us_per_family": round(
+            collect_seconds_avg * 1e6 / len(snapshot), 2
+        ),
+        "collect_us_per_family_ceiling": TELEMETRY_COLLECT_US_PER_FAMILY_CEILING,
         "cadence_events": TELEMETRY_CADENCE_EVENTS,
         "overhead_pct_at_default_cadence": round(overhead_pct, 3),
-        "overhead_ceiling_pct": TELEMETRY_OVERHEAD_CEILING_PCT,
         "dense": {
             "segments": len(segments),
             "metrics_off_seconds": round(best[False], 4),
@@ -897,13 +906,12 @@ def test_throughput_fast_path_speedup():
     ), "fast path peak allocation exceeded the seed path's"
     telemetry = result["telemetry"]
     assert (
-        telemetry["overhead_pct_at_default_cadence"]
-        <= TELEMETRY_OVERHEAD_CEILING_PCT
+        telemetry["collect_us_per_family"]
+        <= TELEMETRY_COLLECT_US_PER_FAMILY_CEILING
     ), (
-        f"telemetry collection costs "
-        f"{telemetry['overhead_pct_at_default_cadence']}% of fast-path "
-        f"throughput at a {TELEMETRY_CADENCE_EVENTS}-event cadence; "
-        f"ceiling is {TELEMETRY_OVERHEAD_CEILING_PCT}%"
+        f"one metrics collect() costs {telemetry['collect_us_per_family']}us "
+        f"per family over {telemetry['families']} families; "
+        f"ceiling is {TELEMETRY_COLLECT_US_PER_FAMILY_CEILING}us"
     )
     scaling = result["worker_scaling"]
     if scaling.get("skipped"):
@@ -937,10 +945,11 @@ if __name__ == "__main__":
     telemetry = outcome["telemetry"]
     print(
         f"telemetry: collect {telemetry['collect_seconds_avg']*1e3:.2f}ms over "
-        f"{telemetry['families']} families -> "
+        f"{telemetry['families']} families = "
+        f"{telemetry['collect_us_per_family']:.1f}us/family "
+        f"(ceiling {telemetry['collect_us_per_family_ceiling']}us); "
         f"{telemetry['overhead_pct_at_default_cadence']:.3f}% at a "
-        f"{telemetry['cadence_events']}-event cadence "
-        f"(ceiling {telemetry['overhead_ceiling_pct']}%)"
+        f"{telemetry['cadence_events']}-event cadence (not gated)"
     )
     scaling = outcome["worker_scaling"]
     if scaling.get("skipped"):

@@ -48,11 +48,13 @@ class MatchShape:
     map (and for extracting join keys) without building a dict.
     """
 
-    __slots__ = ("qeids", "edge_roles", "role_sources")
+    __slots__ = ("qeids", "etypes", "edge_roles", "role_sources")
 
     def __init__(self, query_edges: Sequence[QueryEdge]) -> None:
         ordered = sorted(query_edges, key=lambda e: e.edge_id)
         self.qeids: Tuple[int, ...] = tuple(e.edge_id for e in ordered)
+        #: per slot: the edge type every data edge bound there must carry
+        self.etypes: Tuple[str, ...] = tuple(e.etype for e in ordered)
         #: per slot: the (src_role, dst_role) query vertices of that edge
         self.edge_roles: Tuple[Tuple[int, int], ...] = tuple(
             (e.src, e.dst) for e in ordered
@@ -363,84 +365,97 @@ class Match:
 class JoinPlan:
     """Compiled sibling hash-join for one SJ-Tree parent node.
 
-    Precomputes, from the two child shapes and the output shape:
+    Everything static is resolved here, from the two child shapes and
+    the output shape, into flat check lists that ``join`` — a closure
+    built once per plan — walks:
 
-    * ``take`` — for each output slot, which side/slot supplies the edge
-      (the positional merge of the two sorted qeid tuples);
-    * ``left_excl`` / ``right_excl`` — accessors for the query vertices
-      exclusive to each side. Shared roles need no checks: they are
-      exactly the parent's cut, and bucket-key equality already pinned
-      them to the same data vertices; each side is internally injective,
-      so only exclusive-left × exclusive-right collisions can break
-      injectivity. Query-edge disjointness holds by construction (the
-      children partition the parent's edges).
+    * *data-edge disjointness* only for slot pairs whose query edges
+      share an etype: a data edge binds only query edges of its own
+      type, so ``TCP ⋈ UDP`` checks nothing;
+    * *vertex injectivity* only between side-exclusive roles, one
+      ``(left slot, is_src, right slot, is_src)`` entry per pair. Shared
+      roles need no checks: they are exactly the parent's cut, and
+      bucket-key equality already pinned them to the same data vertices;
+      each side is internally injective;
+    * the *merged edge tuple* as one concatenation when the output takes
+      all of one side and then all of the other (every join of a path
+      query); the general per-slot walk otherwise.
 
-    ``join`` therefore only verifies data-edge disjointness and exclusive
-    vertex injectivity — allocating one edge tuple and one Match on
-    success, nothing on failure.
+    Query-edge disjointness holds by construction (the children partition
+    the parent's edges). A successful join allocates one edge tuple and
+    one Match; a failed one nothing.
+
+    ``join(left, right)`` takes a left-child and a right-child match and
+    returns the joined match or ``None``. Precondition: both were
+    stored/probed under the same bucket key (the cut projection), which
+    guarantees consistency on all shared query vertices.
     """
 
-    __slots__ = ("shape", "qeids", "take", "left_excl", "right_excl")
+    __slots__ = ("shape", "qeids", "join")
 
     def __init__(self, left: MatchShape, right: MatchShape, out: MatchShape) -> None:
         self.shape = out
-        self.qeids = out.qeids
-        left_pos = {qeid: slot for slot, qeid in enumerate(left.qeids)}
-        right_pos = {qeid: slot for slot, qeid in enumerate(right.qeids)}
-        self.take: Tuple[Tuple[bool, int], ...] = tuple(
-            (True, left_pos[qeid]) if qeid in left_pos else (False, right_pos[qeid])
-            for qeid in out.qeids
-        )
+        self.qeids = qeids = out.qeids
+        edge_checks = [
+            (ls, rs)
+            for ls, left_etype in enumerate(left.etypes)
+            for rs, right_etype in enumerate(right.etypes)
+            if left_etype == right_etype
+        ]
         left_roles = left.role_accessors()
         right_roles = right.role_accessors()
-        self.left_excl: Tuple[Tuple[int, bool], ...] = tuple(
-            acc for role, acc in left_roles.items() if role not in right_roles
-        )
-        self.right_excl: Tuple[Tuple[int, bool], ...] = tuple(
-            acc for role, acc in right_roles.items() if role not in left_roles
-        )
-
-    def join(self, left: Match, right: Match) -> Optional[Match]:
-        """Join a left-child match with a right-child match, or ``None``.
-
-        Precondition: both matches were stored/probed under the same
-        bucket key (the cut projection), which guarantees consistency on
-        all shared query vertices.
-        """
-        le = left.edges
-        re_ = right.edges
-        # Data-edge disjointness. Child edge sets are small; nested loops
-        # beat set construction until they are not.
-        if len(le) * len(re_) > 16:
-            lids = {e.edge_id for e in le}
-            for f in re_:
-                if f.edge_id in lids:
-                    return None
+        vertex_checks = [
+            (ls, lf, rs, rf)
+            for left_role, (ls, lf) in left_roles.items()
+            if left_role not in right_roles
+            for right_role, (rs, rf) in right_roles.items()
+            if right_role not in left_roles
+        ]
+        # ``take``: per output slot, which side/slot supplies the edge (the
+        # positional merge of the two sorted qeid tuples); ``order`` is +1 /
+        # -1 when that merge is left-then-right / right-then-left.
+        left_pos = {qeid: slot for slot, qeid in enumerate(left.qeids)}
+        right_pos = {qeid: slot for slot, qeid in enumerate(right.qeids)}
+        take = [
+            (True, left_pos[qeid]) if qeid in left_pos else (False, right_pos[qeid])
+            for qeid in qeids
+        ]
+        if qeids == left.qeids + right.qeids:
+            order = 1
+        elif qeids == right.qeids + left.qeids:
+            order = -1
         else:
-            for e in le:
-                eid = e.edge_id
-                for f in re_:
-                    if f.edge_id == eid:
-                        return None
-        # Vertex injectivity between side-exclusive roles.
-        right_excl = self.right_excl
-        for ls, lf in self.left_excl:
-            e = le[ls]
-            lv = e.src if lf else e.dst
-            for rs, rf in right_excl:
-                f = re_[rs]
-                if lv == (f.src if rf else f.dst):
+            order = 0
+        Match_ = Match
+
+        def join(left: Match, right: Match) -> Optional[Match]:
+            le = left.edges
+            re_ = right.edges
+            for ls, rs in edge_checks:
+                if le[ls].edge_id == re_[rs].edge_id:
                     return None
-        edges = tuple(
-            le[slot] if from_left else re_[slot] for from_left, slot in self.take
-        )
-        lo = left.min_time
-        if right.min_time < lo:
-            lo = right.min_time
-        hi = left.max_time
-        if right.max_time > hi:
-            hi = right.max_time
-        return Match(self.qeids, edges, lo, hi, shape=self.shape)
+            for ls, lf, rs, rf in vertex_checks:
+                e = le[ls]
+                f = re_[rs]
+                if (e.src if lf else e.dst) == (f.src if rf else f.dst):
+                    return None
+            if order > 0:
+                edges = le + re_
+            elif order:
+                edges = re_ + le
+            else:
+                edges = tuple(
+                    [le[slot] if from_left else re_[slot] for from_left, slot in take]
+                )
+            lo = left.min_time
+            if right.min_time < lo:
+                lo = right.min_time
+            hi = left.max_time
+            if right.max_time > hi:
+                hi = right.max_time
+            return Match_(qeids, edges, lo, hi, out)
+
+        self.join = join
 
 
 def compile_key_plan(

@@ -14,9 +14,9 @@ emit **exactly** the records an uninterrupted engine would have emitted:
 * per registered query: name, resolved strategy, reconstruction options,
   the exact SJ-Tree leaf partition (extending
   :mod:`repro.sjtree.serialize`'s query-shape identity check to live
-  state), and every node's slab :class:`~repro.sjtree.node.MatchTable`
-  content in insertion order (flat data-edge-id tuples — the compact
-  positional encoding round-trips naturally),
+  state), and every node's :class:`~repro.sjtree.node.MatchTable`
+  content, each bucket in insertion order (flat data-edge-id tuples —
+  the compact positional encoding round-trips naturally),
 * Lazy Search's enablement bitmap rows and the baselines' dedup /
   period state,
 * the warmed selectivity estimator (1-edge histogram + 2-edge path
@@ -45,7 +45,7 @@ artefacts). A custom ``map_edge`` estimator hook cannot be serialized —
 restored engines use :func:`~repro.stats.paths.default_edge_map`.
 
 Consistency note: entries whose ``min_time`` fell below the window
-cutoff but which lazy expiry has not reclaimed yet are skipped at save
+cutoff but which no expiry sweep has reclaimed yet are skipped at save
 time. They are invisible to joins (probe-time cutoff filtering) and can
 never be rediscovered (their edges left the graph), so dropping them
 changes no future emission — it only means a restored engine starts with
@@ -424,20 +424,16 @@ def _dump_tree_state(w: BinaryWriter, tree: SJTree, cutoff: float) -> None:
 
 
 def _matches_in_insertion_order(table):
-    """Live matches of one MatchTable, oldest insertion first.
+    """Live matches of one table, every bucket in insertion order.
 
-    With expiry tracking, the time ring *is* the global insertion order:
-    ``MatchTable`` keeps ``[bucket, pos, match]`` slots in ``_ring``,
-    ``FIFOLeafTable`` keeps a match-only parallel ring. Without it
-    (infinite windows) only per-bucket order is observable (probes are
-    per bucket, nothing ever expires), so bucket-creation order
-    interleaving is a faithful stand-in.
+    Per-bucket order is the only order a probe observes, so a
+    ``MatchTable`` is written bucket by bucket. ``FIFOLeafTable`` also
+    *expires* in global insertion order, which its match ring records
+    (and a restore, inserting in file order, rebuilds).
     """
-    if table.track_expiry:
-        ring = getattr(table, "_ring", None)
-        if ring is not None:
-            return [slot[2] for slot in ring]
-        return list(table._ring_matches)
+    ring = getattr(table, "_ring_matches", None)
+    if ring is not None and table.track_expiry:
+        return list(ring)
     return list(table)
 
 
@@ -839,7 +835,7 @@ def _load_tables(r: BinaryReader, tree: SJTree, graph) -> None:
             stamps = [edge.timestamp for edge in edges]
             match = Match(qeids, edges, min(stamps), max(stamps), shape=shape)
             if len(key_plan) == 1:
-                # single-vertex keys are bare, mirroring SJTree.insert_match
+                # single-vertex keys are bare, mirroring SJTree.compile_insert
                 slot0, is_src0 = key_plan[0]
                 e = edges[slot0]
                 key = e.src if is_src0 else e.dst

@@ -10,7 +10,6 @@ returning the *incremental* set of complete matches —
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import FrozenSet, List, Optional
 
 from ..analysis.profiling import ProfileCounters
@@ -25,14 +24,51 @@ PHASE_ISO = "iso"
 PHASE_JOIN = "join"
 
 
-@dataclass(frozen=True)
 class MatchRecord:
-    """A complete match together with its reporting context."""
+    """A complete match together with its reporting context.
 
-    query_name: str
-    strategy: str
-    match: Match
-    completed_at: float
+    Hand-written value class rather than a frozen dataclass, as
+    :class:`~repro.graph.types.Edge` is: one record is allocated per
+    emitted match, and the frozen-dataclass ``__init__`` (one guarded
+    ``object.__setattr__`` per field) plus a per-instance ``__dict__``
+    are measurable at that rate. Treat instances as immutable.
+    """
+
+    __slots__ = ("query_name", "strategy", "match", "completed_at")
+
+    def __init__(
+        self, query_name: str, strategy: str, match: Match, completed_at: float
+    ) -> None:
+        self.query_name = query_name
+        self.strategy = strategy
+        self.match = match
+        self.completed_at = completed_at
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MatchRecord):
+            return NotImplemented
+        return (
+            self.query_name == other.query_name
+            and self.strategy == other.strategy
+            and self.match == other.match
+            and self.completed_at == other.completed_at
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.query_name, self.strategy, self.match, self.completed_at))
+
+    def __repr__(self) -> str:
+        return (
+            f"MatchRecord(query_name={self.query_name!r}, "
+            f"strategy={self.strategy!r}, match={self.match!r}, "
+            f"completed_at={self.completed_at!r})"
+        )
+
+    def __getstate__(self):
+        return (self.query_name, self.strategy, self.match, self.completed_at)
+
+    def __setstate__(self, state) -> None:
+        self.query_name, self.strategy, self.match, self.completed_at = state
 
 
 class SearchAlgorithm(abc.ABC):

@@ -63,34 +63,39 @@ def leaves_by_etype(
 def disable_expiry_tracking(tree: SJTree, window: TimeWindow) -> None:
     """Turn off match-table expiry bookkeeping for an infinite window.
 
-    Nothing can ever expire when ``tW = ∞``, so every insert's ring/slot
-    maintenance would be pure waste. Must run before any match is stored
-    (the algorithms call it at construction, when tables are empty).
+    Nothing can ever expire when ``tW = ∞``, so the FIFO leaf ring and
+    every expiry sweep would be pure waste. Must run before any match is
+    stored (the algorithms call it at construction, when tables are empty).
     """
     if math.isinf(window.width):
         for node in tree.nodes:
             node.table.track_expiry = False
 
 
-def specialize_leaf_tables(tree: SJTree) -> None:
-    """Swap single-edge leaf tables for the FIFO specialization.
+def specialize_tables(tree: SJTree) -> None:
+    """Strip the table machinery an eager search can never need.
 
-    Only sound for the eager search (see
-    :class:`~repro.sjtree.node.FIFOLeafTable`): every match stored at
-    such a leaf is built from the arriving edge, so ``min_time`` is
-    non-decreasing in insertion order and no duplicate is ever offered.
-    Must run before any match is stored (construction time, when tables
-    are empty); hand-assembled trees whose tables were pre-populated are
-    left alone.
+    Only sound for the eager search: each left/right pair is joined
+    exactly once, by whichever side arrives later, so no node is ever
+    offered a duplicate and duplicate suppression is switched off — with
+    one exception, multi-edge leaves, where a window replay
+    (``engine.refresh_query``) rediscovers a match once per constituent
+    edge because the replayed graph already holds the later ones.
+    Single-edge leaves get the FIFO specialization (see
+    :class:`~repro.sjtree.node.FIFOLeafTable`): every match stored there
+    is built from the arriving edge, so ``min_time`` is non-decreasing in
+    insertion order. Must run before any match is stored (construction
+    time, when tables are empty); hand-assembled trees whose tables were
+    pre-populated are left alone.
     """
-    for leaf in tree.leaves():
-        table = leaf.table
-        if (
-            len(leaf.edge_ids) == 1
-            and type(table) is MatchTable
-            and len(table) == 0
-        ):
-            leaf.table = FIFOLeafTable(track_expiry=table.track_expiry)
+    for node in tree.nodes:
+        table = node.table
+        if type(table) is not MatchTable or len(table):
+            continue
+        if not node.is_leaf:
+            table.dedup = False
+        elif len(node.edge_ids) == 1:
+            node.table = FIFOLeafTable(track_expiry=table.track_expiry)
 
 
 class DynamicGraphSearch(SearchAlgorithm):
@@ -117,7 +122,7 @@ class DynamicGraphSearch(SearchAlgorithm):
         for leaf in self._leaves:  # hand-built trees may lack plans
             leaf.match_plans()
         disable_expiry_tracking(tree, self.window)
-        specialize_leaf_tables(tree)
+        specialize_tables(tree)
 
     def process_edge(self, edge: Edge) -> List[Match]:
         results: List[Match] = []
@@ -180,7 +185,7 @@ class DynamicGraphSearch(SearchAlgorithm):
             nonloop, loops = split_plans_for_code(leaf.plans, code)
             actions.append(
                 (
-                    self.tree.compile_leaf_insert(leaf.node_id, self.window),
+                    self.tree.compile_insert(leaf.node_id, self.window),
                     nonloop,
                     loops,
                 )

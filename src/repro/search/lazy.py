@@ -155,7 +155,7 @@ class LazySearch(SearchAlgorithm):
         its leaf index is pre-resolved; the insert hook emits into this
         edge's sink exactly as in the per-edge path — hook firing order
         relative to sibling probes is preserved by
-        :meth:`SJTree.compile_leaf_insert`.
+        :meth:`SJTree.compile_insert`.
         """
         if not self.compiled_plans:
             return self.process_edge  # legacy scan has no hoistable gate
@@ -168,7 +168,7 @@ class LazySearch(SearchAlgorithm):
             actions.append(
                 (
                     leaf.leaf_index or 0,
-                    self.tree.compile_leaf_insert(leaf.node_id, self.window),
+                    self.tree.compile_insert(leaf.node_id, self.window),
                     nonloop,
                     loops,
                 )

@@ -4,34 +4,36 @@ Each non-root node stores the partial matches for its query subgraph in a
 hash table keyed by the projection of the match onto the parent's *cut
 subgraph* (Properties 3 and 4). The table supports:
 
-* O(1) insert with duplicate suppression (Lazy Search's retrospective pass
-  may rediscover a match that the normal pass already stored);
+* O(1) insert — with duplicate suppression where the driving algorithm
+  asks for it: Lazy Search's retrospective pass may rediscover a match
+  the normal pass already stored, and a window replay rediscovers a
+  multi-edge leaf match once per constituent edge. Everywhere else a
+  duplicate cannot be offered — each left/right pair of an eager tree is
+  joined exactly once, by whichever side arrives later — so the table
+  keeps no identity set at all;
 * O(1) bucket probe (the hash-join of ``UPDATE-SJ-TREE``) returning the
-  live bucket **without copying** — buckets are versioned copy-on-write:
-  a probed bucket snapshots itself only if it is actually mutated while a
-  probe's list reference may still be held (re-entrant inserts during the
-  join recursion are the only such mutation source);
-* lazy expiry of matches whose earliest edge has left the time window —
+  live bucket **without copying**. Iterating it while the join recursion
+  inserts is safe because the tree is left-deep: a nested insert, and a
+  Lazy backfill fired by one, only ever touches tables strictly above
+  the node whose sibling bucket is being iterated;
+* exact expiry of matches whose earliest edge has left the time window —
   once an edge is evicted from the graph no new join partner can contain
   it, and retrospective searches can no longer rediscover it, so keeping
   the partial match would only leak memory.
 
-Storage layout ("slab"): each bucket holds a plain list of matches in
-insertion order plus a parallel list of slots; every slot also sits in a
-global time-ordered ring (a deque in insertion order). Because stream
-timestamps are non-decreasing, match ``min_time`` is *near*-monotone in
-insertion order (bounded by one window width), so expiry is amortized
-O(1): pop the ring head while expired. An unexpired head can transiently
-shadow a later expired entry; such entries stay invisible to joins anyway
-(``UPDATE-SJ-TREE`` filters probed candidates by the cutoff) and are
-reclaimed as soon as the head passes. Removal tombstones the bucket slot
-(keeping probe order == insertion order, which record-identity across the
-sharded runtime relies on — workers expire at different stream positions)
-and compacts a bucket when tombstones reach half its length.
+Storage layout: ``dict key -> list`` of matches in insertion order, the
+only order a probe observes (record identity across the sharded runtime
+relies on it — workers expire at different stream positions). Interior
+matches do not arrive in ``min_time`` order, so expiry is a sweep: every
+bucket holding a stale entry is rebuilt, in order, without it. The sweep
+runs at housekeeping cadence, not per insert; between sweeps stale
+entries stay invisible to joins (``UPDATE-SJ-TREE`` filters probed
+candidates by the cutoff). After ``expire(cutoff)`` the table holds
+exactly the matches with ``min_time >= cutoff``.
 
-When the graph window is infinite nothing can ever expire:
-``track_expiry=False`` skips the ring and slot bookkeeping entirely, so
-an insert is a set-add and a list-append.
+When the graph window is infinite nothing can ever expire and
+``track_expiry=False`` makes ``expire`` a no-op; a list-bucket table
+keeps no per-insert expiry state either way.
 """
 
 from __future__ import annotations
@@ -56,47 +58,25 @@ JoinKey = Tuple  # tuple of data vertex ids (possibly empty)
 _EMPTY_BUCKET: List[Match] = []
 
 
-class _Bucket:
-    """One hash bucket: matches in insertion order + expiry slots.
-
-    ``shared`` marks that the current ``matches`` list object may be held
-    by an in-flight probe; the next mutation replaces it with a copy
-    (copy-on-write) instead of mutating under the iterator. ``dead``
-    counts tombstones (``None`` entries left by expiry).
-    """
-
-    __slots__ = ("key", "matches", "slots", "shared", "dead")
-
-    def __init__(self, key: JoinKey) -> None:
-        self.key = key
-        self.matches: List[Optional[Match]] = []
-        self.slots: List[Optional[list]] = []
-        self.shared = False
-        self.dead = 0
-
-
 class MatchTable:
-    """Hash table of partial matches with amortized-O(1) expiry."""
+    """Hash table of partial matches: list buckets, exact sweep expiry."""
 
     __slots__ = (
         "_buckets",
         "_seen",
-        "_ring",
         "_live",
         "inserted_total",
         "probes_total",
         "expired_total",
         "track_expiry",
+        "dedup",
     )
 
-    def __init__(self, track_expiry: bool = True) -> None:
-        self._buckets: Dict[JoinKey, _Bucket] = {}
+    def __init__(self, track_expiry: bool = True, dedup: bool = True) -> None:
+        self._buckets: Dict[JoinKey, List[Match]] = {}
         # packed identities (data-edge-id tuples; qeids are constant per
-        # table) of live entries — the duplicate-suppression set
+        # table) of live entries — maintained only when ``dedup``
         self._seen: set = set()
-        # slots [bucket, position, match] in insertion order; only
-        # maintained when track_expiry (disable *before* first insert)
-        self._ring: "deque[list]" = deque()
         self._live = 0
         #: lifetime insert count (the space-complexity measure of §5.2 uses it)
         self.inserted_total = 0
@@ -105,32 +85,29 @@ class MatchTable:
         self.probes_total = 0
         #: lifetime expired-match count (telemetry)
         self.expired_total = 0
-        #: False skips all expiry bookkeeping (infinite-window engines)
+        #: False makes ``expire`` a no-op (infinite-window engines)
         self.track_expiry = track_expiry
+        #: False skips duplicate suppression; set (before the first
+        #: insert) by algorithms that can never offer a duplicate
+        self.dedup = dedup
+
+    def empty_copy(self) -> "MatchTable":
+        """A fresh table with this one's configuration."""
+        return type(self)(self.track_expiry, self.dedup)
 
     def insert(self, key: JoinKey, match: Match) -> bool:
         """Store a match under ``key``; False if it is already present."""
-        edges = match.edges
-        if len(edges) == 1:  # leaf tables dominate insert volume
-            ident = (edges[0].edge_id,)
-        else:
-            ident = tuple([edge.edge_id for edge in edges])
-        seen = self._seen
-        if ident in seen:
-            return False
-        seen.add(ident)
+        if self.dedup:
+            ident = tuple([edge.edge_id for edge in match.edges])
+            seen = self._seen
+            if ident in seen:
+                return False
+            seen.add(ident)
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = self._buckets[key] = _Bucket(key)
-        elif bucket.shared:
-            bucket.matches = list(bucket.matches)
-            bucket.shared = False
-        matches = bucket.matches
-        if self.track_expiry:
-            slot = [bucket, len(matches), match]
-            bucket.slots.append(slot)
-            self._ring.append(slot)
-        matches.append(match)
+            self._buckets[key] = [match]
+        else:
+            bucket.append(match)
         self._live += 1
         self.inserted_total += 1
         return True
@@ -138,22 +115,14 @@ class MatchTable:
     def probe(self, key: JoinKey) -> List[Match]:
         """All matches stored under ``key``, in insertion order.
 
-        Returns the live bucket list (zero-copy); the bucket is marked
-        shared so any mutation before the reference dies snapshots first.
-        Buckets carrying expiry tombstones are filtered into a fresh list
-        instead. May include entries older than the window cutoff that the
-        ring has not reclaimed yet — ``UPDATE-SJ-TREE`` filters candidates
-        by ``min_time`` anyway (and so must any other caller joining
-        against a finite window).
+        Returns the live bucket list (zero-copy; callers only iterate).
+        May include entries older than the window cutoff that no sweep
+        has reclaimed yet — ``UPDATE-SJ-TREE`` filters candidates by
+        ``min_time`` anyway (and so must any other caller joining against
+        a finite window).
         """
         self.probes_total += 1
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            return _EMPTY_BUCKET
-        if bucket.dead:
-            return [m for m in bucket.matches if m is not None]
-        bucket.shared = True
-        return bucket.matches  # type: ignore[return-value]
+        return self._buckets.get(key, _EMPTY_BUCKET)
 
     def expire(self, cutoff: float) -> int:
         """Drop matches whose ``min_time`` is strictly below ``cutoff``.
@@ -161,68 +130,44 @@ class MatchTable:
         The cutoff is the graph's edge-eviction cutoff (``t_last − tW``):
         a partial match is retained exactly as long as all its edges are
         still live, which Lazy Search's retrospective joins rely on.
-        Amortized O(1) per reclaimed entry (ring head pops); an expired
-        entry inserted *before* a still-live one is reclaimed once that
-        predecessor expires — until then it is skipped by the probe-time
-        cutoff filter, so it can never produce a join.
+        One pass over the table; only buckets holding a stale entry are
+        rebuilt (survivors keep their order), emptied buckets are dropped.
         """
         if not self.track_expiry:
             return 0
-        ring = self._ring
+        buckets = self._buckets
+        stale = []
+        for key, bucket in buckets.items():
+            for match in bucket:
+                if match.min_time < cutoff:
+                    stale.append(key)
+                    break
+        dedup = self.dedup
+        discard = self._seen.discard
         dropped = 0
-        while ring:
-            slot = ring[0]
-            match = slot[2]
-            if match.min_time >= cutoff:
-                break
-            ring.popleft()
-            bucket = slot[0]
-            pos = slot[1]
-            if bucket.shared:
-                bucket.matches = list(bucket.matches)
-                bucket.shared = False
-            bucket.matches[pos] = None
-            bucket.slots[pos] = None
-            bucket.dead += 1
-            self._seen.discard(tuple([edge.edge_id for edge in match.edges]))
-            self._live -= 1
-            dropped += 1
-            if bucket.dead * 2 >= len(bucket.matches):
-                self._compact(bucket)
+        for key in stale:
+            bucket = buckets[key]
+            kept = []
+            for match in bucket:
+                if match.min_time >= cutoff:
+                    kept.append(match)
+                elif dedup:
+                    discard(tuple([edge.edge_id for edge in match.edges]))
+            dropped += len(bucket) - len(kept)
+            if kept:
+                buckets[key] = kept
+            else:
+                del buckets[key]
+        self._live -= dropped
         self.expired_total += dropped
         return dropped
-
-    def _compact(self, bucket: _Bucket) -> None:
-        """Squeeze tombstones out of a bucket (or drop it when empty).
-
-        Rebuilds the lists (so any probe still holding the old list is
-        naturally unaffected) preserving insertion order, and refreshes
-        the surviving slots' positions.
-        """
-        if bucket.dead == len(bucket.matches):
-            del self._buckets[bucket.key]
-            return
-        matches: List[Optional[Match]] = []
-        slots: List[Optional[list]] = []
-        for slot in bucket.slots:
-            if slot is None:
-                continue
-            slot[1] = len(matches)
-            matches.append(slot[2])
-            slots.append(slot)
-        bucket.matches = matches
-        bucket.slots = slots
-        bucket.shared = False
-        bucket.dead = 0
 
     def __len__(self) -> int:
         return self._live
 
     def __iter__(self) -> Iterator[Match]:
         for bucket in self._buckets.values():
-            for match in bucket.matches:
-                if match is not None:
-                    yield match
+            yield from bucket
 
     def num_buckets(self) -> int:
         return len(self._buckets)
@@ -236,29 +181,27 @@ class FIFOLeafTable:
     built at the arrival instant — so ``min_time`` equals the stream
     clock and insertion order is globally sorted by ``min_time``. Expiry
     is then strictly front-first, both in the table-wide ring and inside
-    every bucket (a bucket is a subsequence of the ring), which makes all
-    of :class:`MatchTable`'s out-of-order machinery dead weight here: no
-    duplicate-suppression set (a data edge is offered to a leaf exactly
-    once per stream position), no per-entry slot records, no tombstones,
-    no compaction, no copy-on-write. An insert is two appends; expiring
-    an entry is two ``popleft``\\ s.
+    every bucket (a bucket is a subsequence of the ring): expiring an
+    entry is two ``popleft``\\ s, O(expired) where :class:`MatchTable`
+    sweeps the whole table — what leaf insert volume needs. No duplicate
+    is ever offered (a data edge reaches a leaf exactly once per stream
+    position), so there is no identity set.
 
     **Not** valid for ``LazySearch``: its retrospective backfill inserts
     matches *older* than the stream clock (breaking the ring order) and
     can rediscover matches the normal pass already stored (needing the
     dedup set). Lazy trees keep the general table.
 
-    ``probe`` returns an immutable snapshot instead of a live CoW-marked
-    list — leaf-sibling probes overwhelmingly miss, so the occasional
-    copy is cheaper than per-insert shared-bucket bookkeeping.
+    ``probe`` returns an immutable snapshot of the bucket deque —
+    leaf-sibling probes overwhelmingly miss, so the occasional copy is
+    cheap.
 
     Duck-types the :class:`MatchTable` surface (insert / probe / expire /
-    iteration / ``num_buckets`` / ``inserted_total`` / ``track_expiry``).
-    The ring is split into two parallel deques (keys / matches) so an
-    insert allocates no entry tuple; the checkpoint writer knows both
-    layouts, and ``SJTree.compile_trivial_leaf_insert`` inlines the
-    insert body — keep them in sync. ``SJTree.reset_state`` preserves
-    the class via ``type(node.table)``.
+    iteration / ``num_buckets`` / ``empty_copy`` / ``inserted_total`` /
+    ``track_expiry``). The ring is split into two parallel deques (keys /
+    matches) so an insert allocates no entry tuple; the checkpoint writer
+    reads the match ring, and ``SJTree.compile_trivial_leaf_insert``
+    inlines the insert body — keep them in sync.
     """
 
     __slots__ = (
@@ -284,6 +227,10 @@ class FIFOLeafTable:
         self.probes_total = 0
         self.expired_total = 0
         self.track_expiry = track_expiry
+
+    def empty_copy(self) -> "FIFOLeafTable":
+        """A fresh table with this one's configuration."""
+        return type(self)(self.track_expiry)
 
     def insert(self, key: JoinKey, match: Match) -> bool:
         bucket = self._buckets.get(key)

@@ -3,17 +3,19 @@
 An SJ-Tree is a left-deep binary tree over an ordered partition of the
 query's edges. Leaf ``k`` holds matches of primitive ``g_k``; internal
 node ``k`` holds matches of ``g_1 ⋈ … ⋈ g_k``; the root corresponds to the
-whole query. ``insert_match`` implements ``UPDATE-SJ-TREE`` (Algorithm 2)
-with symmetric sibling probing: whichever child receives a match probes
-the other child's hash table on the shared cut projection, and successful
-joins recurse upward until the root emits a complete match.
+whole query. ``compile_insert`` implements ``UPDATE-SJ-TREE`` (Algorithm 2)
+with symmetric sibling probing, as one closure per node: whichever child
+receives a match probes the other child's hash table on the shared cut
+projection, and successful joins climb the chain of parent closures until
+the root emits a complete match. ``insert_match`` is the same chain,
+looked up per call.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DecompositionError
 from ..graph.window import TimeWindow
@@ -43,7 +45,21 @@ class SJTree:
         self.nodes = nodes
         self.root_id = root_id
         self.leaf_ids = leaf_ids
-        self.complete_matches = 0
+        # One-slot cell the compiled root closure bumps: a closure over
+        # ``self`` (held by ``_inserts``) would tie the tree, and every
+        # match in its tables, into a cycle only the cyclic GC frees.
+        self._complete = [0]
+        #: compiled UPDATE-SJ-TREE closures, by (node id, window width)
+        self._inserts: Dict[Tuple[int, float], Callable[..., bool]] = {}
+
+    @property
+    def complete_matches(self) -> int:
+        """Complete (root-level) matches emitted so far."""
+        return self._complete[0]
+
+    @complete_matches.setter
+    def complete_matches(self, value: int) -> None:
+        self._complete[0] = value
 
     # ------------------------------------------------------------------
     # construction
@@ -110,20 +126,16 @@ class SJTree:
         for node in nodes:
             node.match_shape()
             node.compiled_key_plan()
-        for node in nodes:
-            if node.left is not None:
-                node.join_plan = JoinPlan(
-                    nodes[node.left].shape,  # type: ignore[arg-type]
-                    nodes[node.right].shape,  # type: ignore[arg-type]
-                    node.shape,  # type: ignore[arg-type]
-                )
-
-        return cls(
+        tree = cls(
             query,
             nodes,
             root_id=current.node_id,
             leaf_ids=[leaf.node_id for leaf in leaves],
         )
+        for node in nodes:
+            if node.left is not None:
+                tree._join_plan(node)
+        return tree
 
     @staticmethod
     def _validate_partition(
@@ -247,184 +259,121 @@ class SJTree:
         housekeeping cadence (callers driving a search algorithm directly
         on a finite window should call ``housekeeping()`` periodically,
         as the engine does).
+
+        This is :meth:`compile_insert`'s closure for the node, looked up
+        (compiled on first use) per call.
         """
-        nodes = self.nodes
-        node = nodes[node_id]
-        if node.is_root:
-            if window.fits(match.min_time, match.max_time):
-                self.complete_matches += 1
-                sink(match)
-                return True
-            return False
+        return self.compile_insert(node_id, window)(
+            match, window.cutoff, sink, on_insert
+        )
 
-        cutoff = window.cutoff
-        if match.min_time < cutoff:
-            return False  # contains an edge the window already evicted
+    def compile_insert(self, node_id: int, window: TimeWindow) -> Callable[..., bool]:
+        """``UPDATE-SJ-TREE`` for one node, compiled into a closure
+        ``insert(match, cutoff, sink, on_insert=None) -> bool``.
 
-        key_plan = node.key_plan
-        if key_plan is None:  # hand-built tree: compile on first use
-            key_plan = node.compiled_key_plan()
-        edges = match.edges
-        if len(key_plan) == 1:  # 1-vertex cuts dominate small queries
-            # Single-vertex keys are the bare vertex, not a 1-tuple: one
-            # allocation per insert saved. Key construction and probing
-            # live only in this module and the checkpoint loader, and a
-            # table only ever sees one key arity (a node's key plan is
-            # fixed and siblings share the parent's cut), so bare and
-            # tuple keys never mix in one table.
-            slot, is_src = key_plan[0]
-            edge = edges[slot]
-            key = edge.src if is_src else edge.dst
-        else:
-            key = tuple(
-                [
-                    (edges[slot].src if is_src else edges[slot].dst)
-                    for slot, is_src in key_plan
-                ]
-            )
-        if not node.table.insert(key, match):
-            return False
-
-        parent_id = node.parent
-        parent = nodes[parent_id]  # type: ignore[index]
-        join_plan = parent.join_plan
-        if join_plan is None:  # hand-built tree: compile on first use
-            join_plan = parent.join_plan = JoinPlan(
-                nodes[parent.left].match_shape(),  # type: ignore[index]
-                nodes[parent.right].match_shape(),  # type: ignore[index]
-                parent.match_shape(),
-            )
-        sibling = nodes[node.sibling]  # type: ignore[index]
-        as_left = parent.left == node_id
-        join = join_plan.join
-        width = window.width
-        for other in sibling.table.probe(key):
-            if other.min_time < cutoff:
-                continue  # stale entry awaiting the housekeeping sweep
-            joined = join(match, other) if as_left else join(other, match)
-            if joined is None:
-                continue
-            if joined.max_time - joined.min_time >= width:
-                continue  # τ(g) must stay below tW (window.fits inlined)
-            self.insert_match(  # type: ignore[arg-type]
-                parent_id, joined, window, sink, on_insert
-            )
-
-        # The enablement hook runs *after* sibling probing: a retrospective
-        # insertion triggered by the hook probes this node's table (where
-        # the current match already sits), so firing the hook earlier would
-        # let the same root match be assembled from both sides and emitted
-        # twice — the root does not deduplicate.
-        if on_insert is not None:
-            on_insert(node, match)
-        return True
-
-    def compile_leaf_insert(
-        self, node_id: int, window: TimeWindow
-    ) -> Callable[..., bool]:
-        """Specialize :meth:`insert_match` for one leaf node.
-
-        ``insert_match`` re-resolves per call everything that is static
-        per node: the key plan, the parent/sibling/join-plan navigation
-        and the ``as_left`` orientation. The batched per-code handlers
-        (see ``DynamicGraphSearch.compile_code_handler``) insert at a
-        *fixed* leaf thousands of times per chunk, so this compiles the
-        resolution once into a closure
-        ``leaf_insert(match, cutoff, sink, on_insert=None) -> bool``.
+        Everything static per node is resolved here, once: the key plan,
+        the sibling, the join orientation, the parent's join plan and the
+        *parent's* compiled closure — so a match climbing to the root
+        runs a chain of closures, not a recursive re-resolution. The
+        batched per-code handlers (see
+        ``DynamicGraphSearch.compile_code_handler``) hold a leaf's
+        closure directly; :meth:`insert_match` looks it up per call.
 
         ``cutoff`` is passed per call (it is ``window.cutoff``, hoisted by
-        the caller to one property read per edge). ``window`` is captured
-        — each tree is driven by exactly one algorithm with one window,
-        and ``width`` is immutable by :class:`TimeWindow` contract. Node
-        *objects* are captured but their ``table`` attribute is read per
-        call, so :meth:`reset_state` (which replaces tables) never
-        invalidates a compiled closure. Join propagation above the leaf
-        recurses through the general :meth:`insert_match` — only the leaf
-        level is hot enough to specialize.
+        the caller to one read per edge). Of ``window`` only the width —
+        immutable by :class:`TimeWindow` contract — is compiled in, and
+        closures are cached per ``(node, width)``. Node *objects* are
+        captured but their ``table`` attribute is read per call, so
+        :meth:`reset_state` and a checkpoint restore (which replace or
+        refill tables) never invalidate a closure.
         """
+        width = window.width
+        compiled = self._inserts.get((node_id, width))
+        if compiled is not None:
+            return compiled
         nodes = self.nodes
         node = nodes[node_id]
+
         if node.is_root:
-            # Single-leaf tree: the leaf is the root; every leaf match is
-            # a complete match (window-fit permitting).
-            fits = window.fits
+            # Reached from below, τ < tW was checked by the joining child;
+            # reached directly (a single-leaf tree: every leaf match is a
+            # complete match) it is checked here.
+            complete = self._complete
 
             def root_insert(match, cutoff, sink, on_insert=None):
-                if fits(match.min_time, match.max_time):
-                    self.complete_matches += 1
-                    sink(match)
-                    return True
-                return False
+                if match.max_time - match.min_time >= width:
+                    return False
+                complete[0] += 1
+                sink(match)
+                return True
 
+            self._inserts[node_id, width] = root_insert
             return root_insert
 
         key_plan = node.compiled_key_plan()
-        parent_id = node.parent
-        parent = nodes[parent_id]  # type: ignore[index]
-        join_plan = parent.join_plan
-        if join_plan is None:  # hand-built tree: compile now
-            join_plan = parent.join_plan = JoinPlan(
-                nodes[parent.left].match_shape(),  # type: ignore[index]
-                nodes[parent.right].match_shape(),  # type: ignore[index]
-                parent.match_shape(),
-            )
+        # Single-vertex keys (1-vertex cuts dominate small queries) are the
+        # bare vertex, not a 1-tuple: one allocation per insert saved. Key
+        # construction and probing live only in this module and the
+        # checkpoint loader, and a table only ever sees one key arity (a
+        # node's key plan is fixed and siblings share the parent's cut),
+        # so bare and tuple keys never mix in one table.
+        bare = len(key_plan) == 1
+        slot0, is_src0 = key_plan[0] if bare else (0, False)
+        parent = nodes[node.parent]  # type: ignore[index]
         sibling = nodes[node.sibling]  # type: ignore[index]
         as_left = parent.left == node_id
-        join = join_plan.join
-        width = window.width
-        insert_parent = self.insert_match
+        join = self._join_plan(parent).join
+        insert_parent = self.compile_insert(parent.node_id, window)
 
-        if len(key_plan) == 1:  # 1-vertex cuts dominate small queries
-            slot0, is_src0 = key_plan[0]
-
-            def leaf_insert(match, cutoff, sink, on_insert=None):
-                if match.min_time < cutoff:
-                    return False
-                edge = match.edges[slot0]
-                key = edge.src if is_src0 else edge.dst  # bare, see insert_match
-                if not node.table.insert(key, match):
-                    return False
-                for other in sibling.table.probe(key):
-                    if other.min_time < cutoff:
-                        continue
-                    joined = join(match, other) if as_left else join(other, match)
-                    if joined is None:
-                        continue
-                    if joined.max_time - joined.min_time >= width:
-                        continue
-                    insert_parent(parent_id, joined, window, sink, on_insert)
-                if on_insert is not None:
-                    on_insert(node, match)
-                return True
-
-            return leaf_insert
-
-        def leaf_insert_multi(match, cutoff, sink, on_insert=None):
+        def insert(match, cutoff, sink, on_insert=None):
             if match.min_time < cutoff:
-                return False
-            edges = match.edges
-            key = tuple(
-                [
-                    (edges[slot].src if is_src else edges[slot].dst)
-                    for slot, is_src in key_plan
-                ]
-            )
+                return False  # contains an edge the window already evicted
+            if bare:
+                edge = match.edges[slot0]
+                key = edge.src if is_src0 else edge.dst
+            else:
+                edges = match.edges
+                key = tuple(
+                    [
+                        (edges[slot].src if is_src else edges[slot].dst)
+                        for slot, is_src in key_plan
+                    ]
+                )
             if not node.table.insert(key, match):
                 return False
             for other in sibling.table.probe(key):
                 if other.min_time < cutoff:
-                    continue
+                    continue  # stale entry awaiting the housekeeping sweep
                 joined = join(match, other) if as_left else join(other, match)
                 if joined is None:
                     continue
                 if joined.max_time - joined.min_time >= width:
-                    continue
-                insert_parent(parent_id, joined, window, sink, on_insert)
+                    continue  # τ(g) must stay below tW
+                insert_parent(joined, cutoff, sink, on_insert)
+
+            # The enablement hook runs *after* sibling probing: a
+            # retrospective insertion triggered by the hook probes this
+            # node's table (where the current match already sits), so
+            # firing the hook earlier would let the same root match be
+            # assembled from both sides and emitted twice — the root does
+            # not deduplicate.
             if on_insert is not None:
                 on_insert(node, match)
             return True
 
-        return leaf_insert_multi
+        self._inserts[node_id, width] = insert
+        return insert
+
+    def _join_plan(self, parent: SJTreeNode) -> JoinPlan:
+        """The sibling join at ``parent`` (compiled on first use)."""
+        if parent.join_plan is None:
+            nodes = self.nodes
+            parent.join_plan = JoinPlan(
+                nodes[parent.left].match_shape(),  # type: ignore[index]
+                nodes[parent.right].match_shape(),  # type: ignore[index]
+                parent.match_shape(),
+            )
+        return parent.join_plan
 
     def compile_trivial_leaf_insert(
         self, node_id: int, window: TimeWindow, shape
@@ -433,100 +382,42 @@ class SJTree:
 
         The returned ``trivial_insert(edge, cutoff, sink)`` builds the
         one-edge :class:`Match` inline and skips the staleness gate of
-        :meth:`compile_leaf_insert` — a trivial match's ``min_time`` is
-        the just-advanced stream clock, which can never sit below the
-        cutoff derived from it. Only compiled for non-root leaves with a
-        single-vertex join key over the match's only slot (the dominant
-        decomposition shape); returns ``None`` otherwise and the caller
-        falls back to the general compiled insert.
+        :meth:`compile_insert` — a trivial match's ``min_time`` is the
+        just-advanced stream clock, which can never sit below the cutoff
+        derived from it. Only compiled for non-root
+        :class:`FIFOLeafTable` leaves with a single-vertex join key over
+        the match's only slot (the dominant decomposition shape); returns
+        ``None`` otherwise and the caller falls back to the general
+        compiled insert.
 
-        When the leaf's table is the :class:`FIFOLeafTable`
-        specialization, its two-append insert body is inlined as well —
-        duplicate suppression is vacuous there (each data edge reaches a
-        leaf exactly once), so the sibling probe always runs, exactly as
-        the general path would after a ``True`` insert. ``node.table`` is
-        still read per call, so :meth:`reset_state` (class-preserving)
-        never invalidates the closure.
+        The table's two-append insert body is inlined — duplicate
+        suppression is vacuous there (each data edge reaches a leaf
+        exactly once), so the sibling probe always runs — and the sibling
+        bucket (a list or a deque, by table class) is read straight from
+        its dict and iterated live: the parent's closure only touches
+        tables strictly above this leaf pair. ``node.table`` is still
+        read per call, so :meth:`reset_state` (class-preserving) never
+        invalidates the closure.
         """
         nodes = self.nodes
         node = nodes[node_id]
-        if node.is_root:
-            return None  # single-leaf tree: the root path is already minimal
+        if node.is_root or type(node.table) is not FIFOLeafTable:
+            return None  # the compiled general insert is already minimal
         key_plan = node.compiled_key_plan()
         if len(key_plan) != 1 or key_plan[0][0] != 0:
             return None
         is_src0 = key_plan[0][1]
-        parent_id = node.parent
-        parent = nodes[parent_id]  # type: ignore[index]
-        join_plan = parent.join_plan
-        if join_plan is None:  # hand-built tree: compile now
-            join_plan = parent.join_plan = JoinPlan(
-                nodes[parent.left].match_shape(),  # type: ignore[index]
-                nodes[parent.right].match_shape(),  # type: ignore[index]
-                parent.match_shape(),
-            )
+        parent = nodes[node.parent]  # type: ignore[index]
         sibling = nodes[node.sibling]  # type: ignore[index]
         as_left = parent.left == node_id
-        join = join_plan.join
+        join = self._join_plan(parent).join
+        insert_parent = self.compile_insert(parent.node_id, window)
         width = window.width
-        insert_parent = self.insert_match
         qeids = shape.qeids
         Match_ = Match
         deque_ = deque
 
-        if type(node.table) is not FIFOLeafTable:
-
-            def trivial_insert(edge, cutoff, sink):
-                ts = edge.timestamp
-                match = Match_(qeids, (edge,), ts, ts, shape)
-                key = edge.src if is_src0 else edge.dst
-                if not node.table.insert(key, match):
-                    return
-                for other in sibling.table.probe(key):
-                    if other.min_time < cutoff:
-                        continue
-                    joined = join(match, other) if as_left else join(other, match)
-                    if joined is None:
-                        continue
-                    if joined.max_time - joined.min_time >= width:
-                        continue
-                    insert_parent(parent_id, joined, window, sink, None)
-
-            return trivial_insert
-
-        if type(sibling.table) is not FIFOLeafTable:
-
-            def trivial_insert_fifo(edge, cutoff, sink):
-                ts = edge.timestamp
-                match = Match_(qeids, (edge,), ts, ts, shape)
-                key = edge.src if is_src0 else edge.dst
-                # inlined FIFOLeafTable.insert (keep in sync with node.py)
-                table = node.table
-                buckets = table._buckets
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = deque_((match,))
-                else:
-                    bucket.append(match)
-                if table.track_expiry:
-                    table._ring_keys.append(key)
-                    table._ring_matches.append(match)
-                else:
-                    table._live += 1
-                table.inserted_total += 1
-                for other in sibling.table.probe(key):
-                    if other.min_time < cutoff:
-                        continue
-                    joined = join(match, other) if as_left else join(other, match)
-                    if joined is None:
-                        continue
-                    if joined.max_time - joined.min_time >= width:
-                        continue
-                    insert_parent(parent_id, joined, window, sink, None)
-
-            return trivial_insert_fifo
-
-        def trivial_insert_fifo_pair(edge, cutoff, sink):
+        def trivial_insert(edge, cutoff, sink):
             ts = edge.timestamp
             match = Match_(qeids, (edge,), ts, ts, shape)
             key = edge.src if is_src0 else edge.dst
@@ -544,9 +435,6 @@ class SJTree:
             else:
                 table._live += 1
             table.inserted_total += 1
-            # sibling is a FIFO leaf too: probe its bucket dict directly.
-            # Iterating the live deque is safe — the recursive parent
-            # insert only touches tables strictly above this leaf pair.
             others = sibling.table._buckets.get(key)
             if others is None:
                 return
@@ -558,9 +446,9 @@ class SJTree:
                     continue
                 if joined.max_time - joined.min_time >= width:
                     continue
-                insert_parent(parent_id, joined, window, sink, None)
+                insert_parent(joined, cutoff, sink)
 
-        return trivial_insert_fifo_pair
+        return trivial_insert
 
     # ------------------------------------------------------------------
     # maintenance / accounting
@@ -587,7 +475,7 @@ class SJTree:
     def reset_state(self) -> None:
         """Drop all partial matches (keeps the decomposition)."""
         for node in self.nodes:
-            node.table = type(node.table)(track_expiry=node.table.track_expiry)
+            node.table = node.table.empty_copy()
         self.complete_matches = 0
 
     # ------------------------------------------------------------------

@@ -128,3 +128,19 @@ class TestRefresh:
         report = engine.refresh_query("q", strategy="auto")
         assert report.old_strategy in ("SingleLazy", "PathLazy", first)
         assert engine.queries["q"].strategy == report.new_strategy
+
+    def test_refresh_to_path_does_not_duplicate_multi_edge_leaf_matches(self):
+        """The replayed graph already holds *later* edges, so a 2-edge leaf
+        match is rediscovered once per constituent edge: the eager tree's
+        multi-edge leaves must keep duplicate suppression."""
+        query = QueryGraph.path(["T", "U", "T"], name="q")
+        engine = make_engine()
+        engine.register(query, strategy="Single")
+        for event in STREAM_A[:2]:
+            assert engine.process_event(event) == []
+        engine.refresh_query("q", strategy="Path")
+        leaves = engine.queries["q"].tree.leaves()
+        assert sorted(len(leaf.edge_ids) for leaf in leaves) == [1, 2]
+        records = engine.process_event(STREAM_A[2])
+        assert len(records) == 1, "the replay stored a leaf match twice"
+        assert engine.partial_match_count() == 3  # T, T, and one (T,U)

@@ -21,6 +21,8 @@ from repro.graph import EdgeEvent, StreamingGraph, TimeWindow
 from repro.isomorphism import find_isomorphisms
 from repro.query import QueryGraph
 
+from .util import install_checking_tables
+
 ETYPES = ["A", "B", "C"]
 
 STRATEGIES = ("Single", "SingleLazy", "Path", "PathLazy", "VF2", "IncIso")
@@ -172,7 +174,9 @@ def test_dispatch_engine_is_record_identical(
     """The type-indexed multi-query dispatch plus compiled leaf plans must
     emit exactly the same MatchRecords — fingerprints, timestamps and
     emission order — as the seed path (dispatch force-disabled, every edge
-    offered to every leaf through the interpretive backtracker)."""
+    offered to every leaf through the interpretive backtracker). Both
+    runs use checking tables: no bucket is mutated under a probe of it,
+    and no dedup-free (eager) table is ever offered a duplicate."""
     if not events:
         return
     duration = events[-1].timestamp - events[0].timestamp
@@ -190,6 +194,7 @@ def test_dispatch_engine_is_record_identical(
         options = {} if dispatch else {"compiled_plans": False}
         for i, query in enumerate(query_list):
             engine.register(query, strategy=strategy, name=f"q{i}", **options)
+        install_checking_tables(engine)
         records = []
         for event in events:
             records.extend(engine.process_event(event))

@@ -1,29 +1,26 @@
-"""Property tests for the slab-backed MatchTable against the seed-era
-dict-of-dicts + heapq implementation as a semantic oracle.
+"""Property tests for ``repro.sjtree.node.MatchTable`` against the
+seed-era dict-of-dicts + heapq implementation as a semantic oracle.
 
-The slab table (``repro.sjtree.node.MatchTable``) must preserve every
-observable behaviour the SJ-Tree relies on:
+The list-bucket table must equal the oracle **exactly** under any
+interleaving of inserts, probes and expiry, on monotone and out-of-order
+``min_time`` traces alike:
 
 * insert return values (duplicate suppression) and ``inserted_total``;
-* probe *content and order* under any interleaving of inserts and
-  expiry — probe order must equal insertion order (record-identity of
-  the sharded runtime depends on it, because workers expire at different
-  stream positions than the single-process engine);
-* expiry semantics up to the documented relaxation: the slab ring is
-  amortized-lazy, so an expired entry inserted before a still-live one
-  may linger until its predecessor expires — but it must stay invisible
-  to cutoff-filtered probes (exactly how ``UPDATE-SJ-TREE`` consumes
-  probes), and must be reclaimed no later than the full drain.
+* probe *content and order* — probe order must equal insertion order
+  (record-identity of the sharded runtime depends on it, because workers
+  expire at different stream positions than the single-process engine);
+* ``len`` and the per-call ``expire`` count: after ``expire(cutoff)`` the
+  table holds precisely the matches with ``min_time >= cutoff``.
 
-On a monotone-min_time insert sequence (every leaf table: min_time is the
-edge timestamp, and stream timestamps never decrease) the slab table is
-*exactly* equivalent, including ``len`` and per-call expire counts.
+With ``dedup=False`` (what an eager tree's interior nodes run) the same
+holds on every trace that offers no duplicate.
 
-The second half re-runs the engine-level equivalence property for the
-slab encoding on the benchmark's mixed-edge-type 10-query workload with a
-tight window, so expiry, tombstoning, bucket compaction and the compiled
-join plans are all exercised against the seed configuration
-record-for-record.
+The second half re-runs the engine-level equivalence property on the
+benchmark's mixed-edge-type 10-query workload with a tight window, so
+sweep expiry and the compiled join chain are exercised against the seed
+configuration record-for-record — with every ``MatchTable`` swapped for
+a checking table that raises if the invariants that retired
+copy-on-write and eager duplicate suppression are ever violated.
 """
 
 import heapq
@@ -37,13 +34,15 @@ from repro.analysis.experiments import mixed_etype_workload
 from repro.graph.types import Edge
 from repro.isomorphism import Match
 from repro.query import QueryGraph
-from repro.sjtree.node import MatchTable
+from repro.sjtree.node import FIFOLeafTable, MatchTable
+
+from .util import CheckingTable, install_checking_tables
 
 
 class OracleMatchTable:
     """The seed implementation: dict-of-dict buckets + heapq expiry.
 
-    Copied (minus the Match internals it predates) so the slab rewrite is
+    Copied (minus the Match internals it predates) so every later table is
     tested against real executable semantics, not prose.
     """
 
@@ -112,17 +111,18 @@ def filtered(probe_result, cutoff: float):
     return [m.fingerprint for m in probe_result if m.min_time >= cutoff]
 
 
-def drive(seed: int, monotone: bool, steps: int = 400):
-    """Random insert/probe/expire trace, slab vs oracle.
+def drive(seed: int, monotone: bool, dedup: bool = True, steps: int = 400):
+    """Random insert/probe/expire trace, table vs oracle — exact.
 
-    Inserts model exactly what ``SJTree.insert_match`` feeds a table: a
+    Inserts model exactly what ``SJTree.compile_insert`` feeds a table: a
     match is only offered when ``min_time >= cutoff`` (the tree rejects
     stale matches before they reach the table), min_times are monotone
     for leaf tables and boundedly out-of-order for join tables, and Lazy
-    Search may re-offer a still-live match (the dedupe path).
+    Search may re-offer a still-live match (the dedupe path; never
+    generated when ``dedup`` is off, as an eager tree never does).
     """
     rng = random.Random(seed)
-    slab = MatchTable()
+    table = MatchTable(dedup=dedup)
     oracle = OracleMatchTable()
     keys = [(f"k{i}",) for i in range(6)]
     stamp_of = {}
@@ -130,15 +130,13 @@ def drive(seed: int, monotone: bool, steps: int = 400):
     clock = 0.0
     cutoff = -math.inf
     next_edge_id = 0
-    slab_total_dropped = 0
-    oracle_total_dropped = 0
 
     for _ in range(steps):
         op = rng.random()
         if op < 0.55:
             clock += rng.random()
             edge_id = None
-            if rng.random() < 0.15 and next_edge_id:
+            if dedup and rng.random() < 0.15 and next_edge_id:
                 # re-offer an earlier match (Lazy rediscovery: dedupe
                 # path) — only if still inside the window, as the tree's
                 # min_time guard would enforce
@@ -159,34 +157,29 @@ def drive(seed: int, monotone: bool, steps: int = 400):
                 stamp_of[edge_id] = ts
             match = make_match(edge_id, stamp_of[edge_id], key_of[edge_id])
             key = keys[key_of[edge_id]]
-            assert slab.insert(key, match) == oracle.insert(key, match)
-            assert slab.inserted_total == oracle.inserted_total
+            assert table.insert(key, match) == oracle.insert(key, match)
+            assert table.inserted_total == oracle.inserted_total
         elif op < 0.85:
             key = keys[rng.randrange(len(keys))]
-            got = filtered(slab.probe(key), cutoff)
+            got = filtered(table.probe(key), cutoff)
             want = filtered(oracle.probe(key), cutoff)
             assert got == want, (key, got, want)
         else:
             cutoff = max(cutoff, clock - rng.random() * 12.0)
-            slab_total_dropped += slab.expire(cutoff)
-            oracle_total_dropped += oracle.expire(cutoff)
-            if monotone:
-                assert slab_total_dropped == oracle_total_dropped
-                assert len(slab) == len(oracle)
-            else:
-                # lazy ring: the slab may defer reclaiming entries shadowed
-                # by a live ring head (catching up on a later call), so it
-                # can only ever lag the eager oracle, never lead it
-                assert slab_total_dropped <= oracle_total_dropped
-                assert len(slab) >= len(oracle)
+            assert table.expire(cutoff) == oracle.expire(cutoff)
+            assert len(table) == len(oracle)
+            # exact expiry: nothing stale is left for the filter to hide
+            for key in keys:
+                stored = [m.fingerprint for m in table.probe(key)]
+                assert stored == filtered(oracle.probe(key), cutoff)
 
-    # Full drain: everything expires; laziness must not leak anything.
+    # Full drain: everything expires.
     final = clock + 100.0
-    slab.expire(final)
-    oracle.expire(final)
-    assert len(slab) == len(oracle) == 0
+    assert table.expire(final) == oracle.expire(final)
+    assert len(table) == len(oracle) == 0
+    assert table.num_buckets() == 0
     for key in keys:
-        assert slab.probe(key) == []
+        assert table.probe(key) == []
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -199,21 +192,51 @@ def test_slab_matches_oracle_out_of_order(seed):
     drive(seed + 1000, monotone=False)
 
 
+@pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "out-of-order"])
+@pytest.mark.parametrize("seed", range(4))
+def test_table_without_dedup_matches_oracle_on_duplicate_free_traces(seed, monotone):
+    drive(seed + 2000, monotone=monotone, dedup=False)
+
+
 class TestSlabDetails:
-    def test_probe_returns_live_list_and_copy_on_write(self):
-        """The zero-copy probe snapshots only when mutated afterwards."""
+    def test_probe_returns_the_live_bucket(self):
+        """Zero-copy probe: callers only iterate, and finish before the
+        bucket can change (see CheckingTable for the enforced form)."""
         table = MatchTable()
         m1 = make_match(0, 1.0, 0)
         m2 = make_match(1, 2.0, 0)
         table.insert(("k0",), m1)
         view = table.probe(("k0",))
         assert view == [m1]
-        table.insert(("k0",), m2)  # mutation after probe: must not be seen
-        assert view == [m1]
-        assert table.probe(("k0",)) == [m1, m2]
+        table.insert(("k0",), m2)
+        assert view == [m1, m2]  # no snapshot was taken
+        assert table.probe(("missing",)) == []
+
+    def test_checking_table_raises_on_mutation_under_probe(self):
+        table = CheckingTable()
+        table.insert(("k0",), make_match(0, 1.0, 0))
+        with pytest.raises(AssertionError, match="mutated while a probe"):
+            for _ in table.probe(("k0",)):
+                table.insert(("k0",), make_match(1, 2.0, 0))
+        with pytest.raises(AssertionError, match="expiry sweep"):
+            for _ in table.probe(("k0",)):
+                table.expire(5.0)
+        # other buckets stay writable under a probe, and the guard lifts
+        for _ in table.probe(("k0",)):
+            table.insert(("k1",), make_match(2, 3.0, 1))
+        assert table.insert(("k0",), make_match(3, 4.0, 0))
+
+    def test_checking_table_raises_on_duplicate_without_dedup(self):
+        table = CheckingTable(dedup=False)
+        match = make_match(0, 1.0, 0)
+        assert table.insert(("k0",), match)
+        with pytest.raises(AssertionError, match="offered a duplicate"):
+            table.insert(("k0",), match)
+        table.expire(2.0)  # once expired, the identity may come back
+        assert table.insert(("k0",), make_match(0, 3.0, 0))
 
     def test_probe_order_is_insertion_order_across_expiry(self):
-        """Tombstoning must never reorder survivors (sharded identity)."""
+        """Expiry must never reorder survivors (sharded identity)."""
         table = MatchTable()
         matches = [make_match(i, float(i), 0) for i in range(6)]
         for m in matches:
@@ -224,12 +247,14 @@ class TestSlabDetails:
         ]
 
     def test_infinite_window_tables_skip_expiry_bookkeeping(self):
-        table = MatchTable(track_expiry=False)
-        for i in range(5):
-            table.insert((), make_match(i, float(i), 0))
-        assert len(table._ring) == 0  # no per-insert expiry state at all
-        assert table.expire(100.0) == 0  # nothing tracked, nothing dropped
-        assert len(table) == 5
+        """``track_expiry=False`` keeps no expiry state at all."""
+        for table in (MatchTable(track_expiry=False), FIFOLeafTable(track_expiry=False)):
+            for i in range(5):
+                table.insert((), make_match(i, float(i), 0))
+            assert table.expire(100.0) == 0  # nothing tracked, nothing dropped
+            assert len(table) == 5
+        assert not table._ring_keys and not table._ring_matches
+        assert not any("ring" in slot for slot in MatchTable.__slots__)
 
     def test_engine_infinite_window_disables_tracking(self):
         from repro.analysis.experiments import mixed_etype_queries
@@ -249,7 +274,7 @@ class TestSlabDetails:
 
 
 # ---------------------------------------------------------------------------
-# engine-level equivalence of the slab encoding on the bench workload
+# engine-level equivalence on the bench workload, under checking tables
 # ---------------------------------------------------------------------------
 
 
@@ -261,6 +286,7 @@ def run_mixed(fast: bool, strategy: str, window: float, events: int = 2500):
     for query in queries:
         options = {} if fast else {"compiled_plans": False}
         engine.register(query, strategy=strategy, name=query.name, **options)
+    assert install_checking_tables(engine)
     records = engine.process_events(stream[warm_n:])
     return [(r.query_name, r.match.fingerprint, r.completed_at) for r in records]
 
@@ -270,10 +296,11 @@ def test_slab_encoding_equivalence_mixed_workload(strategy):
     """Fast path == seed path, record for record, on the benchmark's
     mixed-etype 10-query workload under a tight window.
 
-    The tight window plus a short housekeeping cadence hammers the slab
-    machinery — ring expiry, tombstones, bucket compaction, copy-on-write
-    probes — while the Lazy variant adds hook-driven re-entrant inserts
-    during probe iteration (the snapshot-on-mutation case).
+    The tight window plus a short housekeeping cadence hammers sweep
+    expiry between probes of out-of-order interior tables, while the Lazy
+    variant adds hook-driven re-entrant inserts during probe iteration —
+    which the checking tables prove never touch the bucket being
+    iterated, and never offer an eager table a duplicate.
     """
     fast = run_mixed(True, strategy, window=15.0)
     seed = run_mixed(False, strategy, window=15.0)

@@ -18,6 +18,7 @@ import pytest
 from repro import CheckpointError, ContinuousQueryEngine, ShardedEngine
 from repro.analysis.experiments import mixed_etype_workload
 from repro.persistence import load_engine, read_manifest, write_manifest
+from repro.persistence import snapshot as snapshot_module
 from repro.persistence.binary import BinaryReader, BinaryWriter
 from repro.persistence.snapshot import (
     SNAPSHOT_MAGIC,
@@ -28,6 +29,7 @@ from repro.persistence.snapshot import (
     estimator_from_section,
 )
 from repro.query.query_graph import QueryGraph
+from repro.sjtree.node import MatchTable
 from repro.stats import SelectivityEstimator, estimator as estimator_module
 
 CUT_POINTS = (100, 350, 600)
@@ -184,10 +186,10 @@ def test_restore_preserves_statistics_and_counters(tmp_path, workload):
                 == registered.algorithm.partial_match_count()
             )
         else:
-            # The live table may still hold expired entries shadowed
-            # behind an unexpired ring head; the snapshot drops them
-            # (they can never influence output), so the restored count
-            # is exactly the genuinely-live slice.
+            # The live table may still hold expired entries no sweep
+            # has reclaimed yet; the snapshot drops them (they can never
+            # influence output), so the restored count is exactly the
+            # genuinely-live slice.
             for node, twin_node in zip(registered.tree.nodes, twin.tree.nodes):
                 expected = sum(1 for match in node.table if match.min_time >= cutoff)
                 assert len(twin_node.table) == expected
@@ -210,6 +212,87 @@ def test_snapshot_skips_unreclaimed_stale_matches(workload):
         for node in tree.nodes:
             for match in node.table:
                 assert match.min_time >= cutoff
+
+
+# ---------------------------------------------------------------------------
+# snapshots written before the list-bucket tables (same format version)
+# ---------------------------------------------------------------------------
+
+
+class _RecordingTable(MatchTable):
+    """Remembers global insertion order — what the slab table's expiry
+    ring held, and the order its snapshots listed a node's matches in."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, track_expiry: bool = True, dedup: bool = True) -> None:
+        super().__init__(track_expiry, dedup)
+        self.order = []
+
+    def insert(self, key, match) -> bool:
+        inserted = super().insert(key, match)
+        if inserted:
+            self.order.append(match)
+        return inserted
+
+
+def _slab_era_bytes(engine, cursor, monkeypatch) -> bytes:
+    """``engine_to_bytes`` as the slab-table writer laid it out: finite
+    windows list each ``MatchTable`` in global insertion order (stale
+    entries are dropped by the writer either way); infinite windows
+    already listed bucket by bucket."""
+    bucket_order = snapshot_module._matches_in_insertion_order
+
+    def ring_order(table):
+        if isinstance(table, _RecordingTable) and table.track_expiry:
+            return table.order
+        return bucket_order(table)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(snapshot_module, "_matches_in_insertion_order", ring_order)
+        return engine_to_bytes(engine, cursor=cursor)
+
+
+@pytest.mark.parametrize("strategy", ["Single", "SingleLazy"])
+@pytest.mark.parametrize("width", [30.0, math.inf], ids=["window-30", "window-inf"])
+def test_slab_era_snapshot_restores_and_continues(monkeypatch, width, strategy):
+    """A snapshot written before this table layout restores into it and
+    continues to the same ordered records, and from there checkpoint ->
+    restore -> checkpoint is byte-stable."""
+    events, queries = mixed_etype_workload(
+        700, num_queries=3, num_etypes=4, seed=11, population=30
+    )
+    for i, query in enumerate(queries):
+        query.name = f"q{i}"
+    cut = 450
+
+    def engine_for():
+        engine = ContinuousQueryEngine(window=width, housekeeping_every=5)
+        engine.warmup(events)
+        for query in queries:
+            engine.register(query, strategy=strategy, name=query.name)
+        return engine
+
+    full = identities(engine_for().run(events).records)
+    assert full
+    first = engine_for()
+    for registered in first.queries.values():
+        for node in registered.tree.nodes:
+            if type(node.table) is MatchTable:
+                node.table = _RecordingTable(node.table.track_expiry, node.table.dedup)
+    before = identities(first.run(events[:cut]).records)
+    old = _slab_era_bytes(first, cut, monkeypatch)
+    if math.isfinite(width):
+        # the two writers really do order some table differently here
+        assert old != engine_to_bytes(first, cursor=cut)
+    restored, cursor = engine_from_bytes(old, queries)
+    assert cursor == cut
+    once = engine_to_bytes(restored, cursor=cursor)
+    assert len(once) == len(old)
+    again, _ = engine_from_bytes(once, queries)
+    assert engine_to_bytes(again, cursor=cursor) == once
+    after = identities(restored.run(events[cut:]).records)
+    assert before + after == full
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import Edge
 from repro.isomorphism import Match
+from repro.isomorphism.match import JoinPlan, MatchShape
 from repro.query import QueryGraph
 from repro.sjtree import build_sj_tree, leaf_partition_of
 from repro.stats import SelectivityEstimator
@@ -70,6 +71,90 @@ class TestJoinAlgebra:
         rebuilt = Match.build(query.edges_by_id(), dict(joined.pairs))
         assert rebuilt == joined
         assert hash(rebuilt) == hash(joined)
+
+
+def _query(*edges):
+    query = QueryGraph(name="jp")
+    for src, dst, etype in edges:
+        query.add_edge(src, dst, etype)
+    return query
+
+
+#: (query, left edge ids, right edge ids): the child pairs of left-deep
+#: SJ-Tree joins, one per compiled-join feature.
+JOIN_SHAPES = {
+    "path": (_query((0, 1, "A"), (1, 2, "B"), (2, 3, "A")), (0,), (1,)),
+    "repeated-etypes": (_query((0, 1, "A"), (1, 2, "A"), (2, 3, "A")), (0, 1), (2,)),
+    "cycle-closing-right": (_query((0, 1, "A"), (1, 2, "B"), (2, 0, "A")), (0, 1), (2,)),
+    "two-edge-right-leaf": (
+        _query((0, 1, "A"), (1, 2, "B"), (2, 3, "A"), (3, 4, "B")),
+        (0, 1),
+        (2, 3),
+    ),
+    "non-contiguous-take": (
+        _query((0, 1, "A"), (1, 2, "A"), (2, 3, "B"), (3, 4, "A")),
+        (0, 2),
+        (1, 3),
+    ),
+    "right-then-left": (_query((0, 1, "A"), (1, 2, "B"), (2, 3, "A")), (1, 2), (0,)),
+    "parallel-query-edges": (_query((0, 1, "A"), (0, 1, "A")), (0,), (1,)),
+    "same-etype-star": (_query((0, 1, "A"), (0, 2, "A"), (0, 3, "B")), (0, 2), (1,)),
+}
+
+
+@st.composite
+def join_cases(draw):
+    """A shape pair plus one binding of every query vertex to a small
+    data-vertex pool (shared vertices agree by construction — the
+    bucket-key precondition; exclusive ones may collide) and of every
+    query edge to one of two parallel data edges between its endpoints
+    (so two same-etype query edges can land on one data edge)."""
+    query, left_ids, right_ids = JOIN_SHAPES[draw(st.sampled_from(sorted(JOIN_SHAPES)))]
+    binding = {v: draw(st.integers(0, 4)) for v in sorted(query.vertices())}
+    data_edges = {}
+    sides = []
+    for ids in (left_ids, right_ids):
+        assignment = {}
+        for qeid in ids:
+            qedge = query.edges_by_id()[qeid]
+            identity = (binding[qedge.src], binding[qedge.dst], qedge.etype, draw(st.booleans()))
+            if identity not in data_edges:
+                data_edges[identity] = Edge(
+                    len(data_edges),
+                    f"d{identity[0]}",
+                    f"d{identity[1]}",
+                    qedge.etype,
+                    float(draw(st.integers(0, 9))),
+                )
+            assignment[qeid] = data_edges[identity]
+        sides.append(Match.build(query.edges_by_id(), assignment))
+    return query, left_ids, right_ids, sides[0], sides[1]
+
+
+class TestCompiledJoinPlan:
+    @settings(max_examples=400, deadline=None)
+    @given(case=join_cases())
+    def test_join_plan_equals_validating_join(self, case):
+        """``JoinPlan.join`` — pruned checks, concatenated tuples — agrees
+        with the validating ``Match.join`` on every pair of internally
+        valid matches that agree on the cut."""
+        query, left_ids, right_ids, left, right = case
+        if left is None or right is None:
+            return  # a side that is not itself a match is never stored
+        by_id = query.edges_by_id()
+        plan = JoinPlan(
+            MatchShape([by_id[i] for i in left_ids]),
+            MatchShape([by_id[i] for i in right_ids]),
+            MatchShape([by_id[i] for i in left_ids + right_ids]),
+        )
+        got = plan.join(left, right)
+        want = left.join(right)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.qeids == want.qeids
+            assert got.edges == want.edges
+            assert (got.min_time, got.max_time) == (want.min_time, want.max_time)
+            assert got.vertex_map == want.vertex_map
 
 
 @st.composite

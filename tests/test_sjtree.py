@@ -9,6 +9,7 @@ from repro.graph import Edge, TimeWindow
 from repro.isomorphism import Match
 from repro.query import QueryGraph
 from repro.sjtree import MatchTable, SJTree, leaf_partition_of
+from repro.sjtree.node import SJTreeNode
 from repro.stats import LeafSelectivity
 
 
@@ -276,3 +277,76 @@ class TestInsertAndJoin:
 
     def test_expire_infinite_window_noop(self, tree):
         assert tree.expire(-math.inf) == 0
+
+
+def hand_built_two_leaf_tree(two):
+    """The tree ``from_leaf_partition(two, [(0,), (1,)])`` would build,
+    assembled by hand: no shapes, key plans or join plans pre-compiled."""
+    leaf0 = SJTreeNode(0, two.subgraph({0}), frozenset({0}), leaf_index=0)
+    leaf1 = SJTreeNode(1, two.subgraph({1}), frozenset({1}), leaf_index=1)
+    root = SJTreeNode(2, two.subgraph({0, 1}), frozenset({0, 1}), left=0, right=1)
+    cut = tuple(sorted(leaf0.vertices() & leaf1.vertices()))
+    root.cut_vertices = cut
+    for leaf, other in ((leaf0, leaf1), (leaf1, leaf0)):
+        leaf.parent, leaf.sibling, leaf.key_vertices = 2, other.node_id, cut
+    return SJTree(two, [leaf0, leaf1, root], root_id=2, leaf_ids=[0, 1])
+
+
+class TestInsertMatchIsTheCompiledChain:
+    def test_hand_built_tree_compiles_on_first_use(self):
+        two = QueryGraph.path(["T", "T"])
+        tree = hand_built_two_leaf_tree(two)
+        assert tree.root.join_plan is None
+        assert all(node.key_plan is None for node in tree.nodes)
+        sink = []
+        m0 = match_for(two, {0: edge(1, "a", "b", ts=0.0)})
+        m1 = match_for(two, {1: edge(2, "b", "c", ts=1.0)})
+        # a fresh TimeWindow object per call, as direct callers may pass
+        assert tree.insert_match(0, m0, TimeWindow(), sink.append)
+        assert tree.insert_match(1, m1, TimeWindow(), sink.append)
+        assert [m.fingerprint for m in sink] == [((0, 1), (1, 2))]
+        assert tree.root.join_plan is not None
+        # ... and what it ran is the closure compile_insert hands out
+        compiled = tree.compile_insert(0, TimeWindow())
+        assert compiled is tree.compile_insert(0, TimeWindow())
+        assert not compiled(m0, -math.inf, sink.append)  # the stored duplicate
+
+    def test_windows_of_different_width_do_not_share_a_closure(self):
+        two = QueryGraph.path(["T", "T"])
+        tree = SJTree.from_leaf_partition(two, [(0,), (1,)])
+        narrow, wide = TimeWindow(2.0), TimeWindow(50.0)
+        for leaf_id in tree.leaf_ids:
+            assert tree.compile_insert(leaf_id, narrow) is not tree.compile_insert(
+                leaf_id, wide
+            )
+        assert tree.compile_insert(0, narrow) is tree.compile_insert(0, TimeWindow(2.0))
+        sink = []
+        m0 = match_for(two, {0: edge(1, "a", "b", ts=0.0)})
+        m1 = match_for(two, {1: edge(2, "b", "c", ts=3.0)})
+        tree.insert_match(0, m0, narrow, sink.append)
+        tree.insert_match(1, m1, narrow, sink.append)
+        assert sink == []  # span 3 >= 2: the narrow chain blocks the join
+        m2 = match_for(two, {1: edge(3, "b", "d", ts=3.0)})
+        tree.insert_match(1, m2, wide, sink.append)
+        assert len(sink) == 1  # the same tables through the wide chain
+
+    def test_compiled_closures_do_not_tie_the_tree_into_a_cycle(self):
+        """The chain is cached on the tree; were a closure to capture the
+        tree, every stored match would wait for the cyclic GC."""
+        import gc
+        import weakref
+
+        two = QueryGraph.path(["T", "T"])
+        tree = SJTree.from_leaf_partition(two, [(0,), (1,)])
+        sink = []
+        tree.insert_match(0, match_for(two, {0: edge(1, "a", "b")}), TimeWindow(), sink.append)
+        tree.insert_match(1, match_for(two, {1: edge(2, "b", "c")}), TimeWindow(), sink.append)
+        assert tree.complete_matches == 1
+        ref = weakref.ref(tree)
+        gc.collect()
+        gc.disable()
+        try:
+            del tree
+            assert ref() is None
+        finally:
+            gc.enable()

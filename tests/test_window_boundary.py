@@ -15,6 +15,7 @@ uninterrupted run at the boundary.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,8 @@ from repro.graph.types import EdgeEvent
 from repro.graph.window import TimeWindow
 from repro.isomorphism.match import Match
 from repro.persistence.snapshot import engine_from_bytes, engine_to_bytes
+from repro.search import DynamicGraphSearch, LazySearch
+from repro.sjtree import SJTree
 from repro.sjtree.node import MatchTable
 
 # Integer-valued floats keep ``(t0 + width) - width == t0`` exact, so
@@ -155,3 +158,35 @@ def test_snapshot_restore_preserves_boundary_partials(width, t0):
         for m in node.table
     )
     assert restored.partial_match_count() == engine.partial_match_count()
+
+
+@pytest.mark.parametrize("algorithm_class", [DynamicGraphSearch, LazySearch])
+def test_live_counts_are_exact_after_a_sweep(algorithm_class):
+    """After ``partial_match_count()`` / ``tree.expire(cutoff)`` every node
+    holds exactly its matches with ``min_time >= cutoff`` — also when a
+    stale match was stored *after* a still-live one, which interior
+    tables (``min_time`` of a join is its oldest side's) produce freely."""
+    query = QueryGraph.path(["A", "B", "C"], name="abc")
+    tree = SJTree.from_leaf_partition(query, [(0,), (1,), (2,)])
+    graph = StreamingGraph(window=8.0)
+    search = algorithm_class(graph, tree)
+    for src, dst, etype, ts in [
+        ("a", "b", "A", 0.0),
+        ("a2", "b", "A", 5.0),
+        ("b", "c", "B", 6.0),  # joins both A edges: min_time 0, then 5
+        ("b", "d", "B", 7.0),  # again: 0, then 5 — 0 now sits behind a 5
+        ("x", "y", "A", 9.0),  # cutoff moves to 1: every min_time 0 is stale
+    ]:
+        search.process_edge(graph.add_edge(src, dst, etype, ts))
+    cutoff = graph.window.cutoff
+    assert cutoff == 1.0
+    interior = tree.node(tree.node(tree.leaf_ids[0]).parent)
+    assert sorted(m.min_time for m in interior.table) == [0.0, 0.0, 5.0, 5.0]
+
+    assert search.partial_match_count() == 6  # A×2, B×2, (A,B)×2
+    for node in tree.nodes:
+        stored = list(node.table)
+        assert all(match.min_time >= cutoff for match in stored)
+        assert len(node.table) == len(stored)
+    assert len(interior.table) == 2
+    assert tree.expire(cutoff) == 0  # the count already swept everything

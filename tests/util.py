@@ -13,6 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph import Edge, EdgeEvent, StreamingGraph, TimeWindow
 from repro.query import QueryGraph
+from repro.sjtree.node import MatchTable
 
 Fingerprint = Tuple[Tuple[int, int], ...]
 
@@ -111,3 +112,68 @@ def fingerprints(matches: Iterable) -> Set[Fingerprint]:
         match = getattr(item, "match", item)
         result.add(match.fingerprint)
     return result
+
+
+class CheckingTable(MatchTable):
+    """A :class:`MatchTable` that raises when an invariant the production
+    table relies on, but does not check, is violated:
+
+    * its zero-copy ``probe`` hands out the live bucket, so no bucket may
+      be mutated while a probe of it is still being iterated (the
+      left-deep re-entrancy argument that retired copy-on-write);
+    * with ``dedup`` off it keeps no identity set, so it must never be
+      offered a match it already holds (the eager-search argument).
+    """
+
+    __slots__ = ("_probing", "_offered")
+
+    def __init__(self, track_expiry: bool = True, dedup: bool = True) -> None:
+        super().__init__(track_expiry, dedup)
+        self._probing: Dict[object, int] = {}
+        self._offered: Set[tuple] = set()
+
+    def insert(self, key, match) -> bool:
+        if self._probing.get(key):
+            raise AssertionError(f"bucket {key!r} mutated while a probe iterates it")
+        if not self.dedup:
+            ident = tuple(edge.edge_id for edge in match.edges)
+            if ident in self._offered:
+                raise AssertionError(f"dedup-free table offered a duplicate: {match!r}")
+            self._offered.add(ident)
+        return super().insert(key, match)
+
+    def probe(self, key):
+        return self._guarded(key, super().probe(key))
+
+    def _guarded(self, key, bucket):
+        self._probing[key] = self._probing.get(key, 0) + 1
+        try:
+            yield from bucket
+        finally:
+            self._probing[key] -= 1
+
+    def expire(self, cutoff: float) -> int:
+        if any(self._probing.values()):
+            raise AssertionError("expiry sweep while a probe iterates a bucket")
+        dropped = super().expire(cutoff)
+        if dropped and not self.dedup:
+            self._offered = {tuple(e.edge_id for e in m.edges) for m in self}
+        return dropped
+
+
+def install_checking_tables(engine) -> int:
+    """Swap every (still empty) ``MatchTable`` of ``engine``'s SJ-Trees for
+    a :class:`CheckingTable`; returns how many were swapped. Compiled
+    insert closures read ``node.table`` per call, so this is safe after
+    ``register()``."""
+    swapped = 0
+    for registered in engine.queries.values():
+        if registered.tree is None:
+            continue
+        for node in registered.tree.nodes:
+            table = node.table
+            if type(table) is MatchTable:
+                assert len(table) == 0
+                node.table = CheckingTable(table.track_expiry, table.dedup)
+                swapped += 1
+    return swapped

@@ -56,7 +56,8 @@ class Config:
         ("isomorphism/plan.py", "_run"),
         ("isomorphism/plan.py", "_emit"),
         ("isomorphism/match.py", "join"),
-        ("sjtree/tree.py", "insert_match"),
+        ("sjtree/tree.py", "insert"),
+        ("sjtree/tree.py", "trivial_insert"),
         ("sjtree/node.py", "insert"),
         ("sjtree/node.py", "probe"),
         ("sjtree/node.py", "expire"),
