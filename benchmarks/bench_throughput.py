@@ -34,7 +34,7 @@ Each path also records:
   for the whole benchmark process (monotone; recorded once at the end).
 
 A ``kernels`` section breaks the fast configuration down by pipeline
-stage — chunk evict/ingest/dispatch from ``engine.kernel_profile`` plus
+stage — per-edge evict/ingest/dispatch from ``engine.kernel_profile`` plus
 the paper's anchor(iso)/join split summed across the registered
 queries — and records which columnar backend (numpy or the pure-Python
 fallback) encoded the chunks.
@@ -338,13 +338,13 @@ def measure_kernels(
     """Per-stage kernel timings from a separate profiled replay.
 
     Runs the fast configuration once more with ``profile_phases=True``:
-    the chunk loop books whole-chunk evict/ingest/dispatch stage times
-    into ``engine.kernel_profile`` (chunk-aware ``phase_add`` credits),
-    and the per-query algorithms attribute anchored-isomorphism vs
-    SJ-Tree join time per edge. Profiling routes handlers through the
-    per-edge path (that is the attribution contract), so these seconds
-    describe *where* time goes, not the fused loop's absolute speed —
-    the timed sections above are the throughput claim.
+    every chunk then replays through the per-event reference path, which
+    credits each edge's evict / ingest / dispatch (route lookup) stage
+    time to ``engine.kernel_profile``, while the per-query algorithms
+    attribute anchored-isomorphism vs SJ-Tree join time per edge. These
+    seconds describe *where* time goes on that path, not the fused
+    loop's absolute speed — the timed sections above are the throughput
+    claim.
     """
     engine = ContinuousQueryEngine(window=WINDOW, dispatch=True, profile_phases=True)
     engine.warmup(warmup)
@@ -377,8 +377,9 @@ def measure_kernels(
         "stages": stages,
         "match_phases": match_phases,
         "note": (
-            "separate profiled replay; per-edge attribution disables the "
-            "fused kernels, so stage seconds are a breakdown, not a rate"
+            "separate profiled replay through the per-event path (the "
+            "fused chunk loop does not run), so stage seconds are a "
+            "breakdown, not a rate"
         ),
     }
 

@@ -89,15 +89,14 @@ class ProfileCounters:
             self._stack[-1][1] = end
 
     def phase_add(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Credit already-measured time to a phase (chunk-aware bump).
+        """Credit already-measured time to a phase.
 
-        The batched engine loop times a whole chunk's stage (evict /
-        ingest / dispatch) with two ``perf_counter`` reads and attributes
-        it here with ``calls`` set to the chunk's edge count — per-edge
-        ``phase_enter``/``phase_exit`` pairs inside a chunk would either
-        cost two clock reads per edge or mis-attribute the whole chunk to
-        one call. Does not interact with the enter/exit stack: the time
-        was measured outside any open phase.
+        The engine's profiled per-event path times its consecutive stages
+        (evict / ingest / dispatch) with one shared ``perf_counter`` read
+        per stage boundary and credits each here; ``calls`` lets a caller
+        that timed a batch credit every element of it at once. Does not
+        interact with the enter/exit stack: the time was measured outside
+        any open phase.
         """
         timer = self.phases.setdefault(name, PhaseTimer())
         timer.seconds += seconds

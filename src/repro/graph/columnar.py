@@ -1,7 +1,8 @@
 """Columnar chunk encoding for batched ingest — the batch-kernel substrate.
 
 The engine's hot loop processes the stream chunk-at-a-time (see
-``ContinuousQueryEngine.process_events``): each chunk of events is encoded
+``ContinuousQueryEngine.process_events`` / ``process_rows``, two entry
+points over one chunk loop): each chunk of events or wire rows is encoded
 *once* into parallel columns — interned edge-type codes, float64
 timestamps, and (rows mode) pinned edge ids — that the per-chunk kernels
 share:
@@ -10,12 +11,15 @@ share:
   whole chunk's timestamp order against the graph clock in one vectorized
   pass, replacing the per-edge comparison in ``StreamingGraph.add_event``
   (a chunk that fails is replayed through the exact per-event path so the
-  ``GraphError`` raises at the same element with the same prefix state);
+  ``GraphError`` raises at the same element with the same prefix state —
+  as is every chunk of a profiling engine);
 * the **dispatch kernel** resolves ``etype code -> [(query, handler)]``
   routing once per *distinct* code per chunk
   (:meth:`EdgeChunk.distinct_codes` + the engine's program LUT), so the
   per-edge step is a dense-list load instead of a dict lookup;
-* the eviction/ingest loop reads the timestamp column directly.
+* the eviction/ingest loop walks the code column beside the source
+  events or rows, reading each element's six edge fields through one
+  getter chosen per chunk.
 
 Vertex ids stay object columns (:attr:`EdgeChunk.srcs` /
 :attr:`EdgeChunk.dsts`, built lazily): they are arbitrary hashables

@@ -246,7 +246,7 @@ class StreamingGraph:
         """Evict iff the oldest live edge has left the window (O(1) probe).
 
         The head check :meth:`add_event` performs before every insert,
-        exposed so the engine's instrumented chunk loop can time eviction
+        exposed so the engine's profiled per-event path can time eviction
         separately from insertion (it then inserts with ``evict=False``).
         """
         arrival = self._arrival
@@ -260,7 +260,8 @@ class StreamingGraph:
         # (every earlier segment member was already evicted) and both its
         # endpoints still have live-degree entries. Segments are deleted
         # the moment they empty, so the lookups below cannot miss. The
-        # engine's chunk kernel inlines this body; keep them in sync.
+        # engine's chunk loop (ContinuousQueryEngine._process_chunk) holds
+        # the one inline copy of this body and of add_prepared's insert.
         src = edge.src
         dst = edge.dst
         code = edge.etype_code

@@ -170,10 +170,10 @@ class DynamicGraphSearch(SearchAlgorithm):
         identical because plan execution reads only the graph while
         inserts mutate only the tree tables — interleaving cannot change
         what later plans find — and within each leaf the (plan order,
-        discovery order) sequence is preserved. When phase profiling is
-        enabled the handler delegates to :meth:`process_edge`, whose
-        per-edge ``iso``/``join`` attribution is the accuracy bar the
-        Fig. 9/10 experiments rely on.
+        discovery order) sequence is preserved. Handlers carry no phase
+        timers: a profiling engine replays through :meth:`process_edge`,
+        whose per-edge ``iso``/``join`` attribution is the accuracy bar
+        the Fig. 9/10 experiments rely on.
         """
         if not self.compiled_plans:
             return self.process_edge  # legacy scan has no hoistable gate
@@ -192,8 +192,6 @@ class DynamicGraphSearch(SearchAlgorithm):
             )
         graph = self.graph
         window = self.window
-        profile = self.profile
-        process_edge = self.process_edge
         Match_ = Match
 
         if len(actions) == 1:
@@ -217,8 +215,6 @@ class DynamicGraphSearch(SearchAlgorithm):
                     sink0 = results0.append
 
                     def handle_trivial(edge: Edge) -> List[Match]:
-                        if profile.enabled:
-                            return process_edge(edge)
                         if edge.src == edge.dst:
                             return _NO_MATCHES
                         trivial_insert0(edge, window._cutoff, sink0)
@@ -232,8 +228,6 @@ class DynamicGraphSearch(SearchAlgorithm):
                     return handle_trivial
 
         def handle(edge: Edge) -> List[Match]:
-            if profile.enabled:
-                return process_edge(edge)
             results: List[Match] = []
             sink = results.append
             cutoff = window._cutoff  # plain attr: skip the property call

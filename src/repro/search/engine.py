@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -49,6 +50,13 @@ from .strategy import STRATEGY_NAMES, StrategyDecision, choose_strategy
 #: dispatch-LUT slot for "program not compiled yet" (distinct from None,
 #: which is a compiled "no routed query consumes this code").
 _UNSEEN = object()
+
+#: the six edge fields the chunk loop reads, in one call per element: an
+#: :class:`EdgeEvent`'s attributes, or positions 1-6 of a wire row
+_EVENT_FIELDS = operator.attrgetter(
+    "src", "dst", "etype", "timestamp", "src_type", "dst_type"
+)
+_ROW_FIELDS = operator.itemgetter(1, 2, 3, 4, 5, 6)
 
 
 def algorithm_class(strategy: str) -> type:
@@ -163,23 +171,22 @@ class ContinuousQueryEngine:
         #: equivalence tests compare the two paths record-for-record.
         self.dispatch = dispatch
         #: when True, algorithms keep their per-edge iso/join phase timers
-        #: running (the §6.4.1 split) and the batched loop times its chunk
-        #: stages (evict/ingest/dispatch) into :attr:`kernel_profile`. Off
-        #: by default: two perf_counter reads per phase per edge are
-        #: measurable on the hot loop, and only the figure-reproduction
+        #: running (the §6.4.1 split), chunks replay through the per-event
+        #: path and it times its stages (evict/ingest/dispatch) into
+        #: :attr:`kernel_profile`. Off by default: the timers cost several
+        #: perf_counter reads per edge, and only the figure-reproduction
         #: experiments and the bench kernel report read the split.
         self.profile_phases = profile_phases
-        #: engine-level chunk-stage timers (evict / ingest / dispatch),
-        #: populated by the instrumented batch loop when
-        #: ``profile_phases`` is on; per-query iso/join time lives in each
-        #: registered query's own profile.
+        #: engine-level stage timers (evict / ingest / dispatch), credited
+        #: per edge by :meth:`process_event` when ``profile_phases`` is on;
+        #: per-query iso/join time lives in each registered query's own
+        #: profile.
         self.kernel_profile = ProfileCounters()
         #: housekeeping sweeps run (telemetry)
         self._sweeps = 0
-        #: edges dispatched to at least one routed query program — bumped
-        #: once per routed edge by the batch kernels (a local-int add, not
-        #: an attribute write, inside the loop) and approximated by the
-        #: per-event path as "routed targets non-empty".
+        #: edges whose compiled dispatch program is not ``None`` (some
+        #: routed query consumes the edge's type) — the same count on the
+        #: chunk loop and the per-event path.
         self._dispatch_hits = 0
         #: checkpoint duration/bytes accumulators (repro_persistence_*).
         self._checkpoint_stats = CheckpointStats()
@@ -312,30 +319,55 @@ class ContinuousQueryEngine:
     ) -> List[MatchRecord]:
         """Insert one stream event; return all newly completed matches.
 
+        The paper-faithful reference path — insert, anchor, then
+        UPDATE-SJ-TREE through each routed query's ``process_edge`` — that
+        the chunk loop is held record- and counter-identical to.
         ``edge_id`` optionally pins the stored edge's id (see
         :meth:`StreamingGraph.add_event`); sharded workers pass the global
         stream position so fingerprints match the single-process engine.
+        With :attr:`profile_phases` on, the three stages are credited to
+        :attr:`kernel_profile`: ``evict`` (window advance + expiry, before
+        the insert as in ``add_event``), ``ingest`` and ``dispatch`` (the
+        route lookup).
         """
-        edge = self.graph.add_event(event, edge_id=edge_id)
+        graph = self.graph
+        profiling = self.profile_phases
+        if profiling:
+            clock = time.perf_counter
+            started = clock()
+            # skipped when add_event is about to reject the event, which
+            # must leave the graph exactly as it was
+            if event.timestamp >= graph.last_timestamp and (
+                edge_id is None or edge_id >= graph._next_edge_id
+            ):
+                graph.window.advance(event.timestamp)
+                graph.maybe_evict()
+            evicted = clock()
+            edge = graph.add_event(event, edge_id=edge_id, evict=False)
+            ingested = clock()
+        else:
+            edge = graph.add_event(event, edge_id=edge_id)
+        code = edge.etype_code
+        if self._dispatch:
+            targets = self._routes.get(code, self._route_default)
+        else:
+            targets = self.queries.values()
+        # a hit is an edge some routed query's compiled program consumes —
+        # the same definition the chunk loop counts
+        if self._program(code) is not None:
+            self._dispatch_hits += 1
+        if profiling:
+            kernel_profile = self.kernel_profile
+            kernel_profile.phase_add("evict", evicted - started)
+            kernel_profile.phase_add("ingest", ingested - evicted)
+            kernel_profile.phase_add("dispatch", clock() - ingested)
         if self.update_statistics:
             self.estimator.observe(edge)
         records: List[MatchRecord] = []
-        if self.dispatch:
-            targets = self._routes.get(edge.etype_code, self._route_default)
-        else:
-            targets = self.queries.values()
-        if targets:
-            self._dispatch_hits += 1
         for registered in targets:
+            name, strategy = registered.name, registered.strategy
             for match in registered.algorithm.process_edge(edge):
-                records.append(
-                    MatchRecord(
-                        query_name=registered.name,
-                        strategy=registered.strategy,
-                        match=match,
-                        completed_at=edge.timestamp,
-                    )
-                )
+                records.append(MatchRecord(name, strategy, match, edge.timestamp))
         self._edges_since_sweep += 1
         if self._edges_since_sweep >= self.housekeeping_every:
             self.sweep()
@@ -349,57 +381,37 @@ class ContinuousQueryEngine:
         encoded once into parallel columns (:class:`EdgeChunk`) shared by
         the monotonicity, eviction and dispatch kernels. Semantically
         identical to calling :meth:`process_event` per element (same clock
-        advancement, eviction points, housekeeping cadence and record
-        order — events are still folded in one at a time, because matching
-        must observe the graph exactly as of each edge's arrival); only
-        the per-event overhead — type interning, order validation, route
-        lookup, handler selection — is hoisted to chunk scope.
-        :meth:`run`, the chunked CLI ingest and the sharded runtime's
-        serial fallback all drive this path; :meth:`process_rows` is its
-        edge-id-pinned twin for sharded workers.
+        advancement, eviction points, housekeeping cadence, counters and
+        record order — events are still folded in one at a time, because
+        matching must observe the graph exactly as of each edge's
+        arrival); only the per-event overhead — type interning, order
+        validation, route lookup, handler selection — is hoisted to chunk
+        scope. :meth:`run`, the chunked CLI ingest and the sharded
+        runtime's serial fallback all drive this path.
         """
-        records: List[MatchRecord] = []
-        it = iter(events)
-        chunk_size = self.chunk_size
-        from_events = EdgeChunk.from_events
-        islice = itertools.islice
-        while True:
-            batch = list(islice(it, chunk_size))
-            if not batch:
-                break
-            chunk = from_events(batch)
-            if self.profile_phases:
-                self._process_chunk_profiled(chunk, records)
-            else:
-                self._process_chunk(chunk, records)
-        return records
+        return self._process_stream(events, EdgeChunk.from_events)
 
     def process_rows(self, rows: Iterable[tuple]) -> List[tuple[int, MatchRecord]]:
-        """Chunked batch loop over pinned stream rows (the sharded workers).
+        """:meth:`process_events` over pinned stream rows (sharded workers).
 
         ``rows`` are ``(edge_id, src, dst, etype, timestamp, src_type,
         dst_type)`` tuples — the wire format of the sharded runtime, where
         ``edge_id`` is the global stream position (see
         :meth:`StreamingGraph.add_event` on id pinning). Returns
         ``(edge_id, record)`` pairs so the coordinator can merge worker
-        outputs back into exact single-process emission order. Mirrors
-        :meth:`process_events` chunk for chunk.
+        outputs back into exact single-process emission order.
         """
-        tagged: List[tuple[int, MatchRecord]] = []
-        it = iter(rows)
+        return self._process_stream(rows, EdgeChunk.from_rows)
+
+    def _process_stream(self, items: Iterable, encode) -> list:
+        """Chunk ``items`` and feed each chunk to :meth:`_process_chunk`."""
+        out: list = []
+        it = iter(items)
         chunk_size = self.chunk_size
-        from_rows = EdgeChunk.from_rows
         islice = itertools.islice
-        while True:
-            batch = list(islice(it, chunk_size))
-            if not batch:
-                break
-            chunk = from_rows(batch)
-            if self.profile_phases:
-                self._process_chunk_profiled(chunk, tagged)
-            else:
-                self._process_chunk(chunk, tagged)
-        return tagged
+        while batch := list(islice(it, chunk_size)):
+            self._process_chunk(encode(batch), out)
+        return out
 
     # ------------------------------------------------------------------
     # batch kernels
@@ -428,24 +440,20 @@ class ContinuousQueryEngine:
         ]
         return tuple(program) if program else None
 
-    def _resolve_chunk_programs(self, chunk: EdgeChunk) -> List:
-        """Dispatch kernel: resolve routing for every code in the chunk.
+    def _program(self, code: int):
+        """The dispatch program for one code, compiled on first use.
 
-        Grows the dense program LUT to the current vocabulary and compiles
-        a program for each *distinct* code present (set-reduced, so a
-        chunk with one hot edge type costs one route lookup, not
-        ``chunk_size``). Returns the LUT; the ingest loop then dispatches
-        each edge with a single list load.
+        Programs live in a dense LUT indexed by code, grown to the current
+        vocabulary on demand, so the chunk loop dispatches each edge with
+        a single list load.
         """
         lut = self._program_lut
-        size = VOCABULARY.num_etypes()
-        if len(lut) < size:
-            lut.extend(_UNSEEN for _ in range(size - len(lut)))
-        compile_program = self._compile_program
-        for code in chunk.distinct_codes():
-            if lut[code] is _UNSEEN:
-                lut[code] = compile_program(code)
-        return lut
+        if code >= len(lut):
+            lut.extend([_UNSEEN] * (VOCABULARY.num_etypes() - len(lut)))
+        program = lut[code]
+        if program is _UNSEEN:
+            program = lut[code] = self._compile_program(code)
+        return program
 
     def warm_kernels(self) -> int:
         """Eagerly compile dispatch programs for every interned etype code.
@@ -459,45 +467,50 @@ class ContinuousQueryEngine:
         lazily. Returns the number of programs compiled.
         """
         lut = self._program_lut
-        size = VOCABULARY.num_etypes()
-        if len(lut) < size:
-            lut.extend(_UNSEEN for _ in range(size - len(lut)))
-        compiled = 0
-        for code in range(size):
-            if lut[code] is _UNSEEN:
-                lut[code] = self._compile_program(code)
-                compiled += 1
-        return compiled
+        unseen = [
+            code
+            for code in range(VOCABULARY.num_etypes())
+            if code >= len(lut) or lut[code] is _UNSEEN
+        ]
+        for code in unseen:
+            self._program(code)
+        return len(unseen)
 
     def _process_chunk(self, chunk: EdgeChunk, out: list) -> None:
-        """The fused batch kernel shared by events mode and rows mode.
+        """The fused batch kernel, one body for events and rows.
 
         Validates the whole chunk's timestamp order in one pass, resolves
-        dispatch programs per distinct etype code, then folds edges in one
-        at a time with the graph-ingest step **inlined**: the loop mirrors
-        :meth:`StreamingGraph.add_prepared` (and, for eviction,
+        dispatch programs once per distinct etype code, then folds edges
+        in one at a time with the graph-ingest step **inlined**: the loop
+        mirrors :meth:`StreamingGraph.add_prepared` (and, for eviction,
         :meth:`StreamingGraph._remove`) field for field — those methods
         stay the reference implementation, the equivalence suite drives
         both — with every index hoisted into a chunk-scope local, because
         at the targeted edge rates the ``self.``-attribute traffic and
-        call frame of a per-edge method are the dominant cost. Events mode
-        and rows mode run twin copies of the loop so the per-edge body
-        carries no mode branch. Graph scalar counters are written back in
-        ``finally`` so an exception mid-chunk (a pinned id going
-        backwards) leaves the prefix fully ingested, exactly like the
-        per-event path. Chunks the kernels cannot take — out-of-order
-        timestamps, short wire rows — replay through the exact per-event
-        path instead (:meth:`_process_chunk_fallback`), preserving error
-        position and prefix state.
+        call frame of a per-edge method are the dominant cost. The six
+        edge fields are read through a getter chosen once per chunk
+        (attributes of an :class:`EdgeEvent`, positions of a wire row),
+        and events take ids from ``range(next id, …)`` so the pinned-id
+        check runs unchanged in both modes. Graph scalar counters are
+        written back in ``finally`` so an exception mid-chunk (a pinned id
+        going backwards) leaves the prefix fully ingested, exactly like
+        the per-event path. Chunks the kernel does not take — profiled
+        ones, out-of-order timestamps, short wire rows — replay through
+        :meth:`_process_chunk_fallback`.
         """
         graph = self.graph
         rows = chunk.rows
-        if not chunk.presorted(graph.last_timestamp) or (
-            rows is not None and not chunk.full_rows
+        if (
+            self.profile_phases
+            or not chunk.presorted(graph.last_timestamp)
+            or (rows is not None and not chunk.full_rows)
         ):
             self._process_chunk_fallback(chunk, out)
             return
-        lut = self._resolve_chunk_programs(chunk)
+        program_for = self._program
+        for code in chunk.distinct_codes():
+            program_for(code)
+        lut = self._program_lut
         append = out.append
         update_stats = self.update_statistics
         observe = self.estimator.observe
@@ -519,6 +532,15 @@ class ContinuousQueryEngine:
         vtype_code = VOCABULARY.vtype_code
         drop_vertex = graph._drop_vertex
         next_eid = graph._next_edge_id
+        if rows is None:
+            items = chunk.events
+            fields = _EVENT_FIELDS
+            edge_ids = range(next_eid, next_eid + chunk.n)
+        else:
+            items = rows
+            fields = _ROW_FIELDS
+            edge_ids = chunk.edge_ids
+        pinned = rows is not None
         inserted = 0
         evicted = 0
         hits = 0
@@ -526,211 +548,100 @@ class ContinuousQueryEngine:
         Edge_ = Edge
         deque_ = deque
         try:
-            if rows is None:
-                for event, code in zip(chunk.events, chunk.codes):
-                    src = event.src
-                    dst = event.dst
-                    timestamp = event.timestamp
-                    if timestamp > t_last:
-                        t_last = timestamp
-                        window._t_last = timestamp
-                        if finite:
-                            cutoff = timestamp - width
-                            window._cutoff = cutoff
-                    while arrival and arrival[0].timestamp < cutoff:
-                        old = arrival.popleft()
-                        osrc = old.src
-                        odst = old.dst
-                        ocode = old.etype_code
-                        del edges[old.edge_id]
-                        by_code = out_idx[osrc]
-                        segment = by_code[ocode]
-                        segment.popleft()
-                        if not segment:
-                            del by_code[ocode]
-                        by_code = in_idx[odst]
-                        segment = by_code[ocode]
-                        segment.popleft()
-                        if not segment:
-                            del by_code[ocode]
-                        segment = by_type[ocode]
-                        segment.popleft()
-                        if not segment:
-                            del by_type[ocode]
-                        degrees[osrc] -= 1
-                        if odst != osrc:
-                            degrees[odst] -= 1
-                            if degrees[odst] == 0:
-                                drop_vertex(odst)
-                        if degrees[osrc] == 0:
-                            drop_vertex(osrc)
-                        evicted += 1
-                    eid = next_eid
-                    next_eid = eid + 1
-                    inserted += 1
-                    last_ts = timestamp
-                    edge = Edge_(eid, src, dst, event.etype, timestamp, code)
-                    edges[eid] = edge
-                    arrival.append(edge)
-                    if src not in vertex_types:
-                        vertex_types[src] = vtype_code(event.src_type)
-                        degrees[src] = 0
-                    if dst not in vertex_types:
-                        vertex_types[dst] = vtype_code(event.dst_type)
-                        degrees[dst] = 0
-                    by_code = out_idx.get(src)
-                    if by_code is None:
-                        by_code = out_idx[src] = {}
-                    segment = by_code.get(code)
-                    if segment is None:
-                        by_code[code] = deque_((edge,))
-                    else:
-                        segment.append(edge)
-                    by_code = in_idx.get(dst)
-                    if by_code is None:
-                        by_code = in_idx[dst] = {}
-                    segment = by_code.get(code)
-                    if segment is None:
-                        by_code[code] = deque_((edge,))
-                    else:
-                        segment.append(edge)
-                    segment = by_type.get(code)
-                    if segment is None:
-                        by_type[code] = deque_((edge,))
-                    else:
-                        segment.append(edge)
-                    degrees[src] += 1
-                    if dst != src:
-                        degrees[dst] += 1
-                    # --- ingest done; dispatch via the program LUT ---
-                    if update_stats:
-                        observe(edge)
-                    program = lut[code]
-                    if program is not None:
-                        hits += 1
-                        for name, strategy, handler in program:
-                            matches = handler(edge)
-                            if matches:
-                                for match in matches:
-                                    append(
-                                        MatchRecord(
-                                            name, strategy, match, timestamp
-                                        )
-                                    )
-                    since += 1
-                    if since >= housekeeping_every:
-                        self._edges_since_sweep = since
-                        self.sweep()
-                        since = 0
-            else:
-                # rows mode: twin of the loop above with pinned-id
-                # validation and (edge_id, record) tagging.
-                for row, code in zip(rows, chunk.codes):
-                    src = row[1]
-                    dst = row[2]
-                    timestamp = row[4]
-                    pinned_id = row[0]
-                    if pinned_id < next_eid:
-                        raise GraphError(
-                            f"edge id {pinned_id} goes backwards (next auto "
-                            f"id is {next_eid}); explicit ids must be "
-                            "increasing"
-                        )
-                    next_eid = pinned_id
-                    if timestamp > t_last:
-                        t_last = timestamp
-                        window._t_last = timestamp
-                        if finite:
-                            cutoff = timestamp - width
-                            window._cutoff = cutoff
-                    while arrival and arrival[0].timestamp < cutoff:
-                        old = arrival.popleft()
-                        osrc = old.src
-                        odst = old.dst
-                        ocode = old.etype_code
-                        del edges[old.edge_id]
-                        by_code = out_idx[osrc]
-                        segment = by_code[ocode]
-                        segment.popleft()
-                        if not segment:
-                            del by_code[ocode]
-                        by_code = in_idx[odst]
-                        segment = by_code[ocode]
-                        segment.popleft()
-                        if not segment:
-                            del by_code[ocode]
-                        segment = by_type[ocode]
-                        segment.popleft()
-                        if not segment:
-                            del by_type[ocode]
-                        degrees[osrc] -= 1
-                        if odst != osrc:
-                            degrees[odst] -= 1
-                            if degrees[odst] == 0:
-                                drop_vertex(odst)
-                        if degrees[osrc] == 0:
-                            drop_vertex(osrc)
-                        evicted += 1
-                    eid = next_eid
-                    next_eid = eid + 1
-                    inserted += 1
-                    last_ts = timestamp
-                    edge = Edge_(eid, src, dst, row[3], timestamp, code)
-                    edges[eid] = edge
-                    arrival.append(edge)
-                    if src not in vertex_types:
-                        vertex_types[src] = vtype_code(row[5])
-                        degrees[src] = 0
-                    if dst not in vertex_types:
-                        vertex_types[dst] = vtype_code(row[6])
-                        degrees[dst] = 0
-                    by_code = out_idx.get(src)
-                    if by_code is None:
-                        by_code = out_idx[src] = {}
-                    segment = by_code.get(code)
-                    if segment is None:
-                        by_code[code] = deque_((edge,))
-                    else:
-                        segment.append(edge)
-                    by_code = in_idx.get(dst)
-                    if by_code is None:
-                        by_code = in_idx[dst] = {}
-                    segment = by_code.get(code)
-                    if segment is None:
-                        by_code[code] = deque_((edge,))
-                    else:
-                        segment.append(edge)
-                    segment = by_type.get(code)
-                    if segment is None:
-                        by_type[code] = deque_((edge,))
-                    else:
-                        segment.append(edge)
-                    degrees[src] += 1
-                    if dst != src:
-                        degrees[dst] += 1
-                    # --- ingest done; dispatch via the program LUT ---
-                    if update_stats:
-                        observe(edge)
-                    program = lut[code]
-                    if program is not None:
-                        hits += 1
-                        for name, strategy, handler in program:
-                            matches = handler(edge)
-                            if matches:
-                                for match in matches:
-                                    append(
-                                        (
-                                            pinned_id,
-                                            MatchRecord(
-                                                name, strategy, match, timestamp
-                                            ),
-                                        )
-                                    )
-                    since += 1
-                    if since >= housekeeping_every:
-                        self._edges_since_sweep = since
-                        self.sweep()
-                        since = 0
+            for eid, item, code in zip(edge_ids, items, chunk.codes):
+                src, dst, etype, timestamp, src_type, dst_type = fields(item)
+                if eid < next_eid:
+                    raise GraphError(
+                        f"edge id {eid} goes backwards (next auto id is "
+                        f"{next_eid}); explicit ids must be increasing"
+                    )
+                if timestamp > t_last:
+                    t_last = timestamp
+                    window._t_last = timestamp
+                    if finite:
+                        cutoff = timestamp - width
+                        window._cutoff = cutoff
+                while arrival and arrival[0].timestamp < cutoff:
+                    old = arrival.popleft()
+                    osrc = old.src
+                    odst = old.dst
+                    ocode = old.etype_code
+                    del edges[old.edge_id]
+                    by_code = out_idx[osrc]
+                    segment = by_code[ocode]
+                    segment.popleft()
+                    if not segment:
+                        del by_code[ocode]
+                    by_code = in_idx[odst]
+                    segment = by_code[ocode]
+                    segment.popleft()
+                    if not segment:
+                        del by_code[ocode]
+                    segment = by_type[ocode]
+                    segment.popleft()
+                    if not segment:
+                        del by_type[ocode]
+                    degrees[osrc] -= 1
+                    if odst != osrc:
+                        degrees[odst] -= 1
+                        if degrees[odst] == 0:
+                            drop_vertex(odst)
+                    if degrees[osrc] == 0:
+                        drop_vertex(osrc)
+                    evicted += 1
+                next_eid = eid + 1
+                inserted += 1
+                last_ts = timestamp
+                edge = Edge_(eid, src, dst, etype, timestamp, code)
+                edges[eid] = edge
+                arrival.append(edge)
+                if src not in vertex_types:
+                    vertex_types[src] = vtype_code(src_type)
+                    degrees[src] = 0
+                if dst not in vertex_types:
+                    vertex_types[dst] = vtype_code(dst_type)
+                    degrees[dst] = 0
+                by_code = out_idx.get(src)
+                if by_code is None:
+                    by_code = out_idx[src] = {}
+                segment = by_code.get(code)
+                if segment is None:
+                    by_code[code] = deque_((edge,))
+                else:
+                    segment.append(edge)
+                by_code = in_idx.get(dst)
+                if by_code is None:
+                    by_code = in_idx[dst] = {}
+                segment = by_code.get(code)
+                if segment is None:
+                    by_code[code] = deque_((edge,))
+                else:
+                    segment.append(edge)
+                segment = by_type.get(code)
+                if segment is None:
+                    by_type[code] = deque_((edge,))
+                else:
+                    segment.append(edge)
+                degrees[src] += 1
+                if dst != src:
+                    degrees[dst] += 1
+                # --- ingest done; dispatch via the program LUT ---
+                if update_stats:
+                    observe(edge)
+                program = lut[code]
+                if program is not None:
+                    hits += 1
+                    for name, strategy, handler in program:
+                        matches = handler(edge)
+                        if matches:
+                            for match in matches:
+                                record = MatchRecord(name, strategy, match, timestamp)
+                                append((eid, record) if pinned else record)
+                since += 1
+                if since >= housekeeping_every:
+                    self._edges_since_sweep = since
+                    self.sweep()
+                    since = 0
         finally:
             graph._next_edge_id = next_eid
             graph._total_inserted += inserted
@@ -740,111 +651,21 @@ class ContinuousQueryEngine:
             self._dispatch_hits += hits
         self._chunks_processed += 1
 
-    def _process_chunk_profiled(self, chunk: EdgeChunk, out: list) -> None:
-        """Instrumented twin of :meth:`_process_chunk`.
-
-        Times the chunk stages — ``evict`` (window advance + expiry),
-        ``ingest`` (edge storage), ``dispatch`` (chunk encoding overhead +
-        program resolution) — into :attr:`kernel_profile` via chunk-aware
-        ``phase_add`` credits. Per-query ``iso``/``join`` attribution
-        stays exact because every compiled handler delegates to its
-        algorithm's ``process_edge`` while that query's profile is
-        enabled.
-        """
-        graph = self.graph
-        perf = time.perf_counter
-        started = perf()
-        rows = chunk.rows
-        if not chunk.presorted(graph.last_timestamp) or (
-            rows is not None and not chunk.full_rows
-        ):
-            self._process_chunk_fallback(chunk, out)
-            return
-        lut = self._resolve_chunk_programs(chunk)
-        self.kernel_profile.phase_add("dispatch", perf() - started)
-        append = out.append
-        add = graph.add_prepared
-        advance = graph.window.advance
-        maybe_evict = graph.maybe_evict
-        codes = chunk.codes
-        times = chunk.times
-        update_stats = self.update_statistics
-        observe = self.estimator.observe
-        housekeeping_every = self.housekeeping_every
-        since = self._edges_since_sweep
-        evict_s = 0.0
-        ingest_s = 0.0
-        rows_mode = rows is not None
-        events = chunk.events
-        edge_ids = chunk.edge_ids
-        for i in range(chunk.n):
-            code = codes[i]
-            timestamp = times[i]
-            t0 = perf()
-            advance(timestamp)
-            maybe_evict()
-            t1 = perf()
-            if rows_mode:
-                row = rows[i]
-                pinned_id = edge_ids[i]
-                edge = add(
-                    row[1],
-                    row[2],
-                    row[3],
-                    code,
-                    timestamp,
-                    row[5],
-                    row[6],
-                    edge_id=pinned_id,
-                    evict=False,
-                )
-            else:
-                event = events[i]
-                edge = add(
-                    event.src,
-                    event.dst,
-                    event.etype,
-                    code,
-                    timestamp,
-                    event.src_type,
-                    event.dst_type,
-                    evict=False,
-                )
-            evict_s += t1 - t0
-            ingest_s += perf() - t1
-            if update_stats:
-                observe(edge)
-            program = lut[code]
-            if program is not None:
-                self._dispatch_hits += 1
-                for name, strategy, handler in program:
-                    for match in handler(edge):
-                        record = MatchRecord(name, strategy, match, timestamp)
-                        append((pinned_id, record) if rows_mode else record)
-            since += 1
-            if since >= housekeeping_every:
-                self._edges_since_sweep = since
-                self.sweep()
-                since = 0
-        self._edges_since_sweep = since
-        self.kernel_profile.phase_add("evict", evict_s, chunk.n)
-        self.kernel_profile.phase_add("ingest", ingest_s, chunk.n)
-        self._chunks_processed += 1
-
     def _process_chunk_fallback(self, chunk: EdgeChunk, out: list) -> None:
-        """Per-element replay for chunks the batch kernels cannot take.
+        """Per-element replay through the reference :meth:`process_event`.
 
-        Out-of-order chunks must raise :class:`~repro.errors.GraphError`
-        at the exact offending element with the in-order prefix fully
-        ingested, and short wire rows need :class:`EdgeEvent` defaults —
-        both exactly what the per-event path does, so replay through it.
+        Taken by profiled chunks (``process_event`` credits the stage
+        timers, and every query's ``process_edge`` its own iso/join
+        phases), by out-of-order chunks, which must raise
+        :class:`~repro.errors.GraphError` at the exact offending element
+        with the in-order prefix fully ingested, and by short wire rows,
+        which need :class:`EdgeEvent` defaults.
         """
+        process_event = self.process_event
         if chunk.rows is None:
-            process_event = self.process_event
             for event in chunk.events:
                 out.extend(process_event(event))
         else:
-            process_event = self.process_event
             for row in chunk.rows:
                 pinned_id = row[0]
                 for record in process_event(EdgeEvent(*row[1:]), edge_id=pinned_id):

@@ -176,14 +176,10 @@ class LazySearch(SearchAlgorithm):
         graph = self.graph
         window = self.window
         bitmap = self.bitmap
-        profile = self.profile
-        process_edge = self.process_edge
         hook = self._hook
         Match_ = Match
 
         def handle(edge: Edge) -> List[Match]:
-            if profile.enabled:
-                return process_edge(edge)
             results: List[Match] = []
             self._sink = sink = results.append
             enabled = bitmap.enabled

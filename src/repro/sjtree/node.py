@@ -200,8 +200,7 @@ class FIFOLeafTable:
     iteration / ``num_buckets`` / ``empty_copy`` / ``inserted_total`` /
     ``track_expiry``). The ring is split into two parallel deques (keys /
     matches) so an insert allocates no entry tuple; the checkpoint writer
-    reads the match ring, and ``SJTree.compile_trivial_leaf_insert``
-    inlines the insert body — keep them in sync.
+    reads the match ring.
     """
 
     __slots__ = (
@@ -222,8 +221,8 @@ class FIFOLeafTable:
         self._ring_matches: "deque[Match]" = deque()
         self._live = 0  # maintained only when not track_expiry
         self.inserted_total = 0
-        # general-path counters; the fused trivial-leaf kernels in
-        # tree.py inline insert/probe and bypass both by design
+        # general-path counters; the fused trivial-leaf kernel in tree.py
+        # reads sibling buckets directly and bypasses both by design
         self.probes_total = 0
         self.expired_total = 0
         self.track_expiry = track_expiry

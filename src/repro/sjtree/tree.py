@@ -14,7 +14,6 @@ looked up per call.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DecompositionError
@@ -390,7 +389,7 @@ class SJTree:
         ``None`` otherwise and the caller falls back to the general
         compiled insert.
 
-        The table's two-append insert body is inlined — duplicate
+        The leaf insert is the table's own ``insert`` — duplicate
         suppression is vacuous there (each data edge reaches a leaf
         exactly once), so the sibling probe always runs — and the sibling
         bucket (a list or a deque, by table class) is read straight from
@@ -415,26 +414,12 @@ class SJTree:
         width = window.width
         qeids = shape.qeids
         Match_ = Match
-        deque_ = deque
 
         def trivial_insert(edge, cutoff, sink):
             ts = edge.timestamp
             match = Match_(qeids, (edge,), ts, ts, shape)
             key = edge.src if is_src0 else edge.dst
-            # inlined FIFOLeafTable.insert (keep in sync with node.py)
-            table = node.table
-            buckets = table._buckets
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = deque_((match,))
-            else:
-                bucket.append(match)
-            if table.track_expiry:
-                table._ring_keys.append(key)
-                table._ring_matches.append(match)
-            else:
-                table._live += 1
-            table.inserted_total += 1
+            node.table.insert(key, match)
             others = sibling.table._buckets.get(key)
             if others is None:
                 return

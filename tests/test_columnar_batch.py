@@ -9,10 +9,14 @@ contract every fused kernel (inlined graph ingest, inlined eviction,
 trivial-leaf insert, FIFO leaf tables, bare single-vertex join keys)
 is held to; the property test here sweeps chunk sizes that place chunk
 boundaries — and therefore mid-chunk evictions — at arbitrary stream
-positions.
+positions, with dispatch on and off, and with phase profiling on (every
+chunk then replays through the per-event path, which must credit each
+edge to the evict / ingest / dispatch stages).
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,8 +65,15 @@ WARMUP = [
 ]
 
 
-def build_engine(chunk_size: int = 1024) -> ContinuousQueryEngine:
-    engine = ContinuousQueryEngine(window=WINDOW, chunk_size=chunk_size)
+def build_engine(
+    chunk_size: int = 1024, profile_phases: bool = False, dispatch: bool = True
+) -> ContinuousQueryEngine:
+    engine = ContinuousQueryEngine(
+        window=WINDOW,
+        chunk_size=chunk_size,
+        profile_phases=profile_phases,
+        dispatch=dispatch,
+    )
     engine.warmup(WARMUP)
     for query in make_queries():
         engine.register(query, strategy="Single", name=query.name)
@@ -73,12 +84,48 @@ def identity(records):
     return [(r.query_name, r.match.fingerprint, r.completed_at) for r in records]
 
 
-def per_event_reference(events):
-    engine = build_engine()
+def per_event_reference(events, dispatch=True):
+    engine = build_engine(dispatch=dispatch)
     records = []
     for event in events:
         records.extend(engine.process_event(event))
     return identity(records), engine
+
+
+def as_rows(events):
+    return [
+        (i, e.src, e.dst, e.etype, e.timestamp, e.src_type, e.dst_type)
+        for i, e in enumerate(events)
+    ]
+
+
+def accounting(engine):
+    """Graph window accounting plus the engine's dispatch/sweep counters."""
+    graph = engine.graph
+    return (
+        graph.total_edges_seen,
+        graph.evicted_edges,
+        len(graph),
+        graph.num_vertices,
+        graph.last_timestamp,
+        engine._dispatch_hits,
+        engine._sweeps,
+    )
+
+
+def assert_profile(engine, events, profile_phases):
+    """Profiling credits every edge once per stage and fills the per-query
+    iso/join split; without it nothing is timed at all."""
+    stages = {name: t.calls for name, t in engine.kernel_profile.phases.items()}
+    if not profile_phases:
+        assert stages == {}
+        assert all(not r.profile.phases for r in engine.queries.values())
+        return
+    assert stages == dict.fromkeys(("evict", "ingest", "dispatch"), len(events))
+    for registered in engine.queries.values():
+        alphabet = registered.algorithm.relevant_etypes()
+        if any(e.etype in alphabet and e.src != e.dst for e in events):
+            assert {"iso", "join"} <= set(registered.profile.phases)
 
 
 @st.composite
@@ -104,19 +151,24 @@ def streams(draw):
     events=streams(),
     chunk_size=st.sampled_from(CHUNK_SIZES),
     backend=st.sampled_from(BACKENDS),
+    profile_phases=st.booleans(),
+    dispatch=st.booleans(),
 )
-def test_process_events_identical_to_per_event(events, chunk_size, backend):
+def test_process_events_identical_to_per_event(
+    events, chunk_size, backend, profile_phases, dispatch
+):
     columnar.set_backend(backend)
     try:
-        reference, ref_engine = per_event_reference(events)
-        engine = build_engine(chunk_size or max(len(events), 1))
+        reference, ref_engine = per_event_reference(events, dispatch)
+        engine = build_engine(
+            chunk_size or max(len(events), 1), profile_phases, dispatch
+        )
         batched = identity(engine.process_events(events))
         assert batched == reference
         # the inlined graph ingest/eviction must also leave the window
         # accounting exactly where the per-event path leaves it
-        assert engine.graph.total_edges_seen == ref_engine.graph.total_edges_seen
-        assert engine.graph.evicted_edges == ref_engine.graph.evicted_edges
-        assert len(engine.graph) == len(ref_engine.graph)
+        assert accounting(engine) == accounting(ref_engine)
+        assert_profile(engine, events, profile_phases)
     finally:
         columnar.set_backend("auto")
 
@@ -126,22 +178,27 @@ def test_process_events_identical_to_per_event(events, chunk_size, backend):
     events=streams(),
     chunk_size=st.sampled_from(CHUNK_SIZES),
     backend=st.sampled_from(BACKENDS),
+    profile_phases=st.booleans(),
+    dispatch=st.booleans(),
 )
-def test_process_rows_identical_to_per_event(events, chunk_size, backend):
+def test_process_rows_identical_to_per_event(
+    events, chunk_size, backend, profile_phases, dispatch
+):
     """The pinned-id wire path (sharded workers) under the same sweep."""
     columnar.set_backend(backend)
     try:
-        reference, _ = per_event_reference(events)
-        rows = [
-            (i, e.src, e.dst, e.etype, e.timestamp, e.src_type, e.dst_type)
-            for i, e in enumerate(events)
-        ]
-        engine = build_engine(chunk_size or max(len(events), 1))
+        reference, ref_engine = per_event_reference(events, dispatch)
+        rows = as_rows(events)
+        engine = build_engine(
+            chunk_size or max(len(events), 1), profile_phases, dispatch
+        )
         tagged = engine.process_rows(rows)
         assert identity([r for _, r in tagged]) == reference
         # every record is tagged with the id of the edge that completed it
         for edge_id, record in tagged:
             assert rows[edge_id][4] == record.completed_at
+        assert accounting(engine) == accounting(ref_engine)
+        assert_profile(engine, events, profile_phases)
     finally:
         columnar.set_backend("auto")
 
@@ -170,20 +227,82 @@ def test_mid_chunk_eviction_boundary(backend, chunk_size):
     assert engine.graph.evicted_edges == 3
 
 
-def test_out_of_order_chunk_raises_like_per_event():
-    """A backwards timestamp mid-chunk raises the same error the
-    per-event path raises, before any edge of the bad suffix is applied."""
-    events = [
-        EdgeEvent("a", "b", "A", 5.0),
-        EdgeEvent("b", "c", "B", 3.0),
-    ]
-    per_event = build_engine()
-    per_event.process_event(events[0])
-    with pytest.raises(GraphError):
-        per_event.process_event(events[1])
-    batched = build_engine(chunk_size=1024)
-    with pytest.raises(GraphError):
-        batched.process_events(events)
+@settings(max_examples=40, deadline=None)
+@given(
+    events=streams(),
+    data=st.data(),
+    chunk_size=st.sampled_from(CHUNK_SIZES),
+    profile_phases=st.booleans(),
+    dispatch=st.booleans(),
+    fault=st.sampled_from(["timestamp", "timestamp-rows", "edge-id-rows"]),
+)
+def test_out_of_order_chunk_raises_like_per_event(
+    events, data, chunk_size, profile_phases, dispatch, fault
+):
+    """A backwards timestamp (or, on the wire, a backwards pinned id)
+    mid-chunk raises the per-event path's error at the same element, with
+    the in-order prefix ingested and nothing of the bad suffix applied —
+    profiled or not."""
+    at = data.draw(st.integers(min_value=1, max_value=len(events) - 1))
+    rows = as_rows(events)
+    if fault == "edge-id-rows":
+        rows[at] = (at - 1, *rows[at][1:])
+    else:
+        rows[at] = (*rows[at][:4], -1.0, *rows[at][5:])
+    reference = build_engine(dispatch=dispatch)
+    with pytest.raises(GraphError) as expected:
+        for row in rows:
+            reference.process_event(EdgeEvent(*row[1:]), edge_id=row[0])
+    engine = build_engine(chunk_size or len(events), profile_phases, dispatch)
+    with pytest.raises(GraphError) as raised:
+        if fault == "timestamp":
+            engine.process_events([EdgeEvent(*row[1:]) for row in rows])
+        else:
+            engine.process_rows(rows)
+    assert str(raised.value) == str(expected.value)
+    assert accounting(engine) == accounting(reference)
+    assert engine.graph.total_edges_seen == at
+    assert engine.partial_match_count() == reference.partial_match_count()
+
+
+@pytest.mark.parametrize("dispatch", [True, False])
+def test_counters_identical_on_every_ingest_path(dispatch):
+    """``_dispatch_hits`` counts edges whose compiled program is not None
+    on every path — including edges of a type no query consumes, which
+    the per-event path used to count whenever dispatch was off — and
+    sweeps / window accounting agree as well."""
+    rng = random.Random(5)
+    t = 0.0
+    events = []
+    for _ in range(300):
+        t += rng.choice((0.0, 0.5, 1.0, 2.0))
+        src, dst = rng.sample(range(8), 2)
+        etype = rng.choice(ETYPES + ["D"])
+        events.append(EdgeEvent(f"n{src}", f"n{dst}", etype, t))
+
+    def fresh(profile_phases=False):
+        engine = build_engine(64, profile_phases, dispatch)
+        engine.housekeeping_every = 7
+        return engine
+
+    def counters(engine):
+        return (engine._dispatch_hits, engine._sweeps) + accounting(engine)[:2]
+
+    per_event = fresh()
+    for event in events:
+        per_event.process_event(event)
+    chunked = fresh()
+    chunked.process_events(events)
+    rows = fresh()
+    rows.process_rows(as_rows(events))
+    profiled = fresh(profile_phases=True)
+    profiled.process_events(events)
+    expected = counters(per_event)
+    assert expected[0] == sum(e.etype != "D" for e in events)
+    assert expected[1] == len(events) // 7
+    assert counters(chunked) == expected
+    assert counters(rows) == expected
+    assert counters(profiled) == expected
 
 
 def test_numpy_backend_available_matches_env():

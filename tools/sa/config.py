@@ -51,6 +51,7 @@ class Config:
         ("search/engine.py", "_process_chunk*"),
         ("search/engine.py", "process_events"),
         ("search/engine.py", "process_rows"),
+        ("search/engine.py", "_process_stream"),
         ("isomorphism/plan.py", "execute_plan*"),
         ("isomorphism/plan.py", "_descend"),
         ("isomorphism/plan.py", "_run"),
