@@ -45,7 +45,9 @@ class MatchShape:
     match's edge tuple maps query edge ``qeids[i]``. ``role_sources``
     records, for each distinct query vertex (*role*), the first slot whose
     src/dst binds it — the positional recipe for materializing the vertex
-    map (and for extracting join keys) without building a dict.
+    map (and for extracting join keys) without building a dict. It is
+    sorted by role, the order :meth:`Match.data_vertices_ordered` walks
+    for map-backed matches too.
     """
 
     __slots__ = ("qeids", "etypes", "edge_roles", "role_sources")
@@ -68,8 +70,11 @@ class MatchShape:
             if dst_role not in seen:
                 seen.add(dst_role)
                 sources.append((dst_role, slot, False))
-        #: (role, slot, is_src) triples, one per distinct query vertex
-        self.role_sources: Tuple[Tuple[int, int, bool], ...] = tuple(sources)
+        #: (role, slot, is_src) triples, one per distinct query vertex, in
+        #: role order: first-appearance order differs from it whenever an
+        #: edge's src role is greater than its dst role (``1 -> 0``), and
+        #: Lazy Search enables and backfills vertices in this order
+        self.role_sources: Tuple[Tuple[int, int, bool], ...] = tuple(sorted(sources))
 
     def role_accessors(self) -> Dict[int, Tuple[int, bool]]:
         """``role -> (slot, is_src)`` lookup (plan-compile helper)."""
@@ -255,7 +260,8 @@ class Match:
         }
 
     def data_vertices_ordered(self) -> tuple:
-        """Distinct data vertices in deterministic query-role order.
+        """Distinct data vertices in ascending query-role order, whether
+        the match is map-backed or shape-backed.
 
         Set iteration order is hash-seed dependent, so two *processes*
         can walk :meth:`data_vertices` differently even on identical
@@ -263,7 +269,10 @@ class Match:
         order — Lazy Search's enablement/backfill pass inserts
         retrospective matches in vertex order, which fixes probe and
         hence emission order — must use this instead, or kill/resume
-        across processes would not be record-identical.
+        across processes would not be record-identical. The two backings
+        walk one order for the same reason: the interpretive matcher
+        builds map-backed matches, the compiled plans shape-backed ones,
+        and both engines must emit the same records in the same order.
         """
         vm = self._vm
         ordered: dict = {}

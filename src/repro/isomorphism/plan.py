@@ -24,9 +24,21 @@ path. Each plan also carries its fragment's
 :class:`~repro.isomorphism.match.MatchShape`, so emitted matches share
 one qeid tuple and defer the vertex map entirely.
 
+:class:`VertexPlan` does the same for the vertex-anchored search
+(:func:`~repro.isomorphism.anchored.find_vertex_anchored_matches`, Lazy
+Search's retrospective backfill): per query-vertex role, the role's check
+plus the edge-anchored plan of each incident query edge, run over the
+vertex's typed out- or in-edges. :func:`compile_vertex_plan` builds it
+from a fragment's edge plans and :func:`execute_vertex_plan` runs it —
+same matches, same order as the interpretive search. A 1-edge wildcard
+leaf gets a specialised body (its matches are the vertex's edges of that
+type), and fingerprint deduplication runs only for roles with two or more
+incident query edges, the only place a duplicate can arise.
+
 Plans are built at SJ-Tree construction time (see
 :meth:`repro.sjtree.node.SJTreeNode.match_plans`), so the per-edge hot
-path of the eager and lazy search touches no query-graph methods at all.
+path of the eager and lazy search, and Lazy's backfill, touch no
+query-graph methods at all.
 """
 
 from __future__ import annotations
@@ -242,6 +254,65 @@ def compile_fragment_plans(fragment: QueryGraph) -> Tuple[MatchPlan, ...]:
     return tuple(compile_plan(fragment, edge.edge_id) for edge in fragment.edges)
 
 
+@dataclass(frozen=True)
+class VertexPlan:
+    """Compiled vertex-anchored search: every match of a fragment in which
+    one data vertex takes part (Lazy Search's retrospective backfill).
+
+    ``roles`` holds one entry per query-vertex role that a query edge
+    touches, in ``fragment.vertices()`` order: the role's
+    :class:`RoleCheck` (shared with the edge plans), one
+    ``(outgoing, plan)`` pair per query edge in ``fragment.incident(role)``
+    order — ``plan`` is the edge-anchored :class:`MatchPlan` for that
+    edge, run on each typed out- (``outgoing``) or in-edge of the vertex —
+    and ``dedup``. A match binds the vertex at exactly one role (matches
+    are vertex-injective), and at that role it is found once per incident
+    query edge, so only a role with two or more incident edges needs
+    duplicate suppression.
+
+    ``single`` is set for a 1-edge, non-loop, wildcard fragment (the
+    ``Single`` decomposition's usual leaf): ``(etype_code, shape,
+    out_first)``. Its matches are exactly the vertex's non-loop edges of
+    that type, outgoing then incoming (or the reverse when the fragment
+    declares the destination role first).
+    """
+
+    roles: Tuple[Tuple[RoleCheck, Tuple[Tuple[bool, MatchPlan], ...], bool], ...]
+    single: Optional[Tuple[int, MatchShape, bool]] = None
+
+
+def compile_vertex_plan(
+    fragment: QueryGraph, plans: Optional[Tuple[MatchPlan, ...]] = None
+) -> VertexPlan:
+    """Compile the vertex-anchored search for ``fragment``.
+
+    ``plans`` are the fragment's edge-anchored plans
+    (:func:`compile_fragment_plans`; compiled here when omitted). The
+    enumeration replays
+    :func:`~repro.isomorphism.anchored.find_vertex_anchored_matches`
+    statically — same roles, same incident edges, same candidate order —
+    so the two return the same matches in the same order.
+    """
+    if plans is None:
+        plans = compile_fragment_plans(fragment)
+    by_edge = {plan.anchor_edge_id: plan for plan in plans}
+    roles = []
+    for role in fragment.vertices():
+        entries = tuple(
+            (edge.src == role, by_edge[edge.edge_id])
+            for edge in fragment.incident(role)
+        )
+        if entries:  # a role no edge touches binds nothing
+            outgoing, plan = entries[0]
+            check = plan.src_check if outgoing else plan.dst_check
+            roles.append((check, entries, len(entries) > 1))
+    single = None
+    if len(plans) == 1 and plans[0].trivial and not plans[0].is_loop:
+        plan = plans[0]
+        single = (plan.etype_code, plan.shape, roles[0][0] is plan.src_check)
+    return VertexPlan(tuple(roles), single)
+
+
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
@@ -340,6 +411,55 @@ def execute_plan(
     if plan.is_loop != loop_d:
         return
     _descend(graph, plan, anchor, results, limit)
+
+
+def execute_vertex_plan(
+    graph: StreamingGraph, plan: VertexPlan, vertex: VertexId
+) -> List[Match]:
+    """All matches the compiled vertex ``plan`` finds around ``vertex``.
+
+    Exactly equivalent to ``find_vertex_anchored_matches(graph, fragment,
+    vertex)`` for the fragment the plan was compiled from: same matches,
+    same order.
+    """
+    results: List[Match] = []
+    single = plan.single
+    if single is not None:
+        code, shape, out_first = single
+        qeids = shape.qeids
+        append = results.append
+        outgoing = graph.out_edges_code(vertex, code)
+        incoming = graph.in_edges_code(vertex, code)
+        for edges in (outgoing, incoming) if out_first else (incoming, outgoing):
+            for edge in edges:
+                if edge.src != edge.dst:
+                    ts = edge.timestamp
+                    append(Match(qeids, (edge,), ts, ts, shape=shape))
+        return results
+    if vertex not in graph:
+        return results
+    for check, entries, dedup in plan.roles:
+        if not check.ok(graph, vertex):
+            continue
+        found = [] if dedup else results
+        for outgoing, match_plan in entries:
+            is_loop = match_plan.is_loop
+            candidates = (
+                graph.out_edges_code(vertex, match_plan.etype_code)
+                if outgoing
+                else graph.in_edges_code(vertex, match_plan.etype_code)
+            )
+            for edge in candidates:
+                if (edge.src == edge.dst) == is_loop:
+                    _descend(graph, match_plan, edge, found, None)
+        if dedup:
+            seen: set = set()
+            for match in found:
+                ident = tuple([edge.edge_id for edge in match.edges])
+                if ident not in seen:
+                    seen.add(ident)
+                    results.append(match)
+    return results
 
 
 def _descend(

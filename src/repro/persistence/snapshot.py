@@ -769,7 +769,7 @@ def _load_algorithm(
         _load_tables(r, tree, graph)
         if kind == _KIND_TREE_LAZY:
             rows = {r.read_value(): r.read_varint() for _ in range(r.read_varint())}
-            algorithm.bitmap._rows = rows
+            algorithm.bitmap.load(rows)
         return algorithm
     if kind == _KIND_VF2:
         return VF2PerEdgeSearch(graph, query, window, **options)

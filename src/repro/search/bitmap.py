@@ -76,3 +76,12 @@ class ScanBitmap:
     def clear(self) -> None:
         """Forget all enablement state."""
         self._rows.clear()
+
+    def load(self, rows: Dict[VertexId, int]) -> None:
+        """Replace all enablement state with ``rows`` (a checkpoint's).
+
+        The row dict is updated in place, never swapped: Lazy Search's
+        compiled per-code handlers hold its bound ``get``.
+        """
+        self._rows.clear()
+        self._rows.update(rows)

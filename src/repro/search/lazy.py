@@ -13,10 +13,23 @@ and enable the search for g2 … we also perform a search in Gd" (the paper
 phrases the example with the roles swapped; the mechanism is the same).
 Retrospective discoveries insert normally, so they can cascade further
 enablements. Duplicate discoveries are suppressed by the node tables.
+
+Both searches run compiled plans built once per leaf at SJ-Tree build
+time (:mod:`repro.isomorphism.plan`): the edge-anchored plans around each
+new edge, and the leaf's vertex-anchored :class:`VertexPlan` for the
+retrospective pass, inserted through the leaf's compiled
+``UPDATE-SJ-TREE`` closure. Vertices are enabled and backfilled in
+:meth:`Match.data_vertices_ordered` order, which is the same for the
+compiled (shape-backed) and interpretive (map-backed) matches, so both
+configurations emit the same records in the same order. The batched
+per-code handler reads the bitmap's rows inline. The interpretive
+matchers (:mod:`repro.isomorphism.anchored`) run only under
+``compiled_plans=False``, the reference configuration.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..analysis.profiling import ProfileCounters
@@ -31,13 +44,14 @@ from ..isomorphism.match import Match
 from ..isomorphism.plan import (
     execute_plan_prefiltered,
     execute_plans,
+    execute_vertex_plan,
     split_plans_for_code,
 )
 from ..sjtree.node import SJTreeNode
 from ..sjtree.tree import SJTree
 from .base import PHASE_ISO, PHASE_JOIN, SearchAlgorithm
 from .bitmap import ScanBitmap
-from .dynamic import disable_expiry_tracking, leaves_by_etype
+from .dynamic import _NO_MATCHES, disable_expiry_tracking, leaves_by_etype
 
 
 class LazySearch(SearchAlgorithm):
@@ -98,6 +112,18 @@ class LazySearch(SearchAlgorithm):
         self._leaves_by_etype = leaves_by_etype(self._leaves)
         for leaf in self._leaves:  # hand-built trees may lack plans
             leaf.match_plans()
+        #: per leaf index: the retrospective search ``find(vertex)`` (the
+        #: compiled vertex plan, or the interpretive matcher for the
+        #: reference configuration) and the leaf's compiled insert
+        self._backfill = [
+            (
+                partial(execute_vertex_plan, graph, leaf.vertex_plan)
+                if compiled_plans
+                else partial(find_vertex_anchored_matches, graph, leaf.fragment),
+                tree.compile_insert(leaf.node_id, self.window),
+            )
+            for leaf in self._leaves
+        ]
         disable_expiry_tracking(tree, self.window)
 
     # ------------------------------------------------------------------
@@ -152,7 +178,11 @@ class LazySearch(SearchAlgorithm):
         plan execution reads only the graph).
 
         The bitmap gate stays per edge (enablement is data-dependent) but
-        its leaf index is pre-resolved; the insert hook emits into this
+        is inlined: the leaf's bit is pre-resolved and the bitmap's row
+        dict is read directly (:meth:`ScanBitmap.load` keeps that dict's
+        identity, so the bound ``get`` never goes stale). The rows are
+        re-read per leaf, because an earlier leaf's insert can enable a
+        later leaf for the same edge. The insert hook emits into this
         edge's sink exactly as in the per-edge path — hook firing order
         relative to sibling probes is preserved by
         :meth:`SJTree.compile_insert`.
@@ -165,9 +195,10 @@ class LazySearch(SearchAlgorithm):
         actions = []
         for leaf in leaves:
             nonloop, loops = split_plans_for_code(leaf.plans, code)
+            index = leaf.leaf_index or 0
             actions.append(
                 (
-                    leaf.leaf_index or 0,
+                    (1 << index) if index else 0,
                     self.tree.compile_insert(leaf.node_id, self.window),
                     nonloop,
                     loops,
@@ -175,20 +206,22 @@ class LazySearch(SearchAlgorithm):
             )
         graph = self.graph
         window = self.window
-        bitmap = self.bitmap
+        row_of = self.bitmap._rows.get
         hook = self._hook
         Match_ = Match
+        # Reused across calls (most edges fail every gate, completions are
+        # rare); copied out on a hit so the returned list is caller-owned.
+        results: List[Match] = []
+        sink = results.append
 
         def handle(edge: Edge) -> List[Match]:
-            results: List[Match] = []
-            self._sink = sink = results.append
-            enabled = bitmap.enabled
+            self._sink = sink
             cutoff = window._cutoff  # plain attr: skip the property call
             src = edge.src
             dst = edge.dst
             is_loop = src == dst
-            for index, leaf_insert, nonloop, loops in actions:
-                if index and not (enabled(src, index) or enabled(dst, index)):
+            for bit, leaf_insert, nonloop, loops in actions:
+                if bit and not (row_of(src, 0) & bit or row_of(dst, 0) & bit):
                     continue  # DISABLED(u, n) and DISABLED(v, n)
                 for plan in loops if is_loop else nonloop:
                     if plan.trivial:
@@ -205,8 +238,12 @@ class LazySearch(SearchAlgorithm):
                         execute_plan_prefiltered(graph, plan, edge, found)
                         for match in found:
                             leaf_insert(match, cutoff, sink, hook)
-            self.matches_emitted += len(results)
-            return results
+            if results:
+                out = results[:]
+                results.clear()
+                self.matches_emitted += len(out)
+                return out
+            return _NO_MATCHES
 
         return handle
 
@@ -248,15 +285,17 @@ class LazySearch(SearchAlgorithm):
     def _enable_and_backfill(self, leaf_index: int, match: Match) -> None:
         """Turn on leaf ``leaf_index`` for the match's vertices; on fresh
         enablement, retrospectively search the vertex neighbourhood."""
-        leaf = self._leaves[leaf_index]
+        find, leaf_insert = self._backfill[leaf_index]
         sink, hook = self._sink, self._hook
+        cutoff = self.window._cutoff  # fixed while one edge is processed
+        enable = self.bitmap.enable
         profile = self.profile if self.profile.enabled else None
         # deterministic vertex order: retro matches are *inserted* per
         # vertex, so set-iteration (hash-seed-dependent) order here would
         # make emission order differ across processes — breaking
         # kill/resume and shard-migration record identity.
         for vertex in match.data_vertices_ordered():
-            if not self.bitmap.enable(vertex, leaf_index):
+            if not enable(vertex, leaf_index):
                 continue
             if profile is not None:
                 profile.bump("enablements")
@@ -264,7 +303,7 @@ class LazySearch(SearchAlgorithm):
                 continue
             if profile is not None:
                 profile.phase_enter(PHASE_ISO)
-            found = find_vertex_anchored_matches(self.graph, leaf.fragment, vertex)
+            found = find(vertex)
             if profile is not None:
                 profile.phase_exit()
             if not found:
@@ -272,7 +311,7 @@ class LazySearch(SearchAlgorithm):
             if profile is not None:
                 profile.bump("retro_matches", len(found))
             for retro in found:
-                self.tree.insert_match(leaf.node_id, retro, self.window, sink, hook)
+                leaf_insert(retro, cutoff, sink, hook)
 
     # ------------------------------------------------------------------
 

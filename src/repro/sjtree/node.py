@@ -49,7 +49,12 @@ from ..isomorphism.match import (
     compile_key_plan,
     shape_for_fragment,
 )
-from ..isomorphism.plan import MatchPlan, compile_fragment_plans
+from ..isomorphism.plan import (
+    MatchPlan,
+    VertexPlan,
+    compile_fragment_plans,
+    compile_vertex_plan,
+)
 from ..query.query_graph import QueryGraph
 
 JoinKey = Tuple  # tuple of data vertex ids (possibly empty)
@@ -315,17 +320,21 @@ class SJTreeNode:
     leaf_label: str = ""
     leaf_selectivity: Optional[float] = None
     table: MatchTable = field(default_factory=MatchTable)
-    #: compiled anchored-match plans for the fragment (leaf hot path);
+    #: compiled anchored-match plans for the fragment (leaf hot path) and
+    #: the vertex-anchored plan built from them (Lazy Search's backfill);
     #: populated at tree build, compiled on first use otherwise.
     plans: Optional[Tuple[MatchPlan, ...]] = None
+    vertex_plan: Optional[VertexPlan] = None
     shape: Optional[MatchShape] = None
     key_plan: Optional[Tuple[Tuple[int, bool], ...]] = None
     join_plan: Optional[JoinPlan] = None
 
     def match_plans(self) -> Tuple[MatchPlan, ...]:
-        """Compiled anchored-match plans for this node's fragment."""
+        """Compiled edge-anchored plans for this node's fragment; compiles
+        :attr:`vertex_plan` beside them."""
         if self.plans is None:
             self.plans = compile_fragment_plans(self.fragment)
+            self.vertex_plan = compile_vertex_plan(self.fragment, self.plans)
         return self.plans
 
     def match_shape(self) -> MatchShape:

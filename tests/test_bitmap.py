@@ -69,3 +69,15 @@ class TestScanBitmap:
         assert dropped == 1
         assert bitmap.enabled("a", 1)
         assert not bitmap.enabled("ghost", 1)
+
+    def test_load_replaces_state_in_place(self):
+        """A checkpoint restore loads rows into the existing dict: compiled
+        Lazy handlers hold its bound ``get``."""
+        bitmap = ScanBitmap(num_leaves=3)
+        bitmap.enable("stale", 1)
+        get = bitmap._rows.get
+        bitmap.load({"a": 0b10, "b": 0b110})
+        assert get("stale") is None
+        assert get("a") == 0b10
+        assert bitmap.enabled("b", 2) and not bitmap.enabled("a", 2)
+        assert bitmap.rows() == 2

@@ -273,3 +273,132 @@ class TestInsertHookLifetime:
             gc.enable()
         assert records  # enablement and backfill did run
         assert unreachable == 0
+
+
+def _fork_query():
+    query = QueryGraph(name="fork")
+    query.add_edge(1, 0, "A")  # src role above dst role
+    query.add_edge(0, 2, "B")
+    query.add_edge(0, 3, "C")
+    return query
+
+
+def _reversed_path_query():
+    query = QueryGraph(name="rpath")
+    query.add_edge(3, 2, "A")
+    query.add_edge(2, 1, "B")
+    query.add_edge(1, 0, "C")
+    return query
+
+
+def _abc_stream(seed, n=150):
+    import random
+
+    from repro.graph import EdgeEvent
+
+    rng = random.Random(seed)
+    return [
+        EdgeEvent(
+            f"v{rng.randrange(12)}", f"v{rng.randrange(12)}", rng.choice("ABC"), float(t)
+        )
+        for t in range(n)
+    ]
+
+
+def _lazy_engine(
+    events, query, strategy, compiled, retrospective=True, **engine_options
+):
+    from repro import ContinuousQueryEngine
+
+    engine = ContinuousQueryEngine(dispatch=compiled, **engine_options)
+    engine.warmup(events[:100])
+    options = {"retrospective": retrospective}
+    if not compiled:
+        options["compiled_plans"] = False
+    engine.register(query, strategy=strategy, name="q", **options)
+    return engine
+
+
+class TestCompiledMatchesReference:
+    """The compiled engine (dispatch, compiled leaf and vertex plans) must
+    emit the reference engine's records in the reference's order."""
+
+    @pytest.mark.parametrize(
+        "make_query, seed",
+        [(_fork_query, 18), (_reversed_path_query, 5), (_reversed_path_query, 59)],
+        ids=["fork-18", "rpath-5", "rpath-59"],
+    )
+    @pytest.mark.parametrize("chunked", [False, True], ids=["per-event", "chunked"])
+    def test_reversed_role_leaves_emit_in_reference_order(
+        self, make_query, seed, chunked
+    ):
+        """Regression: a shape-backed match walked its vertices in
+        first-appearance role order, a map-backed one in sorted role order.
+        Lazy enables and backfills in that order, so on ``1 -> 0`` leaves
+        the compiled engine emitted the reference's records reordered."""
+        events = _abc_stream(seed)
+        reference = _lazy_engine(events, make_query(), "PathLazy", compiled=False)
+        expected = [
+            (r.match.fingerprint, r.completed_at)
+            for event in events
+            for r in reference.process_event(event)
+        ]
+        engine = _lazy_engine(events, make_query(), "PathLazy", compiled=True)
+        if chunked:
+            records = engine.process_events(events)
+        else:
+            records = [r for event in events for r in engine.process_event(event)]
+        assert expected
+        assert [(r.match.fingerprint, r.completed_at) for r in records] == expected
+
+    def test_gate_rereads_the_bitmap_per_leaf(self):
+        """An earlier leaf's insert can enable a later leaf at the same
+        edge's endpoints. With the backfill off only the gate can then
+        offer the edge to that leaf, so the batched handler must read the
+        bitmap per leaf, as the reference path does."""
+        query = QueryGraph.path(["A", "A", "B"])
+        events = _abc_stream(4, n=300)
+        records = {}
+        for compiled in (True, False):
+            engine = _lazy_engine(
+                events, query, "SingleLazy", compiled, retrospective=False
+            )
+            records[compiled] = [
+                (r.match.fingerprint, r.completed_at)
+                for r in engine.process_events(events)
+            ]
+        assert records[False]
+        assert records[True] == records[False]
+
+    @pytest.mark.parametrize("strategy", ["SingleLazy", "PathLazy"])
+    @pytest.mark.parametrize("make_query", [_fork_query, _reversed_path_query])
+    def test_profile_counters_identical(self, strategy, make_query):
+        events = _abc_stream(18, n=300)
+        counters = {}
+        for compiled in (True, False):
+            engine = _lazy_engine(
+                events, make_query(), strategy, compiled, window=40.0,
+                profile_phases=True,
+            )
+            engine.process_events(events)
+            counters[compiled] = engine.queries["q"].algorithm.profile.counters
+        assert counters[True] == counters[False]
+        for name in ("enablements", "retro_matches", "leaf_matches"):
+            assert counters[True].get(name, 0) > 0, name
+
+    def test_backfill_calls_no_interpretive_matcher(self, monkeypatch):
+        from repro.search import lazy as lazy_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("interpretive matcher on the compiled path")
+
+        monkeypatch.setattr(lazy_module, "find_vertex_anchored_matches", forbidden)
+        monkeypatch.setattr(lazy_module, "find_anchored_matches", forbidden)
+        events = _abc_stream(18)
+        for profile_phases in (False, True):  # chunk handlers, per-edge path
+            engine = _lazy_engine(
+                events, _fork_query(), "PathLazy", compiled=True,
+                profile_phases=profile_phases,
+            )
+            assert engine.process_events(events)
+        assert engine.queries["q"].algorithm.profile.counters["retro_matches"] > 0

@@ -342,16 +342,28 @@ import sys
 
 from repro import ContinuousQueryEngine
 from repro.datasets import NetflowGenerator
+from repro.query import QueryGraph
 from repro.query.parser import parse_query
 
 events = list(NetflowGenerator(num_events=4000, seed=3).events())
 query = parse_query("a:ip -TCP-> b:ip\\nb:ip -ICMP-> c:ip\\n")
 query.name = "q"
+# a fork whose first leaf edge runs from role 1 to role 0
+fork = QueryGraph(name="fork")
+fork.add_edge(1, 0, "GRE")
+fork.add_edge(0, 2, "TCP")
+fork.add_edge(0, 3, "ICMP")
 engine = ContinuousQueryEngine(window=20.0)
 engine.warmup(events[:1000])
 engine.register(query, strategy="SingleLazy", name="q")
+engine.register(fork, strategy="PathLazy", name="fork")
+names = set()
 for record in engine.run(events[1000:]).records:
-    sys.stdout.write(f"{record.match.fingerprint}@{record.completed_at}\\n")
+    names.add(record.query_name)
+    sys.stdout.write(
+        f"{record.query_name} {record.match.fingerprint}@{record.completed_at}\\n"
+    )
+assert names == {"q", "fork"}, names
 """
 
 
@@ -366,7 +378,8 @@ def test_emission_order_is_hash_seed_independent():
     identical input: a kill/resume or N->M migration could reorder
     same-timestamp records relative to the uninterrupted run. The
     netflow hub pattern below reliably exposes it (seed 3 vs 1 diverged
-    on the unfixed code).
+    on the unfixed code). The fork-shaped PathLazy query extends the gate
+    to a leaf whose edge runs from a higher role to a lower one.
     """
     import subprocess
     import sys

@@ -214,6 +214,38 @@ def test_snapshot_skips_unreclaimed_stale_matches(workload):
                 assert match.min_time >= cutoff
 
 
+def test_lazy_restore_after_compiled_handlers_continues_chunked(tmp_path):
+    """Checkpoint a SingleLazy engine mid-stream once its chunk handlers
+    are compiled (they read the enablement bitmap's rows inline), restore,
+    continue chunked: the records equal the uninterrupted run's."""
+    events, queries = mixed_etype_workload(
+        700, num_queries=4, num_etypes=6, seed=11, population=30
+    )
+    for i, query in enumerate(queries):
+        query.name = f"q{i}"
+
+    def lazy_engine():
+        engine = ContinuousQueryEngine(window=30.0, housekeeping_every=5)
+        engine.warmup(events)
+        for query in queries:
+            engine.register(query, strategy="SingleLazy", name=query.name)
+        return engine
+
+    full = identities(lazy_engine().process_events(events))
+    assert full
+    engine = lazy_engine()
+    before = identities(engine.process_events(events[:350]))
+    assert any(
+        registered.algorithm.bitmap.rows() for registered in engine.queries.values()
+    )
+    path = tmp_path / "lazy.bin"
+    engine.checkpoint(path, cursor=350)
+    restored = ContinuousQueryEngine.restore(path, queries)
+    restored.warm_kernels()
+    after = identities(restored.process_events(events[350:]))
+    assert before + after == full
+
+
 # ---------------------------------------------------------------------------
 # snapshots written before the list-bucket tables (same format version)
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from repro.isomorphism import find_anchored_matches
+from repro.isomorphism import find_anchored_matches, find_vertex_anchored_matches
 from repro.isomorphism.plan import (
     CLOSE,
     EXTEND_IN,
@@ -18,7 +18,9 @@ from repro.isomorphism.plan import (
     GLOBAL,
     compile_fragment_plans,
     compile_plan,
+    compile_vertex_plan,
     execute_plans,
+    execute_vertex_plan,
 )
 from repro.query import QueryGraph
 from repro.sjtree import SJTree
@@ -206,3 +208,118 @@ class TestExecutorParity:
             for m in execute_plans(graph, plans, anchor)
         ]
         assert len(all_found) == 1  # only a->b satisfies type + binding
+
+
+def _fork():
+    query = QueryGraph()
+    query.add_edge(1, 0, "A")  # src role above dst role
+    query.add_edge(0, 2, "B")
+    query.add_edge(0, 3, "C")
+    return query
+
+
+def _dst_role_first():
+    query = QueryGraph()
+    query.add_vertex(1)
+    query.add_vertex(0)
+    query.add_edge(0, 1, "A")
+    return query
+
+
+VERTEX_FRAGMENTS = FRAGMENTS + [
+    _fork(),
+    QueryGraph.from_triples([(3, "A", 2), (2, "B", 1), (1, "C", 0)]),  # reversed path
+    QueryGraph.from_triples([(1, "A", 0)]),
+    QueryGraph.from_triples([(0, "A", 0), (0, "B", 1)]),  # loop + extension
+    QueryGraph.from_triples([(0, "A", 1), (1, "A", 0)]),  # 2-cycle, one type
+    _dst_role_first(),
+]
+
+
+def assert_same_vertex_matches(graph, fragment, vertex, plan=None):
+    if plan is None:
+        plan = compile_vertex_plan(fragment)
+    expected = find_vertex_anchored_matches(graph, fragment, vertex)
+    got = execute_vertex_plan(graph, plan, vertex)
+    assert [m.fingerprint for m in got] == [
+        m.fingerprint for m in expected
+    ], f"fragment {fragment!r} vertex {vertex!r}"
+    for g, e in zip(got, expected):
+        # before ``vertex_map``, which caches a map on the shape-backed match
+        assert g.data_vertices_ordered() == e.data_vertices_ordered()
+        assert g.vertex_map == e.vertex_map
+        assert (g.min_time, g.max_time) == (e.min_time, e.max_time)
+    return got
+
+
+class TestVertexPlanParity:
+    """The compiled vertex-anchored search (Lazy Search's backfill) must
+    equal ``find_vertex_anchored_matches``: same matches, same order."""
+
+    def test_matches_interpretive_search_exactly(self):
+        rng = random.Random(26)
+        found = 0
+        for _ in range(8):
+            graph = random_graph(rng, n_vertices=6, n_edges=36)
+            for fragment in VERTEX_FRAGMENTS:
+                plan = compile_vertex_plan(fragment)
+                for vertex in sorted(graph.vertices()):
+                    found += len(
+                        assert_same_vertex_matches(graph, fragment, vertex, plan)
+                    )
+        assert found > 1000  # the comparison is not vacuous
+
+    def test_vertex_absent_from_graph(self):
+        graph = random_graph(random.Random(1))
+        for fragment in VERTEX_FRAGMENTS:
+            assert assert_same_vertex_matches(graph, fragment, "absent") == []
+
+    def test_typed_and_bound_roles(self):
+        rows = [
+            ("a", "b", "T", 0.0, "ip", "host"),
+            ("a", "c", "T", 1.0, "ip", "host"),
+            ("x", "b", "T", 2.0, "other", "host"),
+            ("b", "a", "U", 3.0, "host", "ip"),
+            ("b", "x", "U", 4.0, "host", "other"),
+        ]
+        graph = graph_from_tuples(rows)
+        typed = QueryGraph()
+        typed.add_vertex(0, "ip")
+        typed.add_vertex(1, "host", binding="b")
+        typed.add_edge(0, 1, "T")
+        path = QueryGraph()
+        path.add_vertex(0, "ip")
+        path.add_vertex(1, "host")
+        path.add_edge(0, 1, "T")
+        path.add_edge(1, 2, "U")
+        for fragment in (typed, path):
+            plan = compile_vertex_plan(fragment)
+            assert plan.single is None
+            for vertex in ("a", "b", "c", "x", "absent"):
+                assert_same_vertex_matches(graph, fragment, vertex, plan)
+        assert len(execute_vertex_plan(graph, compile_vertex_plan(typed), "b")) == 1
+
+    def test_two_edge_path_lazy_leaves(self):
+        """The leaves a PathLazy decomposition holds, compiled at tree
+        build through ``SJTreeNode.match_plans``."""
+        tree = SJTree.from_leaf_partition(_fork(), [(0, 1), (2,)])
+        graph = random_graph(random.Random(5), n_vertices=5, n_edges=40)
+        for leaf in tree.leaves():
+            assert leaf.vertex_plan is not None
+            for vertex in sorted(graph.vertices()):
+                assert_same_vertex_matches(
+                    graph, leaf.fragment, vertex, leaf.vertex_plan
+                )
+
+    def test_single_body_only_for_one_nonloop_wildcard_edge(self):
+        assert compile_vertex_plan(QueryGraph.path(["A"])).single is not None
+        assert compile_vertex_plan(QueryGraph.path(["A"], vtype="ip")).single is None
+        assert compile_vertex_plan(QueryGraph.from_triples([(0, "A", 0)])).single is None
+        assert compile_vertex_plan(QueryGraph.path(["A", "B"])).single is None
+        # out-edges first, unless the fragment declares the dst role first
+        assert compile_vertex_plan(QueryGraph.path(["A"])).single[2] is True
+        assert compile_vertex_plan(_dst_role_first()).single[2] is False
+
+    def test_dedup_only_where_a_role_has_two_incident_edges(self):
+        plan = compile_vertex_plan(QueryGraph.path(["A", "B"]))
+        assert [dedup for _, _, dedup in plan.roles] == [False, True, False]

@@ -53,6 +53,8 @@ class Config:
         ("search/engine.py", "process_rows"),
         ("search/engine.py", "_process_stream"),
         ("isomorphism/plan.py", "execute_plan*"),
+        ("isomorphism/plan.py", "execute_vertex_plan"),
+        ("search/lazy.py", "_enable_and_backfill"),
         ("isomorphism/plan.py", "_descend"),
         ("isomorphism/plan.py", "_run"),
         ("isomorphism/plan.py", "_emit"),
