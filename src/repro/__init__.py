@@ -51,6 +51,7 @@ from .runtime import ShardedEngine
 from .search import (
     ContinuousQueryEngine,
     DynamicGraphSearch,
+    EngineConfig,
     LazySearch,
     MatchRecord,
     RunResult,
@@ -74,6 +75,7 @@ __all__ = [
     "DynamicGraphSearch",
     "Edge",
     "EdgeEvent",
+    "EngineConfig",
     "EstimationError",
     "GraphError",
     "LazySearch",

@@ -61,7 +61,7 @@ from .persistence import manifest as ckpt_manifest
 from .query.parser import parse_query
 from .query.query_graph import QueryGraph
 from .runtime import AutoscalePolicy, FaultPlan, RestartPolicy, ShardedEngine
-from .search.engine import ContinuousQueryEngine
+from .search.engine import ContinuousQueryEngine, EngineConfig
 from .sjtree import builder as sjtree_builder
 from .sjtree import serialize as sjtree_serialize
 from .stats.estimator import SelectivityEstimator
@@ -659,7 +659,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     _validate_run_options(args)
     queries = _load_queries(args.query)
-    window = math.inf if args.window is None else args.window
+    config = EngineConfig(
+        window=math.inf if args.window is None else args.window,
+        profile_phases=args.profile,
+    )
     # Two-pass ingest: one cheap line-count pass sizes the warmup prefix,
     # then a single parse pass feeds the estimator and — continuing on the
     # same iterator — the engine, never materialising the whole stream.
@@ -671,11 +674,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if args.workers > 1:
         engine = ShardedEngine(
-            window=window,
+            config=config,
             workers=args.workers,
             batch_size=args.batch_size,
             partitioner=args.partitioner,
-            profile_phases=args.profile,
             supervise=args.supervise,
             restart_policy=_restart_policy(args),
             fault_plan=FaultPlan.from_env(),
@@ -700,7 +702,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 0
 
-    engine = ContinuousQueryEngine(window=window, profile_phases=args.profile)
+    engine = ContinuousQueryEngine(config=config)
     engine.warmup(warmup)
     for query in queries:
         engine.register(query, strategy=args.strategy)
@@ -734,6 +736,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             f"checkpoint cursor is at {cursor}; wrong --stream file?"
         )
 
+    # the restored engine takes its window from the checkpoint
+    config = EngineConfig(profile_phases=args.profile)
     migrating = args.workers is not None or args.partitioner is not None
     if manifest["mode"] == ckpt_manifest.MODE_SHARDED or migrating:
         # Checkpoints are layout-independent: --workers resumes at any
@@ -744,10 +748,10 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             queries,
             workers=args.workers,
             partitioner=args.partitioner,
-            profile_phases=args.profile,
             supervise=args.supervise,
             restart_policy=_restart_policy(args),
             fault_plan=FaultPlan.from_env(),
+            config=config,
         )
         processed, records, elapsed = _run_sharded_and_describe(
             engine, events, args, cursor_base=cursor, bad_records=bad_records
@@ -766,9 +770,9 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             "--supervise applies to the sharded runtime; this checkpoint "
             "resumes in-process (pass --workers >= 2 to migrate it)"
         )
-    single, _ = ckpt_manifest.load_single_checkpoint(args.checkpoint_dir, queries)
-    if args.profile:
-        single.set_profiling(True)
+    single, _ = ckpt_manifest.load_single_checkpoint(
+        args.checkpoint_dir, queries, config=config
+    )
     pump = _make_pump(
         args,
         lambda: {**single.metrics().collect(), **_ingest_families(bad_records)},

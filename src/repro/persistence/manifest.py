@@ -33,10 +33,9 @@ MANIFEST_FORMAT = "repro-graph-checkpoint"
 #: Version 2 adds the per-query slice index: every ``queries`` entry
 #: carries the ``shard`` (worker id) whose snapshot file holds that
 #: query's state slice, so shard-layout migration can locate each slice
-#: without decoding snapshots. Version-1 directories (PR 4) stay
-#: readable — the same mapping is derived from ``shards[*].positions``.
+#: without decoding snapshots.
 MANIFEST_VERSION = 2
-READABLE_MANIFEST_VERSIONS = (1, 2)
+READABLE_MANIFEST_VERSIONS = (2,)
 
 #: Checkpoint directory modes: one in-process engine vs a sharded layout.
 MODE_SINGLE = "single"
@@ -173,11 +172,12 @@ def write_single_checkpoint(
     return manifest
 
 
-def load_single_checkpoint(directory: Union[str, Path], queries):
+def load_single_checkpoint(directory: Union[str, Path], queries, *, config=None):
     """Restore a ``single``-mode checkpoint; returns ``(engine, manifest)``.
 
-    ``queries`` are matched by name and validated structurally, exactly
-    as in :meth:`ContinuousQueryEngine.restore`.
+    ``queries`` are matched by name and validated structurally, and
+    ``config`` supplies every setting but the window, exactly as in
+    :meth:`ContinuousQueryEngine.restore`.
     """
     from .snapshot import load_engine
 
@@ -189,7 +189,9 @@ def load_single_checkpoint(directory: Union[str, Path], queries):
             "mode run; resume it with ShardedEngine.resume / the CLI"
         )
     ordered = match_queries(manifest, queries)
-    engine, _ = load_engine(root / manifest["shards"][0]["file"], ordered)
+    engine, _ = load_engine(
+        root / manifest["shards"][0]["file"], ordered, config=config
+    )
     return engine, manifest
 
 
@@ -255,23 +257,10 @@ def sharded_manifest(
     }
 
 
-def query_shard_index(manifest: Dict) -> Dict[str, int]:
-    """Per-query slice index: query name → worker id holding its slice.
-
-    Version-2 manifests record it directly on each query entry; for
-    version-1 directories the same mapping is derived from the shards'
-    ``positions`` lists, so migration works on old checkpoints too.
-    """
-    by_position = {entry["position"]: entry["name"] for entry in manifest["queries"]}
-    index: Dict[str, int] = {}
-    for shard in manifest["shards"]:
-        for position in shard["positions"]:
-            name = by_position.get(position)
-            if name is not None:
-                index[name] = shard["worker_id"]
-    for entry in manifest["queries"]:
-        index.setdefault(entry["name"], entry.get("shard", 0))
-    return index
+def query_shard_index(manifest: Dict) -> Dict[str, Optional[int]]:
+    """Per-query slice index: query name → worker id holding its slice
+    (``None`` where an entry lacks it, which migration rejects)."""
+    return {entry["name"]: entry.get("shard") for entry in manifest["queries"]}
 
 
 def match_queries(manifest: Dict, queries) -> List:

@@ -140,13 +140,8 @@ def migrate_checkpoint(
 
     shards = sorted(manifest["shards"], key=lambda entry: entry["worker_id"])
     part_slot = {entry["worker_id"]: slot for slot, entry in enumerate(shards)}
-    by_position = {entry["position"]: query for entry, query in zip(entries, ordered)}
     parts = [
-        split_snapshot(
-            read_snapshot_bytes(root / entry["file"]),
-            [by_position[position] for position in entry["positions"]],
-        )
-        for entry in shards
+        split_snapshot(read_snapshot_bytes(root / entry["file"])) for entry in shards
     ]
     owner: Dict[str, int] = {}
     for query in ordered:

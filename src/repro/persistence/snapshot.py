@@ -35,9 +35,14 @@ layout — the mechanism behind
 count and :meth:`~repro.runtime.sharded.ShardedEngine.rebalance`. The
 key property making that sound is that a query slice references graph
 state only through pinned global edge ids, never through snapshot-local
-vocabulary codes. Version-1 snapshots (PR 4) are still readable, both by
-:func:`engine_from_bytes` and — via a restore-and-redump pass — by
-:func:`split_snapshot`.
+vocabulary codes.
+
+A snapshot is state, not settings. The config section records the
+writer's :class:`~repro.search.engine.EngineConfig`, but a restore takes
+only the window width from it; every other setting comes from whoever
+opens the engine. The section keeps the version-2 byte layout, including
+a retired slot (once ``partial_sample_every``) that is written as
+``None`` and skipped on read.
 
 What is deliberately *not* captured: profile timers (they restart from
 zero) and ``StrategyDecision`` explanations (registration-time
@@ -56,7 +61,7 @@ All structural failures raise :class:`~repro.errors.CheckpointError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -70,7 +75,7 @@ from ..search.baseline import (
     VF2PerEdgeSearch,
 )
 from ..search.dynamic import DynamicGraphSearch
-from ..search.engine import ContinuousQueryEngine, RegisteredQuery
+from ..search.engine import ContinuousQueryEngine, EngineConfig, RegisteredQuery
 from ..search.lazy import LazySearch
 from ..sjtree.serialize import edge_signature
 from ..sjtree.tree import SJTree, leaf_partition_of
@@ -81,9 +86,8 @@ from .binary import BinaryReader, BinaryWriter
 
 SNAPSHOT_MAGIC = b"RGSNAP"
 SNAPSHOT_VERSION = 2
-#: Versions :func:`engine_from_bytes` can read. Version 1 (PR 4) stored
-#: the same state inline without section length prefixes.
-READABLE_VERSIONS = (1, 2)
+#: Versions :func:`engine_from_bytes` can read.
+READABLE_VERSIONS = (2,)
 
 _KIND_TREE = 0  # DynamicGraphSearch (eager)
 _KIND_TREE_LAZY = 1  # LazySearch (tree + bitmap)
@@ -95,19 +99,6 @@ _KIND_PERIODIC = 4  # PeriodicVF2Search (dedup set + counter)
 # ---------------------------------------------------------------------------
 # parsed slice model (the unit of shard-layout migration)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class EngineConfig:
-    """Engine construction knobs carried by a snapshot."""
-
-    width: float
-    housekeeping_every: int
-    dispatch: bool
-    partial_sample_every: Optional[int]
-    profile_phases: bool
-    update_statistics: bool
-    edges_since_sweep: int
 
 
 @dataclass
@@ -133,10 +124,15 @@ class SnapshotSlices:
     section bytes: both encodings are self-contained (strings and global
     edge ids only — no snapshot-local vocabulary codes), so they can be
     copied verbatim into a snapshot for a different shard layout.
+    ``config`` is the writer's settings (``chunk_size`` is not stored, so
+    it reads back as the default); ``update_statistics`` and
+    ``edges_since_sweep`` are the config section's two state fields.
     """
 
     cursor: Optional[int]
     config: EngineConfig
+    update_statistics: bool
+    edges_since_sweep: int
     graph: GraphState
     estimator: bytes
     queries: Dict[str, bytes] = field(default_factory=dict)
@@ -169,15 +165,9 @@ def engine_to_slices(
         queries[registered.name] = blob.getvalue()
     return SnapshotSlices(
         cursor=cursor,
-        config=EngineConfig(
-            width=graph.window.width,
-            housekeeping_every=engine.housekeeping_every,
-            dispatch=engine.dispatch,
-            partial_sample_every=engine.partial_sample_every,
-            profile_phases=engine.profile_phases,
-            update_statistics=engine.update_statistics,
-            edges_since_sweep=engine._edges_since_sweep,
-        ),
+        config=engine.config,
+        update_statistics=engine.update_statistics,
+        edges_since_sweep=engine._edges_since_sweep,
         graph=GraphState(
             edges=[
                 (edge.edge_id, edge.src, edge.dst, edge.etype, edge.timestamp)
@@ -203,7 +193,7 @@ def compose_snapshot(slices: SnapshotSlices) -> bytes:
     etype_codes = _Interner()
     vtype_codes = _Interner()
     config = BinaryWriter()
-    _dump_engine_config(config, slices.config)
+    _dump_engine_config(config, slices)
     graph = BinaryWriter()
     _dump_graph_state(graph, slices.graph, etype_codes, vtype_codes)
 
@@ -280,14 +270,15 @@ class _Interner:
         return code
 
 
-def _dump_engine_config(w: BinaryWriter, config: EngineConfig) -> None:
-    w.write_f64(config.width)
+def _dump_engine_config(w: BinaryWriter, slices: SnapshotSlices) -> None:
+    config = slices.config
+    w.write_f64(config.window)
     w.write_varint(config.housekeeping_every)
     w.write_u8(1 if config.dispatch else 0)
-    w.write_value(config.partial_sample_every)
+    w.write_value(None)  # retired slot, kept so the layout reads both ways
     w.write_u8(1 if config.profile_phases else 0)
-    w.write_u8(1 if config.update_statistics else 0)
-    w.write_varint(config.edges_since_sweep)
+    w.write_u8(1 if slices.update_statistics else 0)
+    w.write_varint(slices.edges_since_sweep)
 
 
 def _dump_graph_state(
@@ -455,43 +446,45 @@ def _dump_seen(w: BinaryWriter, seen) -> None:
 
 
 def engine_from_bytes(
-    data: bytes, queries: Sequence[QueryGraph]
+    data: bytes,
+    queries: Sequence[QueryGraph],
+    *,
+    config: Optional[EngineConfig] = None,
+    **settings,
 ) -> Tuple[ContinuousQueryEngine, Optional[int]]:
     """Rebuild an engine from :func:`engine_to_bytes` output.
 
     ``queries`` must contain exactly the query graphs the snapshot was
     taken with (matched by name, validated structurally by edge
-    signature); order is free. Returns ``(engine, cursor)``.
+    signature); order is free. The window width comes from the
+    snapshot; every other setting from ``config`` / ``settings``, as for
+    the :class:`ContinuousQueryEngine` constructor. Returns
+    ``(engine, cursor)``.
     """
     r = BinaryReader(data)
-    version, cursor, etype_names, vtype_names = _read_header(r)
+    cursor, etype_names, vtype_names = _read_header(r)
     by_name = _queries_by_name(queries)
     matched: set = set()
 
-    if version == 1:
-        engine = _engine_from_config(_read_engine_config(r))
-        _apply_graph_state(engine, _read_graph_state(r, etype_names, vtype_names))
-        _load_estimator(r, engine.estimator)
-        for _ in range(r.read_varint()):
-            name = r.read_str()
-            _restore_query(r, engine, by_name, matched, name)
-    else:
-        engine = _engine_from_config(
-            _read_engine_config(_section_reader(r, "engine config"))
-        )
-        graph_section = _section_reader(r, "graph window")
-        _apply_graph_state(
-            engine, _read_graph_state(graph_section, etype_names, vtype_names)
-        )
-        graph_section.expect_end("graph window")
-        estimator_section = _section_reader(r, "estimator")
-        _load_estimator(estimator_section, engine.estimator)
-        estimator_section.expect_end("estimator state")
-        for _ in range(r.read_varint()):
-            name = r.read_str()
-            blob = _section_reader(r, f"query {name!r}")
-            _restore_query(blob, engine, by_name, matched, name)
-            blob.expect_end(f"query {name!r} state")
+    written, update_statistics, edges_since_sweep = _read_engine_config(r)
+    engine = ContinuousQueryEngine(
+        config=EngineConfig.of(config, window=written.window, **settings)
+    )
+    engine.update_statistics = update_statistics
+    engine._edges_since_sweep = edges_since_sweep
+    graph_section = _section_reader(r, "graph window")
+    _apply_graph_state(
+        engine, _read_graph_state(graph_section, etype_names, vtype_names)
+    )
+    graph_section.expect_end("graph window")
+    estimator_section = _section_reader(r, "estimator")
+    _load_estimator(estimator_section, engine.estimator)
+    estimator_section.expect_end("estimator state")
+    for _ in range(r.read_varint()):
+        name = r.read_str()
+        blob = _section_reader(r, f"query {name!r}")
+        _restore_query(blob, engine, by_name, matched, name)
+        blob.expect_end(f"query {name!r} state")
 
     extra = set(by_name) - matched
     if extra:
@@ -505,10 +498,16 @@ def engine_from_bytes(
 
 
 def load_engine(
-    path: Union[str, Path], queries: Sequence[QueryGraph]
+    path: Union[str, Path],
+    queries: Sequence[QueryGraph],
+    *,
+    config: Optional[EngineConfig] = None,
+    **settings,
 ) -> Tuple[ContinuousQueryEngine, Optional[int]]:
     """Read a snapshot file back; see :func:`engine_from_bytes`."""
-    return engine_from_bytes(read_snapshot_bytes(path), queries)
+    return engine_from_bytes(
+        read_snapshot_bytes(path), queries, config=config, **settings
+    )
 
 
 def read_snapshot_bytes(path: Union[str, Path]) -> bytes:
@@ -530,9 +529,7 @@ def read_snapshot_bytes(path: Union[str, Path]) -> bytes:
         raise CheckpointError(f"corrupt snapshot {path}: {exc}") from exc
 
 
-def _read_header(
-    r: BinaryReader,
-) -> Tuple[int, Optional[int], List[str], List[str]]:
+def _read_header(r: BinaryReader) -> Tuple[Optional[int], List[str], List[str]]:
     magic = r.read_bytes_raw(len(SNAPSHOT_MAGIC))
     if magic != SNAPSHOT_MAGIC:
         raise CheckpointError(
@@ -551,11 +548,11 @@ def _read_header(
         raise CheckpointError(f"malformed stream cursor {cursor!r}")
     etype_names = [r.read_str() for _ in range(r.read_varint())]
     vtype_names = [r.read_str() for _ in range(r.read_varint())]
-    return version, cursor, etype_names, vtype_names
+    return cursor, etype_names, vtype_names
 
 
 def _section_reader(r: BinaryReader, what: str) -> BinaryReader:
-    """Cut one length-prefixed section out of a version-2 snapshot."""
+    """Cut one length-prefixed section out of a snapshot."""
     length = r.read_varint()
     try:
         return BinaryReader(r.read_bytes_raw(length))
@@ -580,29 +577,28 @@ def _queries_by_name(queries: Sequence[QueryGraph]) -> Dict[str, QueryGraph]:
     return by_name
 
 
-def _read_engine_config(r: BinaryReader) -> EngineConfig:
-    return EngineConfig(
-        width=r.read_f64(),
-        housekeeping_every=r.read_varint(),
-        dispatch=bool(r.read_u8()),
-        partial_sample_every=r.read_value(),
-        profile_phases=bool(r.read_u8()),
-        update_statistics=bool(r.read_u8()),
-        edges_since_sweep=r.read_varint(),
-    )
-
-
-def _engine_from_config(config: EngineConfig) -> ContinuousQueryEngine:
-    engine = ContinuousQueryEngine(
-        window=config.width,
-        housekeeping_every=config.housekeeping_every,
-        dispatch=config.dispatch,
-        partial_sample_every=config.partial_sample_every,
-        profile_phases=config.profile_phases,
-    )
-    engine.update_statistics = config.update_statistics
-    engine._edges_since_sweep = config.edges_since_sweep
-    return engine
+def _read_engine_config(r: BinaryReader) -> Tuple[EngineConfig, bool, int]:
+    """Cut and parse the config section: the writer's settings, then the
+    two state fields (``update_statistics``, ``edges_since_sweep``)."""
+    section = _section_reader(r, "engine config")
+    window = section.read_f64()
+    housekeeping_every = section.read_varint()
+    dispatch = bool(section.read_u8())
+    section.read_value()  # retired slot (once partial_sample_every)
+    profile_phases = bool(section.read_u8())
+    try:
+        config = EngineConfig(
+            window=window,
+            housekeeping_every=housekeeping_every,
+            dispatch=dispatch,
+            profile_phases=profile_phases,
+        )
+    except ValueError as exc:
+        raise CheckpointError(f"snapshot engine config is corrupt: {exc}") from exc
+    update_statistics = bool(section.read_u8())
+    edges_since_sweep = section.read_varint()
+    section.expect_end("engine config")
+    return config, update_statistics, edges_since_sweep
 
 
 def _read_graph_state(
@@ -863,31 +859,12 @@ def _load_seen(r: BinaryReader) -> set:
 # ---------------------------------------------------------------------------
 
 
-def split_snapshot(
-    data: bytes, queries: Optional[Sequence[QueryGraph]] = None
-) -> SnapshotSlices:
-    """Take one snapshot apart into :class:`SnapshotSlices`.
-
-    Version-2 snapshots split by pure byte slicing (the sections are
-    length-prefixed). Version-1 snapshots carry the same state inline
-    with no lengths, so they are split by restoring the engine and
-    re-dumping its slices — which requires ``queries`` (the exact query
-    set of *this* snapshot, e.g. the owning shard's slice of the
-    manifest's query list).
-    """
+def split_snapshot(data: bytes) -> SnapshotSlices:
+    """Take one snapshot apart into :class:`SnapshotSlices` by pure byte
+    slicing (the sections are length-prefixed)."""
     r = BinaryReader(data)
-    version, cursor, etype_names, vtype_names = _read_header(r)
-    if version == 1:
-        if queries is None:
-            raise CheckpointError(
-                "splitting a version-1 snapshot requires its query set "
-                "(version 1 predates the sliced layout)"
-            )
-        engine, cursor = engine_from_bytes(data, queries)
-        return engine_to_slices(engine, cursor=cursor)
-    config_section = _section_reader(r, "engine config")
-    config = _read_engine_config(config_section)
-    config_section.expect_end("engine config")
+    cursor, etype_names, vtype_names = _read_header(r)
+    config, update_statistics, edges_since_sweep = _read_engine_config(r)
     graph_section = _section_reader(r, "graph window")
     graph = _read_graph_state(graph_section, etype_names, vtype_names)
     graph_section.expect_end("graph window")
@@ -900,6 +877,8 @@ def split_snapshot(
     return SnapshotSlices(
         cursor=cursor,
         config=config,
+        update_statistics=update_statistics,
+        edges_since_sweep=edges_since_sweep,
         graph=graph,
         estimator=estimator,
         queries=blobs,
@@ -987,7 +966,9 @@ def merge_shard_slices(
         blobs[name] = blob
     return SnapshotSlices(
         cursor=cursor,
-        config=replace(parts[0].config, edges_since_sweep=0),
+        config=parts[0].config,
+        update_statistics=parts[0].update_statistics,
+        edges_since_sweep=0,
         graph=graph,
         estimator=parts[0].estimator,
         queries=blobs,

@@ -60,7 +60,6 @@ vertex types consistently.
 from __future__ import annotations
 
 import itertools
-import math
 import multiprocessing
 import queue as queue_module
 import shutil
@@ -76,7 +75,12 @@ from ..errors import QueryError, ReproRuntimeError, WorkerError
 from ..graph.types import EdgeEvent
 from ..isomorphism.match import MatchShape, shape_for_fragment
 from ..query.query_graph import QueryGraph
-from ..search.engine import ContinuousQueryEngine, RunResult, algorithm_class
+from ..search.engine import (
+    ContinuousQueryEngine,
+    EngineConfig,
+    RunResult,
+    algorithm_class,
+)
 from ..search.strategy import StrategyDecision, choose_strategy
 from ..stats.estimator import SelectivityEstimator
 from ..telemetry.registry import SECONDS_BUCKETS, HistogramSlot, MetricsRegistry
@@ -140,18 +144,10 @@ class _WorkerInit:
     """
 
     worker_id: int
-    window: float
-    housekeeping_every: int
+    config: EngineConfig
     estimator: SelectivityEstimator
     specs: Tuple[QuerySpec, ...]
     restore_path: Optional[str] = None
-    #: engine batch-kernel chunk size (EdgeChunk granularity) — distinct
-    #: from the coordinator's wire ``batch_size``
-    chunk_size: int = 1024
-    #: arm per-stage phase profiling in the worker engine (the engine's
-    #: ``profile_phases``); aggregated stage/phase seconds then surface
-    #: through the worker metrics snapshots.
-    profile_phases: bool = False
     #: deterministic fault plan (:mod:`repro.runtime.faults`); the worker
     #: arms only the faults matching its id and incarnation
     fault_plan: Optional[FaultPlan] = None
@@ -209,6 +205,31 @@ def _format_worker_error(worker_id: int, payload) -> str:
     return head
 
 
+def _open_engine(
+    config: EngineConfig,
+    estimator: SelectivityEstimator,
+    specs: Iterable[QuerySpec],
+    restore_path: Optional[str],
+) -> ContinuousQueryEngine:
+    """One shard's engine, for a worker or the in-process fallback.
+
+    Restored from ``restore_path`` when given — the snapshot supplies
+    the window and all state, ``config`` every other setting — else
+    built cold from ``config`` and ``estimator`` with ``specs``
+    registered in order.
+    """
+    if restore_path is not None:
+        return ContinuousQueryEngine.restore(
+            restore_path, [spec.query for spec in specs], config=config
+        )
+    engine = ContinuousQueryEngine(estimator=estimator, config=config)
+    for spec in specs:
+        engine.register(
+            spec.query, strategy=spec.strategy, name=spec.name, **spec.options
+        )
+    return engine
+
+
 def _worker_main(init: _WorkerInit, task_queue, result_queue) -> None:
     """Subprocess entry point: one engine, one query shard, batch loop.
 
@@ -226,25 +247,9 @@ def _worker_main(init: _WorkerInit, task_queue, result_queue) -> None:
         if not injector:
             injector = None
     try:
-        if init.restore_path is not None:
-            engine = ContinuousQueryEngine.restore(
-                init.restore_path, [spec.query for spec in init.specs]
-            )
-            engine.chunk_size = init.chunk_size
-            if init.profile_phases:
-                engine.set_profiling(True)
-        else:
-            engine = ContinuousQueryEngine(
-                window=init.window,
-                estimator=init.estimator,
-                housekeeping_every=init.housekeeping_every,
-                chunk_size=init.chunk_size,
-                profile_phases=init.profile_phases,
-            )
-            for spec in init.specs:
-                engine.register(
-                    spec.query, strategy=spec.strategy, name=spec.name, **spec.options
-                )
+        engine = _open_engine(
+            init.config, init.estimator, init.specs, init.restore_path
+        )
     except BaseException:  # surfaced by the coordinator's gather
         reply("error", _error_payload(init, "startup"))
         return
@@ -349,8 +354,13 @@ class ShardedEngine:
 
     Parameters
     ----------
-    window:
-        Sliding-window width, as for the single-process engine.
+    config, **settings:
+        The engine settings every worker engine runs with — an
+        :class:`~repro.search.engine.EngineConfig` and/or its fields as
+        keywords (``window=``, ``chunk_size=`` …), exactly as for
+        :class:`ContinuousQueryEngine`. ``chunk_size`` is independent of
+        ``batch_size``: the wire batch bounds queue latency, the chunk
+        bounds each worker's fused ingest loop.
     workers:
         Number of worker processes. ``1`` (the default) runs fully
         in-process with zero multiprocessing overhead; empty shards are
@@ -358,11 +368,6 @@ class ShardedEngine:
     batch_size:
         Events per worker message. Larger batches amortise pickling;
         smaller ones reduce end-of-stream latency skew.
-    chunk_size:
-        ``EdgeChunk`` granularity of each worker's batch kernels —
-        forwarded to every worker engine (and re-applied on restore).
-        Independent of ``batch_size``: the wire batch bounds queue
-        latency, the chunk bounds the fused ingest loop.
     partitioner:
         ``"cost"`` (greedy selectivity-balanced, the default) or
         ``"round-robin"``.
@@ -397,37 +402,33 @@ class ShardedEngine:
 
     def __init__(
         self,
-        window: float = math.inf,
+        *,
         workers: int = 1,
         batch_size: int = 256,
         estimator: Optional[SelectivityEstimator] = None,
-        housekeeping_every: int = 2048,
         partitioner: str = "cost",
         mp_context=None,
-        chunk_size: int = 1024,
-        profile_phases: bool = False,
         supervise: bool = False,
         restart_policy: Optional[RestartPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         autoscale: Optional[AutoscalePolicy] = None,
+        config: Optional[EngineConfig] = None,
+        **settings,
     ) -> None:
+        self.config = EngineConfig.of(config, **settings)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if partitioner not in ("cost", "round-robin"):
             raise ValueError(
                 f"unknown partitioner {partitioner!r}; "
                 "expected 'cost' or 'round-robin'"
             )
-        self.window = float(window)
+        self.window = self.config.window
         self.workers = workers
         self.batch_size = batch_size
-        self.chunk_size = chunk_size
         self.partitioner = partitioner
-        self.housekeeping_every = housekeeping_every
         self.estimator = estimator if estimator is not None else SelectivityEstimator()
         self.specs: List[QuerySpec] = []
         self.last_worker_stats: List[WorkerStats] = []
@@ -454,8 +455,6 @@ class ShardedEngine:
         self._checkpoint_seq = 0
         self._restore_shards: Optional[List[ShardPlan]] = None
         self._restore_files: Dict[int, str] = {}
-        #: arm per-stage phase profiling in every worker engine
-        self.profile_phases = profile_phases
         # Self-healing: the supervisor is attached by start() (multi-
         # worker path only) and mediates every queue interaction so it
         # can recover dead workers mid-protocol.
@@ -608,30 +607,12 @@ class ShardedEngine:
         restoring = self._restore_shards is not None
         self._shards = self._restore_shards if restoring else self.plan()
         if self.workers == 1 or len(self._shards) <= 1:
-            if restoring:
-                engine = ContinuousQueryEngine.restore(
-                    self._restore_files[self._shards[0].worker_id],
-                    [spec.query for spec in self.specs],
-                )
-                engine.chunk_size = self.chunk_size
-                if self.profile_phases:
-                    engine.set_profiling(True)
-            else:
-                engine = ContinuousQueryEngine(
-                    window=self.window,
-                    estimator=self.estimator,
-                    housekeeping_every=self.housekeeping_every,
-                    chunk_size=self.chunk_size,
-                    profile_phases=self.profile_phases,
-                )
-                for spec in self.specs:
-                    engine.register(
-                        spec.query,
-                        strategy=spec.strategy,
-                        name=spec.name,
-                        **spec.options,
-                    )
-            self._serial_engine = engine
+            self._serial_engine = _open_engine(
+                self.config,
+                self.estimator,
+                self.specs,
+                self._restore_files[self._shards[0].worker_id] if restoring else None,
+            )
             self._started = True
             return
 
@@ -670,13 +651,10 @@ class ShardedEngine:
         shard = self._shards[slot]
         init = _WorkerInit(
             worker_id=shard.worker_id,
-            window=self.window,
-            housekeeping_every=self.housekeeping_every,
+            config=self.config,
             estimator=self.estimator,
             specs=tuple(self.specs[position] for position in shard.positions),
             restore_path=restore_path,
-            chunk_size=self.chunk_size,
-            profile_phases=self.profile_phases,
             fault_plan=self._fault_plan,
             incarnation=incarnation,
         )
@@ -786,10 +764,8 @@ class ShardedEngine:
 
         Records come back in exactly the order the single-process engine
         would have emitted them (per event: registration order of the
-        queries, then per-query discovery order). ``peak_partial_matches``
-        is not sampled here (see ``partial_sample_every`` on the serial
-        engine); per-worker end-of-run state lands in
-        :attr:`last_worker_stats`.
+        queries, then per-query discovery order). Per-worker end-of-run
+        state lands in :attr:`last_worker_stats`.
 
         With an :class:`~repro.runtime.autoscale.AutoscalePolicy` armed,
         the stream is processed in ``evaluate_every``-event segments and
@@ -1055,10 +1031,11 @@ class ShardedEngine:
         *,
         workers: Optional[int] = None,
         partitioner: Optional[str] = None,
-        profile_phases: bool = False,
         supervise: bool = False,
         restart_policy: Optional[RestartPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
+        config: Optional[EngineConfig] = None,
+        **settings,
     ) -> "ShardedEngine":
         """Rebuild a started engine from a :meth:`checkpoint` directory.
 
@@ -1069,7 +1046,9 @@ class ShardedEngine:
         the manifest, and every worker restores its graph window and
         partial-match state from its shard snapshot, so the next
         :meth:`run` call continues the stream with emissions identical
-        to a never-stopped engine.
+        to a never-stopped engine. The window width comes from the
+        checkpoint; every other engine setting from ``config`` /
+        ``settings`` (defaults when omitted), as for the constructor.
 
         Checkpoints are **layout-independent**: pass ``workers`` (any
         ``M >= 1``, including ``M=1`` for an in-process continuation of
@@ -1114,7 +1093,6 @@ class ShardedEngine:
         ordered = manifest_mod.match_queries(manifest, queries)
         entries = sorted(manifest["queries"], key=lambda e: e["position"])
         engine = cls(
-            window=manifest_mod.window_from_json(manifest["window"]),
             workers=manifest["workers"],
             batch_size=manifest["batch_size"],
             # Single-mode manifests record partitioner=None; a resumed
@@ -1122,10 +1100,14 @@ class ShardedEngine:
             # rebalance()/checkpoint() calls.
             partitioner=manifest.get("partitioner") or "cost",
             mp_context=mp_context,
-            profile_phases=profile_phases,
             supervise=supervise,
             restart_policy=restart_policy,
             fault_plan=fault_plan,
+            config=EngineConfig.of(
+                config,
+                window=manifest_mod.window_from_json(manifest["window"]),
+                **settings,
+            ),
         )
         engine.specs = [
             QuerySpec(

@@ -5,13 +5,14 @@ from .base import MatchRecord, SearchAlgorithm
 from .baseline import IncIsoMatchSearch, PeriodicVF2Search, VF2PerEdgeSearch
 from .bitmap import ScanBitmap
 from .dynamic import DynamicGraphSearch
-from .engine import ContinuousQueryEngine, RegisteredQuery, RunResult
+from .engine import ContinuousQueryEngine, EngineConfig, RegisteredQuery, RunResult
 from .lazy import LazySearch
 from .strategy import STRATEGY_NAMES, StrategyDecision, choose_strategy
 
 __all__ = [
     "ContinuousQueryEngine",
     "DynamicGraphSearch",
+    "EngineConfig",
     "IncIsoMatchSearch",
     "LazySearch",
     "MatchRecord",

@@ -25,7 +25,7 @@ import math
 import operator
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional
 
 from collections import deque
@@ -83,6 +83,50 @@ def algorithm_class(strategy: str) -> type:
     )
 
 
+@dataclass(frozen=True)
+class EngineConfig:
+    """The run settings of one engine — everything but its queries and state.
+
+    The single declaration of each setting's name, default and check:
+    :class:`ContinuousQueryEngine`, the sharded coordinator and its
+    workers, the snapshot's config section and the CLI all carry this
+    object. Apart from ``window``, no setting changes an emitted record.
+    """
+
+    #: sliding-window width tW; ``math.inf`` never evicts
+    window: float = math.inf
+    #: edges between housekeeping sweeps of stale partial matches
+    housekeeping_every: int = 2048
+    #: type-indexed multi-query dispatch: route each edge only to the
+    #: queries whose alphabet contains its type. ``False`` offers every
+    #: edge to every query (the seed behaviour the equivalence tests
+    #: compare against).
+    dispatch: bool = True
+    #: keep the per-edge stage (evict/ingest/dispatch) and per-query
+    #: iso/join timers running (the §6.4.1 split). Profiled chunks replay
+    #: through :meth:`ContinuousQueryEngine.process_event`; the timers
+    #: cost several clock reads per edge.
+    profile_phases: bool = False
+    #: batch width of the chunked ingest loop; only constant-hoisting
+    #: amortization depends on it (the equivalence suite sweeps it)
+    chunk_size: int = 1024
+
+    def __post_init__(self) -> None:
+        if not self.window > 0:
+            raise ValueError(f"window must be positive, got {self.window}")
+        if self.housekeeping_every < 1:
+            raise ValueError(
+                f"housekeeping_every must be >= 1, got {self.housekeeping_every}"
+            )
+        if self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
+
+    @classmethod
+    def of(cls, config: Optional["EngineConfig"] = None, **settings) -> "EngineConfig":
+        """``config`` (all defaults when ``None``) with ``settings`` applied."""
+        return cls(**settings) if config is None else replace(config, **settings)
+
+
 @dataclass
 class RegisteredQuery:
     """A query under execution inside the engine."""
@@ -106,7 +150,6 @@ class RunResult:
     records: List[MatchRecord] = field(default_factory=list)
     edges_processed: int = 0
     elapsed_seconds: float = 0.0
-    peak_partial_matches: int = 0
 
     @property
     def matches(self) -> int:
@@ -120,42 +163,33 @@ class RunResult:
 
 
 class ContinuousQueryEngine:
-    """Multi-query continuous pattern detection over one streaming graph."""
+    """Multi-query continuous pattern detection over one streaming graph.
+
+    The run settings are one :class:`EngineConfig`: pass it as ``config``,
+    or pass its fields (``window=``, ``chunk_size=`` …) as keywords, which
+    override ``config`` when both are given.
+    """
 
     def __init__(
         self,
-        window: float = math.inf,
+        *,
         estimator: Optional[SelectivityEstimator] = None,
         map_edge: EdgeMapFn = default_edge_map,
-        housekeeping_every: int = 2048,
-        dispatch: bool = True,
-        partial_sample_every: Optional[int] = None,
-        profile_phases: bool = False,
-        chunk_size: int = 1024,
+        config: Optional[EngineConfig] = None,
+        **settings,
     ) -> None:
-        self.graph = StreamingGraph(window)
+        self.config = config = EngineConfig.of(config, **settings)
+        # Plain copies of the settings the per-edge paths read; the config
+        # is frozen, so they are fixed for the engine's lifetime.
+        self.housekeeping_every = config.housekeeping_every
+        self.dispatch = config.dispatch
+        self.profile_phases = config.profile_phases
+        self.chunk_size = config.chunk_size
+        self.graph = StreamingGraph(config.window)
         self.estimator = (
             estimator if estimator is not None else SelectivityEstimator(map_edge)
         )
         self.queries: Dict[str, RegisteredQuery] = {}
-        if housekeeping_every < 1:
-            raise ValueError("housekeeping_every must be >= 1")
-        self.housekeeping_every = housekeeping_every
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        #: batch width of the chunked ingest loop (columnar encoding +
-        #: per-chunk dispatch resolution). Semantics never depend on it —
-        #: the equivalence suite sweeps it — only constant-hoisting
-        #: amortization does.
-        self.chunk_size = chunk_size
-        if partial_sample_every is not None and partial_sample_every < 1:
-            raise ValueError("partial_sample_every must be >= 1 or None")
-        #: sampling interval (in edges) for ``RunResult.peak_partial_matches``
-        #: during :meth:`run`. ``None`` (the default) skips the sampling
-        #: scan entirely — ``partial_match_count()`` walks every query's
-        #: live state (and sweeps expiry first), which is pure overhead for
-        #: callers that never read the peak figure.
-        self.partial_sample_every = partial_sample_every
         self._edges_since_sweep = 0
         #: when True, the estimator keeps observing the live stream (the
         #: paper assumes a stable selectivity order, so default off).
@@ -165,18 +199,6 @@ class ContinuousQueryEngine:
         self._program_lut: List = []
         #: chunks processed by the batched loop (describe() batch stats).
         self._chunks_processed = 0
-        #: type-indexed multi-query dispatch: route each edge only to the
-        #: queries whose alphabet contains its type. Disable to force the
-        #: seed behaviour (offer every edge to every query) — the
-        #: equivalence tests compare the two paths record-for-record.
-        self.dispatch = dispatch
-        #: when True, algorithms keep their per-edge iso/join phase timers
-        #: running (the §6.4.1 split), chunks replay through the per-event
-        #: path and it times its stages (evict/ingest/dispatch) into
-        #: :attr:`kernel_profile`. Off by default: the timers cost several
-        #: perf_counter reads per edge, and only the figure-reproduction
-        #: experiments and the bench kernel report read the split.
-        self.profile_phases = profile_phases
         #: engine-level stage timers (evict / ingest / dispatch), credited
         #: per edge by :meth:`process_event` when ``profile_phases`` is on;
         #: per-query iso/join time lives in each registered query's own
@@ -197,17 +219,6 @@ class ContinuousQueryEngine:
         # types no query declares.
         self._routes: Dict[int, List[RegisteredQuery]] = {}
         self._route_default: List[RegisteredQuery] = []
-
-    @property
-    def dispatch(self) -> bool:
-        """Type-indexed multi-query dispatch (see ``__init__``)."""
-        return self._dispatch
-
-    @dispatch.setter
-    def dispatch(self, value: bool) -> None:
-        self._dispatch = bool(value)
-        # compiled programs bake the route in — recompile lazily.
-        self._program_lut = []
 
     # ------------------------------------------------------------------
     # step 1: decomposition
@@ -348,7 +359,7 @@ class ContinuousQueryEngine:
         else:
             edge = graph.add_event(event, edge_id=edge_id)
         code = edge.etype_code
-        if self._dispatch:
+        if self.dispatch:
             targets = self._routes.get(code, self._route_default)
         else:
             targets = self.queries.values()
@@ -428,7 +439,7 @@ class ContinuousQueryEngine:
         contract that is record- and counter-identical to calling every
         routed ``process_edge`` and collecting nothing).
         """
-        if self._dispatch:
+        if self.dispatch:
             targets = self._routes.get(code, self._route_default)
         else:
             targets = list(self.queries.values())
@@ -677,37 +688,18 @@ class ContinuousQueryEngine:
         events: Iterable[EdgeEvent],
         limit: Optional[int] = None,
     ) -> RunResult:
-        """Process a whole stream; collect records and resource metrics.
-
-        ``RunResult.peak_partial_matches`` is only tracked when the engine
-        was built with ``partial_sample_every`` set — each sample is an
-        ``O(#queries x state)`` scan, which benchmarks should not pay.
-        """
-        result = RunResult()
-        sample_every = self.partial_sample_every
+        """Process a whole stream through :meth:`process_events`; collect
+        the records, the edge count and the wall time."""
         started = time.perf_counter()
-        if sample_every is None:
-            # No sampling: take the fused batch loop.
-            if limit is not None:
-                events = itertools.islice(events, limit)
-            before = self.graph.total_edges_seen
-            result.records = self.process_events(events)
-            result.edges_processed = self.graph.total_edges_seen - before
-        else:
-            for event in events:
-                if limit is not None and result.edges_processed >= limit:
-                    break
-                result.records.extend(self.process_event(event))
-                result.edges_processed += 1
-                if result.edges_processed % sample_every == 0:
-                    result.peak_partial_matches = max(
-                        result.peak_partial_matches, self.partial_match_count()
-                    )
-            result.peak_partial_matches = max(
-                result.peak_partial_matches, self.partial_match_count()
-            )
-        result.elapsed_seconds = time.perf_counter() - started
-        return result
+        if limit is not None:
+            events = itertools.islice(events, limit)
+        before = self.graph.total_edges_seen
+        records = self.process_events(events)
+        return RunResult(
+            records,
+            self.graph.total_edges_seen - before,
+            time.perf_counter() - started,
+        )
 
     def sweep(self) -> None:
         """Expire stale partial state in all queries (and the bitmaps)."""
@@ -742,21 +734,31 @@ class ContinuousQueryEngine:
         self._checkpoint_stats.record(elapsed, size)
 
     @classmethod
-    def restore(cls, path, queries: Iterable[QueryGraph]) -> "ContinuousQueryEngine":
+    def restore(
+        cls,
+        path,
+        queries: Iterable[QueryGraph],
+        *,
+        config: Optional[EngineConfig] = None,
+        **settings,
+    ) -> "ContinuousQueryEngine":
         """Rebuild an engine from a :meth:`checkpoint` snapshot.
 
         ``queries`` must be the same query graphs the snapshot was taken
         with (matched by name, validated by edge signature — a
         mismatched query set raises
         :class:`~repro.errors.CheckpointError`, never a cryptic
-        traceback). The restored engine continues the stream with
+        traceback). A snapshot is state: the window width comes from it,
+        every other setting from ``config`` / ``settings`` as for the
+        constructor (defaults when omitted), whatever the checkpointed
+        engine ran with. The restored engine continues the stream with
         emissions identical to an engine that was never stopped; use
         :func:`repro.persistence.load_engine` instead when the saved
         stream cursor is needed alongside the engine.
         """
         from ..persistence.snapshot import load_engine
 
-        engine, _ = load_engine(path, list(queries))
+        engine, _ = load_engine(path, list(queries), config=config, **settings)
         return engine
 
     # ------------------------------------------------------------------
@@ -823,19 +825,6 @@ class ContinuousQueryEngine:
         from ..telemetry.instrument import engine_registry
 
         return engine_registry(self)
-
-    def set_profiling(self, enabled: bool) -> None:
-        """Toggle per-stage phase profiling engine-wide.
-
-        Flips :attr:`profile_phases` (chunk-stage timers) *and* every
-        registered algorithm's profile gate — registration normally
-        copies the engine flag once, so flipping the attribute alone
-        would leave existing queries untimed. Used by the CLI
-        ``--profile`` flag on restored engines and by sharded workers.
-        """
-        self.profile_phases = enabled
-        for registered in self.queries.values():
-            registered.algorithm.profile.enabled = enabled
 
     def query_alphabets(self) -> Dict[str, Optional[frozenset]]:
         """Per-query consumable edge types (``None`` = every edge).

@@ -66,13 +66,17 @@ WARMUP = [
 
 
 def build_engine(
-    chunk_size: int = 1024, profile_phases: bool = False, dispatch: bool = True
+    chunk_size: int = 1024,
+    profile_phases: bool = False,
+    dispatch: bool = True,
+    **settings,
 ) -> ContinuousQueryEngine:
     engine = ContinuousQueryEngine(
         window=WINDOW,
         chunk_size=chunk_size,
         profile_phases=profile_phases,
         dispatch=dispatch,
+        **settings,
     )
     engine.warmup(WARMUP)
     for query in make_queries():
@@ -281,9 +285,7 @@ def test_counters_identical_on_every_ingest_path(dispatch):
         events.append(EdgeEvent(f"n{src}", f"n{dst}", etype, t))
 
     def fresh(profile_phases=False):
-        engine = build_engine(64, profile_phases, dispatch)
-        engine.housekeeping_every = 7
-        return engine
+        return build_engine(64, profile_phases, dispatch, housekeeping_every=7)
 
     def counters(engine):
         return (engine._dispatch_hits, engine._sweeps) + accounting(engine)[:2]

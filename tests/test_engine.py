@@ -150,27 +150,6 @@ class TestProcessing:
         with pytest.raises(ValueError):
             ContinuousQueryEngine(housekeeping_every=0)
 
-    def test_bad_partial_sample_interval(self):
-        with pytest.raises(ValueError):
-            ContinuousQueryEngine(partial_sample_every=0)
-
-    def test_run_skips_partial_sampling_by_default(self, engine):
-        # The O(#queries x state) scan is opt-in: without the knob, run()
-        # must leave the peak figure untouched even though partial state
-        # exists (the T edge of the T-U path is a live partial match).
-        engine.register(QueryGraph.path(["T", "U"], name="q"), strategy="Single")
-        result = engine.run(stream_rows())
-        assert result.peak_partial_matches == 0
-        assert engine.partial_match_count() > 0
-
-    def test_run_samples_partials_when_asked(self):
-        eng = ContinuousQueryEngine(window=math.inf, partial_sample_every=1)
-        eng.warmup(events_from_tuples(warm_rows()))
-        eng.register(QueryGraph.path(["T", "U"], name="q"), strategy="Single")
-        result = eng.run(stream_rows())
-        assert result.peak_partial_matches == eng.partial_match_count()
-        assert result.peak_partial_matches > 0
-
 
 class TestIntrospection:
     def test_route_counts_and_describe(self, engine):

@@ -5,8 +5,8 @@ checkpoint taken at N workers and resumed at any M >= 1 — different
 worker count, different partitioner, even the single-process engine —
 must emit records byte-identical to a run that was never interrupted.
 Alongside it: online ``rebalance`` mid-stream, single-mode checkpoints
-migrating onto the sharded runtime, version-1 snapshot/manifest
-readability, the manifest v2 per-query slice index, and the
+migrating onto the sharded runtime, the rejection of version-1
+snapshots and manifests, the manifest v2 per-query slice index, and the
 split/merge/compose primitives behind all of it.
 """
 
@@ -21,17 +21,12 @@ import pytest
 from repro import CheckpointError, ContinuousQueryEngine, ShardedEngine
 from repro.analysis.experiments import mixed_etype_workload
 from repro.persistence import manifest as manifest_mod
-from repro.persistence.binary import BinaryWriter
 from repro.persistence.migrate import live_estimator, migrate_checkpoint
 from repro.persistence.snapshot import (
     SNAPSHOT_MAGIC,
-    _dump_engine_config,
-    _dump_graph_state,
-    _Interner,
     compose_snapshot,
     engine_from_bytes,
     engine_to_slices,
-    read_snapshot_bytes,
     split_snapshot,
 )
 from repro.query.query_graph import QueryGraph
@@ -409,91 +404,34 @@ def test_emission_order_is_hash_seed_independent():
 
 
 # ---------------------------------------------------------------------------
-# version-1 compatibility (snapshots and manifests)
+# version-1 snapshots and manifests are no longer read
 # ---------------------------------------------------------------------------
 
 
-def _compose_v1(slices) -> bytes:
-    """Re-encode slices in the version-1 (PR 4) inline snapshot layout."""
-    etypes = _Interner()
-    vtypes = _Interner()
-    config = BinaryWriter()
-    _dump_engine_config(config, slices.config)
-    graph = BinaryWriter()
-    _dump_graph_state(graph, slices.graph, etypes, vtypes)
-    writer = BinaryWriter()
-    writer.write_bytes_raw(SNAPSHOT_MAGIC)
-    writer.write_varint(1)
-    writer.write_value(slices.cursor)
-    writer.write_varint(len(etypes.names))
-    for name in etypes.names:
-        writer.write_str(name)
-    writer.write_varint(len(vtypes.names))
-    for name in vtypes.names:
-        writer.write_str(name)
-    writer.write_bytes_raw(config.getvalue())
-    writer.write_bytes_raw(graph.getvalue())
-    writer.write_bytes_raw(slices.estimator)
-    writer.write_varint(len(slices.queries))
-    for name, blob in slices.queries.items():
-        writer.write_str(name)
-        writer.write_bytes_raw(blob)
-    return writer.getvalue()
+def test_v1_snapshot_is_rejected(workload):
+    events, queries = workload
+    engine = _single_engine(events, queries)
+    engine.run(events[:200])
+    data = bytearray(compose_snapshot(engine_to_slices(engine, cursor=200)))
+    data[len(SNAPSHOT_MAGIC)] = 1  # the version varint
+    with pytest.raises(CheckpointError, match=r"reads versions \(2,\)"):
+        engine_from_bytes(bytes(data), queries)
+    with pytest.raises(CheckpointError, match=r"reads versions \(2,\)"):
+        split_snapshot(bytes(data))
 
 
-def _downgrade_checkpoint(directory) -> None:
-    """Rewrite a checkpoint directory in the version-1 on-disk formats."""
+def test_v1_manifest_is_rejected(tmp_path, workload):
+    events, queries = workload
+    directory = tmp_path / "v1"
+    engine = _sharded_engine(events, queries, workers=2)
+    engine.run(events[:200])
+    engine.checkpoint(directory, cursor=200)
+    engine.close()
     manifest_path = directory / manifest_mod.MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     manifest["version"] = 1
     for entry in manifest["queries"]:
-        entry.pop("shard", None)
-    for shard in manifest["shards"]:
-        path = directory / shard["file"]
-        # read_snapshot_bytes strips the CRC trailer modern files carry;
-        # the rewritten v1 file is bare, as v1-era files were.
-        path.write_bytes(_compose_v1(split_snapshot(read_snapshot_bytes(path))))
+        del entry["shard"]
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-
-
-def test_v1_snapshot_still_restores(workload, full_run):
-    events, queries = workload
-    engine = _single_engine(events, queries)
-    before = identities(engine.run(events[:350]).records)
-    v1 = _compose_v1(engine_to_slices(engine, cursor=350))
-    restored, cursor = engine_from_bytes(v1, queries)
-    assert cursor == 350
-    after = identities(restored.run(events[350:]).records)
-    assert before + after == full_run
-
-
-def test_v1_snapshot_splits_via_redump(workload):
-    events, queries = workload
-    engine = _single_engine(events, queries)
-    engine.run(events[:200])
-    slices = engine_to_slices(engine, cursor=200)
-    v1 = _compose_v1(slices)
-    with pytest.raises(CheckpointError, match="version-1"):
-        split_snapshot(v1)  # needs the query set for the redump pass
-    reparsed = split_snapshot(v1, queries)
-    assert reparsed.graph == slices.graph
-    assert reparsed.queries == slices.queries
-
-
-def test_v1_checkpoint_directory_migrates(tmp_path, workload, full_run):
-    """A PR-4 era directory (manifest v1 + snapshot v1) resumes at M=3."""
-    events, queries = workload
-    directory = tmp_path / "v1"
-    engine = _sharded_engine(events, queries, workers=2)
-    before = identities(engine.run(events[:350]).records)
-    engine.checkpoint(directory, cursor=350)
-    engine.close()
-    _downgrade_checkpoint(directory)
-    assert manifest_mod.read_manifest(directory)["version"] == 1
-    resumed = ShardedEngine.resume(directory, queries, workers=3)
-    try:
-        after = identities(resumed.run(events[350:]).records)
-    finally:
-        resumed.close()
-    assert before + after == full_run
-    assert manifest_mod.read_manifest(directory)["version"] == 2
+    with pytest.raises(CheckpointError, match=r"reads versions \(2,\)"):
+        ShardedEngine.resume(directory, queries, workers=3)

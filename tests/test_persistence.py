@@ -15,7 +15,7 @@ import math
 
 import pytest
 
-from repro import CheckpointError, ContinuousQueryEngine, ShardedEngine
+from repro import CheckpointError, ContinuousQueryEngine, EngineConfig, ShardedEngine
 from repro.analysis.experiments import mixed_etype_workload
 from repro.persistence import load_engine, read_manifest, write_manifest
 from repro.persistence import snapshot as snapshot_module
@@ -60,8 +60,8 @@ def _options(i):
     return {"period": 37} if STRATEGY_CYCLE[i % 4] == "PeriodicVF2" else {}
 
 
-def _single_engine(events, queries, width):
-    engine = ContinuousQueryEngine(window=width, housekeeping_every=5)
+def _single_engine(events, queries, width, **settings):
+    engine = ContinuousQueryEngine(window=width, housekeeping_every=5, **settings)
     engine.warmup(events)
     for i, query in enumerate(queries):
         engine.register(
@@ -317,14 +317,112 @@ def test_slab_era_snapshot_restores_and_continues(monkeypatch, width, strategy):
     if math.isfinite(width):
         # the two writers really do order some table differently here
         assert old != engine_to_bytes(first, cursor=cut)
-    restored, cursor = engine_from_bytes(old, queries)
+    # the config section records the opener's settings: reopen with the
+    # writer's, so the rest of the bytes can be compared
+    restored, cursor = engine_from_bytes(old, queries, housekeeping_every=5)
     assert cursor == cut
     once = engine_to_bytes(restored, cursor=cursor)
     assert len(once) == len(old)
-    again, _ = engine_from_bytes(once, queries)
+    again, _ = engine_from_bytes(once, queries, housekeeping_every=5)
     assert engine_to_bytes(again, cursor=cursor) == once
     after = identities(restored.run(events[cut:]).records)
     assert before + after == full
+
+
+# ---------------------------------------------------------------------------
+# settings come from whoever opens the engine; the snapshot is state
+# ---------------------------------------------------------------------------
+
+
+def test_restore_takes_settings_from_the_caller(tmp_path, workload):
+    """A profiled, chunk_size=64 engine's checkpoint restores with the
+    caller's settings, not the writer's, and both continue identically."""
+    events, queries = workload
+    full = identities(_single_engine(events, queries, 30.0).run(events).records)
+    first = _single_engine(events, queries, 30.0, profile_phases=True, chunk_size=64)
+    before = identities(first.run(events[:350]).records)
+    path = tmp_path / "profiled.bin"
+    first.checkpoint(path, cursor=350)
+
+    plain = ContinuousQueryEngine.restore(path, queries)
+    assert plain.config == EngineConfig(window=30.0)
+    assert (plain.chunk_size, plain.profile_phases) == (1024, False)
+    assert not any(r.profile.enabled for r in plain.queries.values())
+
+    profiled = ContinuousQueryEngine.restore(
+        path, queries, chunk_size=64, profile_phases=True
+    )
+    assert profiled.config == EngineConfig(
+        window=30.0, chunk_size=64, profile_phases=True
+    )
+    assert (profiled.chunk_size, profiled.profile_phases) == (64, True)
+    assert all(r.profile.enabled for r in profiled.queries.values())
+
+    for restored in (plain, profiled):
+        after = identities(restored.run(events[350:]).records)
+        assert before + after == full
+
+
+def _parent_config_bytes(engine, cursor, monkeypatch) -> bytes:
+    """``engine_to_bytes`` with the config section as the previous writer
+    laid it out for an engine built with ``partial_sample_every=8``,
+    ``dispatch=False`` and ``profile_phases=True``."""
+
+    def parent_config(w, slices):
+        w.write_f64(slices.config.window)
+        w.write_varint(slices.config.housekeeping_every)
+        w.write_u8(0)  # dispatch
+        w.write_value(8)  # partial_sample_every
+        w.write_u8(1)  # profile_phases
+        w.write_u8(1 if slices.update_statistics else 0)
+        w.write_varint(slices.edges_since_sweep)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(snapshot_module, "_dump_engine_config", parent_config)
+        return engine_to_bytes(engine, cursor=cursor)
+
+
+def _config_section_fields(data: bytes) -> list:
+    """The config section read field by field in the v2 layout."""
+    r = BinaryReader(data)
+    r.read_bytes_raw(len(SNAPSHOT_MAGIC))
+    assert r.read_varint() == SNAPSHOT_VERSION
+    r.read_value()  # cursor
+    for _ in range(2):  # etype and vtype vocabularies
+        for _ in range(r.read_varint()):
+            r.read_str()
+    section = BinaryReader(r.read_bytes_raw(r.read_varint()))
+    fields = [
+        section.read_f64(),
+        section.read_varint(),
+        section.read_u8(),
+        section.read_value(),
+        section.read_u8(),
+        section.read_u8(),
+        section.read_varint(),
+    ]
+    section.expect_end("engine config")
+    return fields
+
+
+def test_parent_config_section_restores_and_continues(monkeypatch, workload):
+    """A v2 snapshot whose config section carries the retired
+    ``partial_sample_every`` and a non-default dispatch/profile restores
+    with the caller's settings and continues to the same records; the
+    current writer keeps that layout with ``None`` in the retired slot."""
+    events, queries = workload
+    full = identities(_single_engine(events, queries, 30.0).run(events).records)
+    first = _single_engine(events, queries, 30.0)
+    before = identities(first.run(events[:350]).records)
+    old = _parent_config_bytes(first, 350, monkeypatch)
+    assert _config_section_fields(old)[2:5] == [0, 8, 1]
+    restored, cursor = engine_from_bytes(old, queries)
+    assert cursor == 350
+    assert restored.config == EngineConfig(window=30.0)
+    after = identities(restored.run(events[350:]).records)
+    assert before + after == full
+    current = engine_to_bytes(first, cursor=350)
+    assert _config_section_fields(current)[:5] == [30.0, 5, 1, None, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +436,24 @@ def _tiny_engine():
     query = QueryGraph.path(["T0", "T1"], name="q0")
     engine.register(query, strategy="Single", name="q0")
     return engine, [query]
+
+
+def test_corrupt_config_section_raises_checkpoint_error(monkeypatch):
+    engine, queries = _tiny_engine()
+
+    def zero_sweep_interval(w, slices):
+        w.write_f64(slices.config.window)
+        w.write_varint(0)  # housekeeping_every
+        w.write_u8(1)
+        w.write_value(None)
+        w.write_u8(0)
+        w.write_u8(0)
+        w.write_varint(0)
+
+    monkeypatch.setattr(snapshot_module, "_dump_engine_config", zero_sweep_interval)
+    data = engine_to_bytes(engine)
+    with pytest.raises(CheckpointError, match="engine config is corrupt"):
+        engine_from_bytes(data, queries)
 
 
 def test_unknown_snapshot_version_raises_checkpoint_error():
