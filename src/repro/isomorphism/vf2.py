@@ -326,37 +326,52 @@ class _VF2Matcher:
             candidates.append(bucket)
 
         width = self.window.width if self.window is not None else math.inf
-        chosen: List[Edge] = []
-        used_ids: set[int] = set()
+        self._assign_edges(candidates, 0, [], set(), core, width, results)
 
-        def backtrack(index: int) -> None:
-            if self.limit is not None and len(results) >= self.limit:
-                return
-            if index == len(candidates):
-                times = [e.timestamp for e in chosen]
-                lo, hi = min(times), max(times)
-                if hi - lo < width:
-                    items = sorted(
-                        (self.query.edges[i].edge_id, chosen[i])
-                        for i in range(len(chosen))
-                    )
-                    results.append(
-                        Match(
-                            tuple(qeid for qeid, _ in items),
-                            tuple(edge for _, edge in items),
-                            lo,
-                            hi,
-                            vertex_map=dict(core),
-                        )
-                    )
-                return
-            for data_edge in candidates[index]:
-                if data_edge.edge_id in used_ids:
-                    continue
-                chosen.append(data_edge)
-                used_ids.add(data_edge.edge_id)
-                backtrack(index + 1)
-                chosen.pop()
-                used_ids.remove(data_edge.edge_id)
+    def _assign_edges(
+        self,
+        candidates: List[List[Edge]],
+        index: int,
+        chosen: List[Edge],
+        used_ids: set[int],
+        core: Dict[int, VertexId],
+        width: float,
+        results: List[Match],
+    ) -> None:
+        """Backtrack over ``candidates[index:]``, extending ``chosen``.
 
-        backtrack(0)
+        A method rather than a nested recursive closure: such a closure
+        references itself through its own cell, a reference cycle that
+        keeps the whole search frame (and the matcher) alive until the
+        cyclic collector runs.
+        """
+        if self.limit is not None and len(results) >= self.limit:
+            return
+        if index == len(candidates):
+            times = [e.timestamp for e in chosen]
+            lo, hi = min(times), max(times)
+            if hi - lo < width:
+                items = sorted(
+                    (self.query.edges[i].edge_id, chosen[i])
+                    for i in range(len(chosen))
+                )
+                results.append(
+                    Match(
+                        tuple(qeid for qeid, _ in items),
+                        tuple(edge for _, edge in items),
+                        lo,
+                        hi,
+                        vertex_map=dict(core),
+                    )
+                )
+            return
+        for data_edge in candidates[index]:
+            if data_edge.edge_id in used_ids:
+                continue
+            chosen.append(data_edge)
+            used_ids.add(data_edge.edge_id)
+            self._assign_edges(
+                candidates, index + 1, chosen, used_ids, core, width, results
+            )
+            chosen.pop()
+            used_ids.remove(data_edge.edge_id)

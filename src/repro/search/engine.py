@@ -20,6 +20,7 @@ Example
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import operator
@@ -508,6 +509,14 @@ class ContinuousQueryEngine:
         the per-event path. Chunks the kernel does not take — profiled
         ones, out-of-order timestamps, short wire rows — replay through
         :meth:`_process_chunk_fallback`.
+
+        The cyclic collector is paused for the loop and restored in the
+        same ``finally`` (left alone when the caller had it off). Every
+        per-edge path allocates no reference cycles — a guarded invariant,
+        see ``tests/test_collector.py`` — so a collection mid-chunk would
+        find nothing to free; deferring it to the chunk end bounds the
+        deferred work by ``chunk_size`` edges. The pause is process-wide:
+        other threads (the metrics server) see it too, for one chunk.
         """
         graph = self.graph
         rows = chunk.rows
@@ -558,7 +567,10 @@ class ContinuousQueryEngine:
         last_ts = graph._last_timestamp
         Edge_ = Edge
         deque_ = deque
+        collecting = gc.isenabled()
         try:
+            if collecting:
+                gc.disable()
             for eid, item, code in zip(edge_ids, items, chunk.codes):
                 src, dst, etype, timestamp, src_type, dst_type = fields(item)
                 if eid < next_eid:
@@ -654,6 +666,8 @@ class ContinuousQueryEngine:
                     self.sweep()
                     since = 0
         finally:
+            if collecting:
+                gc.enable()
             graph._next_edge_id = next_eid
             graph._total_inserted += inserted
             graph._evicted_count += evicted

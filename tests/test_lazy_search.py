@@ -232,49 +232,6 @@ class TestLazyVsEagerEquivalence:
         assert results[True] == results[False] != set()
 
 
-class TestInsertHookLifetime:
-    @pytest.mark.parametrize("compiled_plans", [True, False])
-    def test_streaming_leaves_nothing_for_the_cyclic_gc(self, compiled_plans):
-        """The insert hook used to be a closure per edge that passed
-        *itself* to the backfill: a function<->cell cycle per (edge, Lazy
-        query) that only a cyclic collection could free."""
-        import gc
-        import random
-
-        from repro import ContinuousQueryEngine
-        from repro.graph import EdgeEvent
-
-        rng = random.Random(3)
-        events = [
-            EdgeEvent(
-                f"v{rng.randrange(12)}",
-                f"v{rng.randrange(12)}",
-                rng.choice(["ESP", "TCP", "TCP", "ICMP"]),
-                float(at),
-            )
-            for at in range(400)
-        ]
-        engine = ContinuousQueryEngine(window=30.0)
-        engine.warmup(events_from_tuples(stats_rows()))
-        engine.register(
-            QueryGraph.path(["ESP", "TCP", "ICMP"]),
-            strategy="SingleLazy",
-            name="q",
-            compiled_plans=compiled_plans,
-        )
-        # the first chunk pays one-time lazy set-up (its own garbage)
-        records = engine.process_events(events[:100])
-        gc.collect()
-        gc.disable()
-        try:
-            records += engine.process_events(events[100:])
-            unreachable = gc.collect()
-        finally:
-            gc.enable()
-        assert records  # enablement and backfill did run
-        assert unreachable == 0
-
-
 def _fork_query():
     query = QueryGraph(name="fork")
     query.add_edge(1, 0, "A")  # src role above dst role

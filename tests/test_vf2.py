@@ -142,3 +142,38 @@ class TestRandomizedAgainstBruteForce:
             assert fingerprints(find_isomorphisms(graph, query)) == (
                 brute_force_matches(graph, query)
             )
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("seeded", [False, True], ids=["whole", "require_edge"])
+    def test_matcher_is_freed_without_the_cyclic_collector(self, monkeypatch, seeded):
+        """Edge assignment used to recurse through a nested closure, which
+        holds itself through its own cell: a cycle that kept the matcher,
+        its candidates and its results alive until a cyclic collection."""
+        import gc
+        import weakref
+
+        from repro.isomorphism import vf2
+
+        matchers = []
+
+        class Tracked(vf2._VF2Matcher):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                matchers.append(weakref.ref(self))
+
+        monkeypatch.setattr(vf2, "_VF2Matcher", Tracked)
+        graph = graph_from_tuples(
+            [("a", "b", "T"), ("b", "c", "U"), ("b", "d", "U"), ("a", "b", "T")]
+        )
+        require_edge = graph.edge_by_id(2) if seeded else None
+        gc.collect()
+        gc.disable()
+        try:
+            matches = find_isomorphisms(
+                graph, QueryGraph.path(["T", "U"]), require_edge=require_edge
+            )
+            assert len(matches) == (2 if seeded else 4)
+            assert len(matchers) == 1 and matchers[0]() is None
+        finally:
+            gc.enable()
