@@ -41,8 +41,10 @@ A snapshot is state, not settings. The config section records the
 writer's :class:`~repro.search.engine.EngineConfig`, but a restore takes
 only the window width from it; every other setting comes from whoever
 opens the engine. The section keeps the version-2 byte layout, including
-a retired slot (once ``partial_sample_every``) that is written as
-``None`` and skipped on read.
+three retired slots (once ``housekeeping_every``, ``partial_sample_every``
+and the edges since the last sweep) that are written as constants and
+skipped on read. The sweep schedule is not state either: it is a grid in
+stream time, fixed again from the restored clock.
 
 What is deliberately *not* captured: profile timers (they restart from
 zero) and ``StrategyDecision`` explanations (registration-time
@@ -125,14 +127,13 @@ class SnapshotSlices:
     edge ids only — no snapshot-local vocabulary codes), so they can be
     copied verbatim into a snapshot for a different shard layout.
     ``config`` is the writer's settings (``chunk_size`` is not stored, so
-    it reads back as the default); ``update_statistics`` and
-    ``edges_since_sweep`` are the config section's two state fields.
+    it reads back as the default); ``update_statistics`` is the config
+    section's one state field.
     """
 
     cursor: Optional[int]
     config: EngineConfig
     update_statistics: bool
-    edges_since_sweep: int
     graph: GraphState
     estimator: bytes
     queries: Dict[str, bytes] = field(default_factory=dict)
@@ -167,7 +168,6 @@ def engine_to_slices(
         cursor=cursor,
         config=engine.config,
         update_statistics=engine.update_statistics,
-        edges_since_sweep=engine._edges_since_sweep,
         graph=GraphState(
             edges=[
                 (edge.edge_id, edge.src, edge.dst, edge.etype, edge.timestamp)
@@ -273,12 +273,13 @@ class _Interner:
 def _dump_engine_config(w: BinaryWriter, slices: SnapshotSlices) -> None:
     config = slices.config
     w.write_f64(config.window)
-    w.write_varint(config.housekeeping_every)
+    # the retired slots keep the layout readable both ways
+    w.write_varint(2048)  # once housekeeping_every: its old default
     w.write_u8(1 if config.dispatch else 0)
-    w.write_value(None)  # retired slot, kept so the layout reads both ways
+    w.write_value(None)  # once partial_sample_every
     w.write_u8(1 if config.profile_phases else 0)
     w.write_u8(1 if slices.update_statistics else 0)
-    w.write_varint(slices.edges_since_sweep)
+    w.write_varint(0)  # once the edges since the last sweep
 
 
 def _dump_graph_state(
@@ -466,16 +467,16 @@ def engine_from_bytes(
     by_name = _queries_by_name(queries)
     matched: set = set()
 
-    written, update_statistics, edges_since_sweep = _read_engine_config(r)
+    written, update_statistics = _read_engine_config(r)
     engine = ContinuousQueryEngine(
         config=EngineConfig.of(config, window=written.window, **settings)
     )
     engine.update_statistics = update_statistics
-    engine._edges_since_sweep = edges_since_sweep
     graph_section = _section_reader(r, "graph window")
     _apply_graph_state(
         engine, _read_graph_state(graph_section, etype_names, vtype_names)
     )
+    engine._schedule_sweep()  # the restored clock fixes the sweep grid
     graph_section.expect_end("graph window")
     estimator_section = _section_reader(r, "estimator")
     _load_estimator(estimator_section, engine.estimator)
@@ -577,28 +578,25 @@ def _queries_by_name(queries: Sequence[QueryGraph]) -> Dict[str, QueryGraph]:
     return by_name
 
 
-def _read_engine_config(r: BinaryReader) -> Tuple[EngineConfig, bool, int]:
+def _read_engine_config(r: BinaryReader) -> Tuple[EngineConfig, bool]:
     """Cut and parse the config section: the writer's settings, then the
-    two state fields (``update_statistics``, ``edges_since_sweep``)."""
+    state field ``update_statistics``; the retired slots are skipped."""
     section = _section_reader(r, "engine config")
     window = section.read_f64()
-    housekeeping_every = section.read_varint()
+    section.read_varint()  # retired: housekeeping_every
     dispatch = bool(section.read_u8())
-    section.read_value()  # retired slot (once partial_sample_every)
+    section.read_value()  # retired: partial_sample_every
     profile_phases = bool(section.read_u8())
     try:
         config = EngineConfig(
-            window=window,
-            housekeeping_every=housekeeping_every,
-            dispatch=dispatch,
-            profile_phases=profile_phases,
+            window=window, dispatch=dispatch, profile_phases=profile_phases
         )
     except ValueError as exc:
         raise CheckpointError(f"snapshot engine config is corrupt: {exc}") from exc
     update_statistics = bool(section.read_u8())
-    edges_since_sweep = section.read_varint()
+    section.read_varint()  # retired: edges since the last sweep
     section.expect_end("engine config")
-    return config, update_statistics, edges_since_sweep
+    return config, update_statistics
 
 
 def _read_graph_state(
@@ -864,7 +862,7 @@ def split_snapshot(data: bytes) -> SnapshotSlices:
     slicing (the sections are length-prefixed)."""
     r = BinaryReader(data)
     cursor, etype_names, vtype_names = _read_header(r)
-    config, update_statistics, edges_since_sweep = _read_engine_config(r)
+    config, update_statistics = _read_engine_config(r)
     graph_section = _section_reader(r, "graph window")
     graph = _read_graph_state(graph_section, etype_names, vtype_names)
     graph_section.expect_end("graph window")
@@ -878,7 +876,6 @@ def split_snapshot(data: bytes) -> SnapshotSlices:
         cursor=cursor,
         config=config,
         update_statistics=update_statistics,
-        edges_since_sweep=edges_since_sweep,
         graph=graph,
         estimator=estimator,
         queries=blobs,
@@ -968,7 +965,6 @@ def merge_shard_slices(
         cursor=cursor,
         config=parts[0].config,
         update_statistics=parts[0].update_statistics,
-        edges_since_sweep=0,
         graph=graph,
         estimator=parts[0].estimator,
         queries=blobs,

@@ -68,7 +68,8 @@ class ScanBitmap:
 
     def compact(self, graph: StreamingGraph) -> int:
         """Drop rows for vertices no longer in the graph; return count."""
-        stale = [v for v in self._rows if v not in graph]
+        live = graph._vertex_types  # runs every sweep: skip __contains__
+        stale = [v for v in self._rows if v not in live]
         for vertex in stale:
             del self._rows[vertex]
         return len(stale)

@@ -59,6 +59,11 @@ _EVENT_FIELDS = operator.attrgetter(
 )
 _ROW_FIELDS = operator.itemgetter(1, 2, 3, 4, 5, 6)
 
+#: housekeeping sweeps per window width of stream time: a partial match
+#: stays in its table at most a quarter window after it expired (joins
+#: skip it meanwhile), whatever the edge rate
+SWEEPS_PER_WINDOW = 4
+
 
 def algorithm_class(strategy: str) -> type:
     """The :class:`SearchAlgorithm` subclass a strategy name maps to.
@@ -96,8 +101,6 @@ class EngineConfig:
 
     #: sliding-window width tW; ``math.inf`` never evicts
     window: float = math.inf
-    #: edges between housekeeping sweeps of stale partial matches
-    housekeeping_every: int = 2048
     #: type-indexed multi-query dispatch: route each edge only to the
     #: queries whose alphabet contains its type. ``False`` offers every
     #: edge to every query (the seed behaviour the equivalence tests
@@ -115,10 +118,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if not self.window > 0:
             raise ValueError(f"window must be positive, got {self.window}")
-        if self.housekeeping_every < 1:
-            raise ValueError(
-                f"housekeeping_every must be >= 1, got {self.housekeeping_every}"
-            )
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
@@ -182,7 +181,6 @@ class ContinuousQueryEngine:
         self.config = config = EngineConfig.of(config, **settings)
         # Plain copies of the settings the per-edge paths read; the config
         # is frozen, so they are fixed for the engine's lifetime.
-        self.housekeeping_every = config.housekeeping_every
         self.dispatch = config.dispatch
         self.profile_phases = config.profile_phases
         self.chunk_size = config.chunk_size
@@ -191,7 +189,11 @@ class ContinuousQueryEngine:
             estimator if estimator is not None else SelectivityEstimator(map_edge)
         )
         self.queries: Dict[str, RegisteredQuery] = {}
-        self._edges_since_sweep = 0
+        #: the sweep schedule, in window-cutoff space: the first edge whose
+        #: cutoff reaches ``_sweep_at`` sweeps before it is matched (see
+        #: :meth:`sweep`)
+        self._sweep_every = config.window / SWEEPS_PER_WINDOW
+        self._schedule_sweep()
         #: when True, the estimator keeps observing the live stream (the
         #: paper assumes a stable selectivity order, so default off).
         self.update_statistics = False
@@ -373,6 +375,8 @@ class ContinuousQueryEngine:
             kernel_profile.phase_add("evict", evicted - started)
             kernel_profile.phase_add("ingest", ingested - evicted)
             kernel_profile.phase_add("dispatch", clock() - ingested)
+        if graph.window._cutoff >= self._sweep_at:
+            self.sweep()
         if self.update_statistics:
             self.estimator.observe(edge)
         records: List[MatchRecord] = []
@@ -380,9 +384,6 @@ class ContinuousQueryEngine:
             name, strategy = registered.name, registered.strategy
             for match in registered.algorithm.process_edge(edge):
                 records.append(MatchRecord(name, strategy, match, edge.timestamp))
-        self._edges_since_sweep += 1
-        if self._edges_since_sweep >= self.housekeeping_every:
-            self.sweep()
         return records
 
     def process_events(self, events: Iterable[EdgeEvent]) -> List[MatchRecord]:
@@ -393,7 +394,7 @@ class ContinuousQueryEngine:
         encoded once into parallel columns (:class:`EdgeChunk`) shared by
         the monotonicity, eviction and dispatch kernels. Semantically
         identical to calling :meth:`process_event` per element (same clock
-        advancement, eviction points, housekeeping cadence, counters and
+        advancement, eviction points, sweep points, counters and
         record order — events are still folded in one at a time, because
         matching must observe the graph exactly as of each edge's
         arrival); only the per-event overhead — type interning, order
@@ -534,8 +535,7 @@ class ContinuousQueryEngine:
         append = out.append
         update_stats = self.update_statistics
         observe = self.estimator.observe
-        housekeeping_every = self.housekeeping_every
-        since = self._edges_since_sweep
+        sweep_at = self._sweep_at
         # --- hoisted graph internals (mirror of add_prepared/_remove) ---
         window = graph.window
         width = window.width
@@ -648,7 +648,10 @@ class ContinuousQueryEngine:
                 degrees[src] += 1
                 if dst != src:
                     degrees[dst] += 1
-                # --- ingest done; dispatch via the program LUT ---
+                # --- ingest done; sweep when due, then dispatch via the LUT ---
+                if cutoff >= sweep_at:
+                    self.sweep()
+                    sweep_at = self._sweep_at
                 if update_stats:
                     observe(edge)
                 program = lut[code]
@@ -660,11 +663,6 @@ class ContinuousQueryEngine:
                             for match in matches:
                                 record = MatchRecord(name, strategy, match, timestamp)
                                 append((eid, record) if pinned else record)
-                since += 1
-                if since >= housekeeping_every:
-                    self._edges_since_sweep = since
-                    self.sweep()
-                    since = 0
         finally:
             if collecting:
                 gc.enable()
@@ -672,7 +670,6 @@ class ContinuousQueryEngine:
             graph._total_inserted += inserted
             graph._evicted_count += evicted
             graph._last_timestamp = last_ts
-            self._edges_since_sweep = since
             self._dispatch_hits += hits
         self._chunks_processed += 1
 
@@ -716,11 +713,37 @@ class ContinuousQueryEngine:
         )
 
     def sweep(self) -> None:
-        """Expire stale partial state in all queries (and the bitmaps)."""
-        self._edges_since_sweep = 0
+        """Expire stale partial state in all queries (and the bitmaps).
+
+        Both ingest paths call this on stream time, not edge count: at the
+        first edge whose window cutoff has crossed the next multiple of a
+        :data:`SWEEPS_PER_WINDOW`-th of the window, after the edge is
+        ingested and before it is matched — so at most once per edge, and
+        never under an infinite window, where nothing expires. The grid
+        is fixed in stream time, so every ingest path, and an engine
+        restored from a checkpoint, sweeps at the same edges as one that
+        never stopped. Table expiry changes no record (joins skip stale
+        entries either way). Lazy Search's bitmap compaction does: a
+        vertex that left the window and returns is re-enabled by a
+        backfill instead of still being enabled, which can reorder the
+        records one edge completes. Hence a schedule that depends on
+        stream time alone.
+        """
         self._sweeps += 1
+        self._schedule_sweep()
         for registered in self.queries.values():
             registered.algorithm.housekeeping()
+
+    def _schedule_sweep(self) -> None:
+        """Due the next sweep at the first grid line above the cutoff."""
+        every = self._sweep_every
+        cutoff = self.graph.window.cutoff
+        if math.isinf(every):
+            self._sweep_at = math.inf  # nothing ever expires
+        elif math.isinf(cutoff):
+            self._sweep_at = -math.inf  # no edge yet: the first one sweeps
+        else:
+            self._sweep_at = (cutoff // every + 1) * every
 
     # ------------------------------------------------------------------
     # durability (checkpoint / restore — repro.persistence)

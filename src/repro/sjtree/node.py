@@ -25,11 +25,12 @@ Storage layout: ``dict key -> list`` of matches in insertion order, the
 only order a probe observes (record identity across the sharded runtime
 relies on it — workers expire at different stream positions). Interior
 matches do not arrive in ``min_time`` order, so expiry is a sweep: every
-bucket holding a stale entry is rebuilt, in order, without it. The sweep
-runs at housekeeping cadence, not per insert; between sweeps stale
-entries stay invisible to joins (``UPDATE-SJ-TREE`` filters probed
-candidates by the cutoff). After ``expire(cutoff)`` the table holds
-exactly the matches with ``min_time >= cutoff``.
+bucket holding a stale entry is rebuilt, in order, without it. The
+engine sweeps on stream time, once per quarter window, not per insert;
+between sweeps stale entries stay invisible to joins (``UPDATE-SJ-TREE``
+filters probed candidates by the cutoff), and they are at most a quarter
+window old. After ``expire(cutoff)`` the table holds exactly the matches
+with ``min_time >= cutoff``.
 
 When the graph window is infinite nothing can ever expire and
 ``track_expiry=False`` makes ``expire`` a no-op; a list-bucket table
@@ -138,7 +139,7 @@ class MatchTable:
         One pass over the table; only buckets holding a stale entry are
         rebuilt (survivors keep their order), emptied buckets are dropped.
         """
-        if not self.track_expiry:
+        if not self.track_expiry or not self._live:
             return 0
         buckets = self._buckets
         stale = []

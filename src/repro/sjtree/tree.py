@@ -252,12 +252,12 @@ class SJTree:
         candidate. This is exact — the filter skips precisely the entries
         an eager expire would have removed (both use the same
         ``min_time < cutoff`` rule) — and the stale entries themselves are
-        reclaimed by :meth:`expire`, which the engine's periodic
-        housekeeping sweep and the algorithms' ``partial_match_count``
-        both trigger, so memory growth between sweeps is bounded by the
-        housekeeping cadence (callers driving a search algorithm directly
-        on a finite window should call ``housekeeping()`` periodically,
-        as the engine does).
+        reclaimed by :meth:`expire`, which the engine's sweep (once per
+        quarter window of stream time) and the algorithms'
+        ``partial_match_count`` both trigger, so an entry outlives its
+        window by at most a quarter window (callers driving a search
+        algorithm directly on a finite window should call
+        ``housekeeping()`` periodically, as the engine does).
 
         This is :meth:`compile_insert`'s closure for the node, looked up
         (compiled on first use) per call.

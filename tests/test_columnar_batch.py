@@ -26,6 +26,7 @@ from repro.errors import GraphError
 from repro.graph import EdgeEvent
 from repro.graph import columnar
 from repro.query import QueryGraph
+from repro.search.engine import SWEEPS_PER_WINDOW
 
 ETYPES = ["A", "B", "C"]
 WINDOW = 9.0
@@ -285,7 +286,7 @@ def test_counters_identical_on_every_ingest_path(dispatch):
         events.append(EdgeEvent(f"n{src}", f"n{dst}", etype, t))
 
     def fresh(profile_phases=False):
-        return build_engine(64, profile_phases, dispatch, housekeeping_every=7)
+        return build_engine(64, profile_phases, dispatch)
 
     def counters(engine):
         return (engine._dispatch_hits, engine._sweeps) + accounting(engine)[:2]
@@ -301,7 +302,9 @@ def test_counters_identical_on_every_ingest_path(dispatch):
     profiled.process_events(events)
     expected = counters(per_event)
     assert expected[0] == sum(e.etype != "D" for e in events)
-    assert expected[1] == len(events) // 7
+    # one sweep per quarter-window grid line the cutoff crosses
+    quarter = WINDOW / SWEEPS_PER_WINDOW
+    assert expected[1] == len({(e.timestamp - WINDOW) // quarter for e in events})
     assert counters(chunked) == expected
     assert counters(rows) == expected
     assert counters(profiled) == expected

@@ -123,7 +123,7 @@ class TestProcessing:
         assert result.edges_processed == 2
 
     def test_windowed_engine_evicts(self):
-        eng = ContinuousQueryEngine(window=5.0, housekeeping_every=1)
+        eng = ContinuousQueryEngine(window=5.0)
         eng.warmup(events_from_tuples(warm_rows()))
         eng.register(QueryGraph.path(["T", "U"], name="q"), strategy="SingleLazy")
         records = []
@@ -146,9 +146,9 @@ class TestProcessing:
         text = engine.describe()
         assert "q:" in text and "matches=" in text
 
-    def test_bad_housekeeping_interval(self):
-        with pytest.raises(ValueError):
-            ContinuousQueryEngine(housekeeping_every=0)
+    def test_bad_window(self):
+        with pytest.raises(ValueError, match="window"):
+            ContinuousQueryEngine(window=0)
 
 
 class TestIntrospection:

@@ -95,7 +95,7 @@ def test_all_strategies_match_batch_vf2(events, query, window_choice):
     truth = ground_truth(events, query, width)
 
     for strategy in STRATEGIES:
-        engine = ContinuousQueryEngine(window=width, housekeeping_every=7)
+        engine = ContinuousQueryEngine(window=width)
         engine.warmup(events)  # statistics from the same stream
         engine.register(query, strategy=strategy, name=f"q-{strategy}")
         got = []
@@ -187,9 +187,7 @@ def test_dispatch_engine_is_record_identical(
     }[window_choice]
 
     def run(dispatch: bool):
-        engine = ContinuousQueryEngine(
-            window=width, housekeeping_every=5, dispatch=dispatch
-        )
+        engine = ContinuousQueryEngine(window=width, dispatch=dispatch)
         engine.warmup(events)
         options = {} if dispatch else {"compiled_plans": False}
         for i, query in enumerate(query_list):

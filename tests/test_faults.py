@@ -191,7 +191,7 @@ class TestTornWriteRegression:
         )
         for i, query in enumerate(queries):
             query.name = f"q{i}"
-        engine = ContinuousQueryEngine(window=30.0, housekeeping_every=5)
+        engine = ContinuousQueryEngine(window=30.0)
         engine.warmup(events)
         for query in queries:
             engine.register(query, strategy="Single", name=query.name)

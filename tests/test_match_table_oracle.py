@@ -281,7 +281,7 @@ class TestSlabDetails:
 def run_mixed(fast: bool, strategy: str, window: float, events: int = 2500):
     stream, queries = mixed_etype_workload(events)
     warm_n = events // 5
-    engine = ContinuousQueryEngine(window=window, dispatch=fast, housekeeping_every=64)
+    engine = ContinuousQueryEngine(window=window, dispatch=fast)
     engine.warmup(stream[:warm_n])
     for query in queries:
         options = {} if fast else {"compiled_plans": False}
@@ -296,11 +296,12 @@ def test_slab_encoding_equivalence_mixed_workload(strategy):
     """Fast path == seed path, record for record, on the benchmark's
     mixed-etype 10-query workload under a tight window.
 
-    The tight window plus a short housekeeping cadence hammers sweep
-    expiry between probes of out-of-order interior tables, while the Lazy
-    variant adds hook-driven re-entrant inserts during probe iteration —
-    which the checking tables prove never touch the bucket being
-    iterated, and never offer an eager table a duplicate.
+    The tight window (a sweep every quarter window, 3.75 units of stream
+    time) hammers sweep expiry between probes of out-of-order interior
+    tables, while the Lazy variant adds hook-driven re-entrant inserts
+    during probe iteration — which the checking tables prove never touch
+    the bucket being iterated, and never offer an eager table a
+    duplicate.
     """
     fast = run_mixed(True, strategy, window=15.0)
     seed = run_mixed(False, strategy, window=15.0)

@@ -62,7 +62,7 @@ def _options(i):
 
 
 def _single_engine(events, queries, width=30.0):
-    engine = ContinuousQueryEngine(window=width, housekeeping_every=5)
+    engine = ContinuousQueryEngine(window=width)
     engine.warmup(events)
     for i, query in enumerate(queries):
         engine.register(
@@ -75,9 +75,7 @@ def _single_engine(events, queries, width=30.0):
 
 
 def _sharded_engine(events, queries, workers, width=30.0):
-    engine = ShardedEngine(
-        window=width, workers=workers, batch_size=64, housekeeping_every=5
-    )
+    engine = ShardedEngine(window=width, workers=workers, batch_size=64)
     engine.warmup(events)
     for i, query in enumerate(queries):
         engine.register(

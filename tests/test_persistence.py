@@ -61,7 +61,7 @@ def _options(i):
 
 
 def _single_engine(events, queries, width, **settings):
-    engine = ContinuousQueryEngine(window=width, housekeeping_every=5, **settings)
+    engine = ContinuousQueryEngine(window=width, **settings)
     engine.warmup(events)
     for i, query in enumerate(queries):
         engine.register(
@@ -74,9 +74,7 @@ def _single_engine(events, queries, width, **settings):
 
 
 def _sharded_engine(events, queries, width, workers):
-    engine = ShardedEngine(
-        window=width, workers=workers, batch_size=64, housekeeping_every=5
-    )
+    engine = ShardedEngine(window=width, workers=workers, batch_size=64)
     engine.warmup(events)
     for i, query in enumerate(queries):
         engine.register(
@@ -225,7 +223,7 @@ def test_lazy_restore_after_compiled_handlers_continues_chunked(tmp_path):
         query.name = f"q{i}"
 
     def lazy_engine():
-        engine = ContinuousQueryEngine(window=30.0, housekeeping_every=5)
+        engine = ContinuousQueryEngine(window=30.0)
         engine.warmup(events)
         for query in queries:
             engine.register(query, strategy="SingleLazy", name=query.name)
@@ -299,7 +297,7 @@ def test_slab_era_snapshot_restores_and_continues(monkeypatch, width, strategy):
     cut = 450
 
     def engine_for():
-        engine = ContinuousQueryEngine(window=width, housekeeping_every=5)
+        engine = ContinuousQueryEngine(window=width)
         engine.warmup(events)
         for query in queries:
             engine.register(query, strategy=strategy, name=query.name)
@@ -317,13 +315,11 @@ def test_slab_era_snapshot_restores_and_continues(monkeypatch, width, strategy):
     if math.isfinite(width):
         # the two writers really do order some table differently here
         assert old != engine_to_bytes(first, cursor=cut)
-    # the config section records the opener's settings: reopen with the
-    # writer's, so the rest of the bytes can be compared
-    restored, cursor = engine_from_bytes(old, queries, housekeeping_every=5)
+    restored, cursor = engine_from_bytes(old, queries)
     assert cursor == cut
     once = engine_to_bytes(restored, cursor=cursor)
     assert len(once) == len(old)
-    again, _ = engine_from_bytes(once, queries, housekeeping_every=5)
+    again, _ = engine_from_bytes(once, queries)
     assert engine_to_bytes(again, cursor=cursor) == once
     after = identities(restored.run(events[cut:]).records)
     assert before + after == full
@@ -365,17 +361,18 @@ def test_restore_takes_settings_from_the_caller(tmp_path, workload):
 
 def _parent_config_bytes(engine, cursor, monkeypatch) -> bytes:
     """``engine_to_bytes`` with the config section as the previous writer
-    laid it out for an engine built with ``partial_sample_every=8``,
-    ``dispatch=False`` and ``profile_phases=True``."""
+    laid it out for an engine built with ``housekeeping_every=5``,
+    ``partial_sample_every=8``, ``dispatch=False`` and
+    ``profile_phases=True``."""
 
     def parent_config(w, slices):
         w.write_f64(slices.config.window)
-        w.write_varint(slices.config.housekeeping_every)
+        w.write_varint(5)  # housekeeping_every
         w.write_u8(0)  # dispatch
         w.write_value(8)  # partial_sample_every
         w.write_u8(1)  # profile_phases
         w.write_u8(1 if slices.update_statistics else 0)
-        w.write_varint(slices.edges_since_sweep)
+        w.write_varint(3)  # edges since the last sweep
 
     with monkeypatch.context() as patch:
         patch.setattr(snapshot_module, "_dump_engine_config", parent_config)
@@ -407,9 +404,10 @@ def _config_section_fields(data: bytes) -> list:
 
 def test_parent_config_section_restores_and_continues(monkeypatch, workload):
     """A v2 snapshot whose config section carries the retired
-    ``partial_sample_every`` and a non-default dispatch/profile restores
-    with the caller's settings and continues to the same records; the
-    current writer keeps that layout with ``None`` in the retired slot."""
+    ``housekeeping_every``, ``partial_sample_every`` and sweep counter and a
+    non-default dispatch/profile restores with the caller's settings and
+    continues to the same records; the current writer keeps that layout
+    with constants in the retired slots."""
     events, queries = workload
     full = identities(_single_engine(events, queries, 30.0).run(events).records)
     first = _single_engine(events, queries, 30.0)
@@ -422,7 +420,7 @@ def test_parent_config_section_restores_and_continues(monkeypatch, workload):
     after = identities(restored.run(events[350:]).records)
     assert before + after == full
     current = engine_to_bytes(first, cursor=350)
-    assert _config_section_fields(current)[:5] == [30.0, 5, 1, None, 0]
+    assert _config_section_fields(current) == [30.0, 2048, 1, None, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +439,16 @@ def _tiny_engine():
 def test_corrupt_config_section_raises_checkpoint_error(monkeypatch):
     engine, queries = _tiny_engine()
 
-    def zero_sweep_interval(w, slices):
-        w.write_f64(slices.config.window)
-        w.write_varint(0)  # housekeeping_every
+    def negative_window(w, slices):
+        w.write_f64(-1.0)
+        w.write_varint(2048)
         w.write_u8(1)
         w.write_value(None)
         w.write_u8(0)
         w.write_u8(0)
         w.write_varint(0)
 
-    monkeypatch.setattr(snapshot_module, "_dump_engine_config", zero_sweep_interval)
+    monkeypatch.setattr(snapshot_module, "_dump_engine_config", negative_window)
     data = engine_to_bytes(engine)
     with pytest.raises(CheckpointError, match="engine config is corrupt"):
         engine_from_bytes(data, queries)

@@ -175,8 +175,8 @@ class TestShardedEngineAPI:
             ShardedEngine(partitioner="magic")
         # engine settings are checked by the coordinator, not first by a
         # worker at run()
-        with pytest.raises(ValueError, match="housekeeping_every"):
-            ShardedEngine(workers=2, housekeeping_every=0)
+        with pytest.raises(ValueError, match="window"):
+            ShardedEngine(workers=2, window=0)
 
     def test_context_manager_and_limit(self, warm_events):
         with ShardedEngine(window=math.inf, workers=2, batch_size=8) as engine:

@@ -35,7 +35,7 @@ def identities(records):
 
 
 def single_process_run(events, query_list, width, strategies):
-    engine = ContinuousQueryEngine(window=width, housekeeping_every=5)
+    engine = ContinuousQueryEngine(window=width)
     engine.warmup(events)
     for i, query in enumerate(query_list):
         engine.register(query, strategy=strategies[i], name=f"q{i}")
@@ -47,7 +47,6 @@ def sharded_run(events, query_list, width, strategies, workers, **kwargs):
         window=width,
         workers=workers,
         batch_size=kwargs.pop("batch_size", 7),
-        housekeeping_every=5,
         **kwargs,
     )
     engine.warmup(events)

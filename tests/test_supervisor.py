@@ -52,7 +52,7 @@ def workload():
 @pytest.fixture(scope="module")
 def baseline(workload):
     events, queries = workload
-    engine = ContinuousQueryEngine(window=30.0, housekeeping_every=5)
+    engine = ContinuousQueryEngine(window=30.0)
     engine.warmup(events)
     for query in queries:
         engine.register(query, strategy="Single", name=query.name)
@@ -69,7 +69,6 @@ def supervised_run(workload, *, workers, fault_plan=None, policy=None):
         window=30.0,
         workers=workers,
         batch_size=16,
-        housekeeping_every=5,
         supervise=True,
         restart_policy=policy,
         fault_plan=fault_plan,
@@ -330,7 +329,6 @@ class TestRestartBudget:
             window=30.0,
             workers=3,
             batch_size=16,
-            housekeeping_every=5,
             supervise=True,
             restart_policy=RestartPolicy(max_restarts=1, **FAST),
         )
@@ -355,7 +353,6 @@ class TestRestartBudget:
             window=30.0,
             workers=2,
             batch_size=16,
-            housekeeping_every=5,
             supervise=True,
             restart_policy=RestartPolicy(max_restarts=0, **FAST),
             fault_plan=plan,

@@ -54,7 +54,7 @@ def stream_rows(events):
 
 def tagged_records(events, query_list, strategies, width=math.inf):
     """``(stream_index, record)`` pairs exactly as a worker produces them."""
-    engine = ContinuousQueryEngine(window=width, housekeeping_every=5)
+    engine = ContinuousQueryEngine(window=width)
     engine.warmup(events)
     for i, (query, strategy) in enumerate(zip(query_list, strategies)):
         engine.register(query, strategy=strategy, name=f"q{i}")
