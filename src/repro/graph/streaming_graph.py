@@ -75,6 +75,9 @@ class StreamingGraph:
         self._out: _AdjIndex = {}
         self._in: _AdjIndex = {}
         self._by_type: Dict[int, deque[Edge]] = {}
+        # etype code -> live self-loops of that type (graph-backed SJ-Tree
+        # leaves count their non-loop edges off ``_by_type`` with it)
+        self._loops: Dict[int, int] = {}
         # vertex -> vtype code (λV, typed on first sight)
         self._vertex_types: Dict[VertexId, int] = {}
         self._degrees: Dict[VertexId, int] = {}
@@ -205,6 +208,8 @@ class StreamingGraph:
         degrees[src] += 1
         if dst != src:
             degrees[dst] += 1
+        else:
+            self._loops[code] = self._loops.get(code, 0) + 1
         return edge
 
     def add_edge(
@@ -286,6 +291,8 @@ class StreamingGraph:
             degrees[dst] -= 1
             if degrees[dst] == 0:
                 self._drop_vertex(dst)
+        else:
+            self._loops[code] -= 1
         if degrees[src] == 0:
             self._drop_vertex(src)
 
@@ -500,6 +507,13 @@ class StreamingGraph:
         segment = self._by_type.get(code)
         return segment if segment is not None else _EMPTY
 
+    def non_loop_count_code(self, code: int) -> int:
+        """Live edges of one interned type that are not self-loops (O(1))."""
+        segment = self._by_type.get(code)
+        if segment is None:
+            return 0
+        return len(segment) - self._loops.get(code, 0)
+
     def count_of_type(self, etype: str) -> int:
         """Number of live edges of one type (O(1))."""
         code = VOCABULARY.etype_code_if_known(etype)
@@ -571,6 +585,8 @@ class StreamingGraph:
                 copy._degrees[edge.src] += 1
                 if edge.dst != edge.src:
                     copy._degrees[edge.dst] += 1
+                else:
+                    copy._loops[code] = copy._loops.get(code, 0) + 1
                 copy._last_timestamp = edge.timestamp
                 copy._total_inserted += 1
         copy._next_edge_id = self._next_edge_id

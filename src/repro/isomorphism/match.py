@@ -398,9 +398,26 @@ class JoinPlan:
     returns the joined match or ``None``. Precondition: both were
     stored/probed under the same bucket key (the cut projection), which
     guarantees consistency on all shared query vertices.
+
+    A side whose shape covers one query edge may instead be passed as the
+    bare data :class:`~repro.graph.types.Edge` — what a graph-backed
+    SJ-Tree leaf holds — through the edge-side variants
+    ``join_match_edge(left, right_edge)``, ``join_edge_match(left_edge,
+    right)`` and ``join_edges(left_edge, right_edge)`` (``None`` where
+    that side has more than one slot). They run the same checks with the
+    edge in slot 0 and build no one-edge Match for it. A bare edge must
+    not be a self-loop: its shape's two roles are distinct, and nothing
+    here re-checks a side's own injectivity.
     """
 
-    __slots__ = ("shape", "qeids", "join")
+    __slots__ = (
+        "shape",
+        "qeids",
+        "join",
+        "join_match_edge",
+        "join_edge_match",
+        "join_edges",
+    )
 
     def __init__(self, left: MatchShape, right: MatchShape, out: MatchShape) -> None:
         self.shape = out
@@ -465,6 +482,92 @@ class JoinPlan:
             return Match_(qeids, edges, lo, hi, out)
 
         self.join = join
+        self.join_match_edge = self.join_edge_match = self.join_edges = None
+        # Edge-side variants: the bare edge is slot 0 of its side, so its
+        # checks drop the slot index (``take`` keeps it for the general
+        # merge, where an edge side supplies ``(edge,)[0]``).
+        if len(right.qeids) == 1:
+            r_edge_checks = [ls for ls, _ in edge_checks]
+            r_vertex_checks = [(ls, lf, rf) for ls, lf, _, rf in vertex_checks]
+
+            def join_match_edge(left: Match, f) -> Optional[Match]:
+                le = left.edges
+                fid = f.edge_id
+                for ls in r_edge_checks:
+                    if le[ls].edge_id == fid:
+                        return None
+                for ls, lf, rf in r_vertex_checks:
+                    e = le[ls]
+                    if (e.src if lf else e.dst) == (f.src if rf else f.dst):
+                        return None
+                if order > 0:
+                    edges = le + (f,)
+                elif order:
+                    edges = (f,) + le
+                else:
+                    edges = tuple(
+                        [le[slot] if from_left else f for from_left, slot in take]
+                    )
+                ts = f.timestamp
+                lo = left.min_time
+                if ts < lo:
+                    lo = ts
+                hi = left.max_time
+                if ts > hi:
+                    hi = ts
+                return Match_(qeids, edges, lo, hi, out)
+
+            self.join_match_edge = join_match_edge
+        if len(left.qeids) == 1:
+            l_edge_checks = [rs for _, rs in edge_checks]
+            l_vertex_checks = [(lf, rs, rf) for _, lf, rs, rf in vertex_checks]
+
+            def join_edge_match(e, right: Match) -> Optional[Match]:
+                re_ = right.edges
+                eid = e.edge_id
+                for rs in l_edge_checks:
+                    if re_[rs].edge_id == eid:
+                        return None
+                for lf, rs, rf in l_vertex_checks:
+                    f = re_[rs]
+                    if (e.src if lf else e.dst) == (f.src if rf else f.dst):
+                        return None
+                if order > 0:
+                    edges = (e,) + re_
+                elif order:
+                    edges = re_ + (e,)
+                else:
+                    edges = tuple(
+                        [e if from_left else re_[slot] for from_left, slot in take]
+                    )
+                ts = e.timestamp
+                lo = right.min_time
+                if ts < lo:
+                    lo = ts
+                hi = right.max_time
+                if ts > hi:
+                    hi = ts
+                return Match_(qeids, edges, lo, hi, out)
+
+            self.join_edge_match = join_edge_match
+        if len(left.qeids) == 1 and len(right.qeids) == 1:
+            same_etype = bool(edge_checks)
+            pair_checks = [(lf, rf) for _, lf, _, rf in vertex_checks]
+            left_first = order > 0
+
+            def join_edges(e, f) -> Optional[Match]:
+                if same_etype and e.edge_id == f.edge_id:
+                    return None
+                for lf, rf in pair_checks:
+                    if (e.src if lf else e.dst) == (f.src if rf else f.dst):
+                        return None
+                lo = e.timestamp
+                hi = f.timestamp
+                if hi < lo:
+                    lo, hi = hi, lo
+                return Match_(qeids, (e, f) if left_first else (f, e), lo, hi, out)
+
+            self.join_edges = join_edges
 
 
 def compile_key_plan(

@@ -16,7 +16,11 @@ emit **exactly** the records an uninterrupted engine would have emitted:
   :mod:`repro.sjtree.serialize`'s query-shape identity check to live
   state), and every node's :class:`~repro.sjtree.node.MatchTable`
   content, each bucket in insertion order (flat data-edge-id tuples —
-  the compact positional encoding round-trips naturally),
+  the compact positional encoding round-trips naturally). A graph-backed
+  leaf (:class:`~repro.sjtree.node.GraphLeafView`) is written as the
+  FIFO table it replaced — its live edges, one per match, in arrival
+  order — and on restore its entries are only checked against the
+  window, which holds them already,
 * Lazy Search's enablement bitmap rows and the baselines' dedup /
   period state,
 * the warmed selectivity estimator (1-edge histogram + 2-edge path
@@ -79,6 +83,7 @@ from ..search.baseline import (
 from ..search.dynamic import DynamicGraphSearch
 from ..search.engine import ContinuousQueryEngine, EngineConfig, RegisteredQuery
 from ..search.lazy import LazySearch
+from ..sjtree.node import GraphLeafView
 from ..sjtree.serialize import edge_signature
 from ..sjtree.tree import SJTree, leaf_partition_of
 from ..stats.estimator import SelectivityEstimator
@@ -403,10 +408,17 @@ def _dump_tree_state(w: BinaryWriter, tree: SJTree, cutoff: float) -> None:
     w.write_varint(tree.complete_matches)
     w.write_varint(len(tree.nodes))
     for node in tree.nodes:
-        w.write_varint(node.table.inserted_total)
+        table = node.table
+        w.write_varint(table.inserted_total)
+        if type(table) is GraphLeafView:
+            ids = _fifo_order(table, cutoff)
+            w.write_varint(len(ids))
+            for edge_id in ids:
+                w.write_varint(edge_id)
+            continue
         live = [
             match
-            for match in _matches_in_insertion_order(node.table)
+            for match in _matches_in_insertion_order(table)
             if match.min_time >= cutoff
         ]
         w.write_varint(len(live))
@@ -415,8 +427,23 @@ def _dump_tree_state(w: BinaryWriter, tree: SJTree, cutoff: float) -> None:
                 w.write_varint(edge.edge_id)
 
 
+def _fifo_order(view: GraphLeafView, cutoff: float) -> List[int]:
+    """A graph-backed leaf's live edge ids, listed as the
+    :class:`~repro.sjtree.node.FIFOLeafTable` it replaced listed them:
+    in arrival order (its ring), or without a ring (``tW = ∞``) bucket by
+    bucket, buckets in the order their keys first appeared."""
+    edges = [edge for edge in view.edges() if edge.timestamp >= cutoff]
+    if view.track_expiry:
+        return [edge.edge_id for edge in edges]
+    buckets: Dict[object, List[int]] = {}
+    for edge in edges:
+        key = edge.src if view.key_is_src else edge.dst
+        buckets.setdefault(key, []).append(edge.edge_id)
+    return [edge_id for bucket in buckets.values() for edge_id in bucket]
+
+
 def _matches_in_insertion_order(table):
-    """Live matches of one table, every bucket in insertion order.
+    """Live matches of one stored table, every bucket in insertion order.
 
     Per-bucket order is the only order a probe observes, so a
     ``MatchTable`` is written bucket by bucket. ``FIFOLeafTable`` also
@@ -817,6 +844,7 @@ def _load_tables(r: BinaryReader, tree: SJTree, graph) -> None:
         width = len(qeids)
         key_plan = node.compiled_key_plan()
         table = node.table
+        graph_backed = type(table) is GraphLeafView
         for _ in range(r.read_varint()):
             edge_ids = [r.read_varint() for _ in range(width)]
             try:
@@ -826,6 +854,9 @@ def _load_tables(r: BinaryReader, tree: SJTree, graph) -> None:
                     f"snapshot match references edge ids {edge_ids} not in "
                     f"the restored window: {exc}"
                 ) from exc
+            _check_fits(node, shape, edges)
+            if graph_backed:
+                continue  # the restored window already holds the entry
             stamps = [edge.timestamp for edge in edges]
             match = Match(qeids, edges, min(stamps), max(stamps), shape=shape)
             if len(key_plan) == 1:
@@ -840,6 +871,25 @@ def _load_tables(r: BinaryReader, tree: SJTree, graph) -> None:
                 )
             table.insert(key, match)
         table.inserted_total = inserted_total
+
+
+def _check_fits(node, shape, edges) -> None:
+    """Reject a restored match that its node could never have stored: a
+    slot bound to an edge of another type, or a self-loop bound to a
+    non-loop query edge (or the reverse)."""
+    for slot, edge in enumerate(edges):
+        src_role, dst_role = shape.edge_roles[slot]
+        if edge.etype != shape.etypes[slot]:
+            problem = f"has type {edge.etype!r}, not {shape.etypes[slot]!r}"
+        elif (edge.src == edge.dst) != (src_role == dst_role):
+            problem = "is a self-loop" if edge.src == edge.dst else "is not a self-loop"
+        else:
+            continue
+        raise CheckpointError(
+            f"snapshot match at SJ-Tree node {node.node_id} binds edge "
+            f"{edge.edge_id} to query edge {shape.qeids[slot]}, but the edge "
+            f"{problem}; file is corrupt"
+        )
 
 
 def _load_seen(r: BinaryReader) -> set:

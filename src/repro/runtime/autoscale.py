@@ -255,10 +255,12 @@ class AutoscaleController:
 
     #: Systematic 1-in-N event sample fed to the windowed mix estimator.
     #: The drift signal is a rank correlation over the tick-granular
-    #: edge-type mix, which a stride sample preserves; observing every
-    #: event would charge the coordinator's ingest loop ~30us/event of
-    #: estimator bookkeeping — a measurable throughput tax on the armed
-    #: engine (visible in the bench's steady-phase recovery ratio).
+    #: edge-type mix, which a stride sample preserves. Observing every
+    #: event would charge the coordinator's ingest loop the estimator's
+    #: per-edge bookkeeping, which the benchmark suite's traced pass
+    #: reads as ``stats.observe_ns_per_edge`` ≈ 0.8–1.2 µs since the
+    #: statistics became O(1) per edge (the ~30 µs that set this stride
+    #: predates that rewrite).
     MIX_SAMPLE_STRIDE = 8
 
     def __init__(self, engine, policy: AutoscalePolicy) -> None:

@@ -55,11 +55,14 @@ def replay_window(
     Returns ``(edges_replayed, complete_matches_found)``. The algorithm
     must share ``graph`` (its anchored searches read the same store) and
     must not have processed any edge yet, or duplicates will be migrated.
+    Each edge goes through :meth:`SearchAlgorithm.replay_edge`: the graph
+    already holds the later edges of the window, and a graph-backed
+    SJ-Tree leaf must not show them to the edge being replayed.
     """
     completed: List[Match] = []
     replayed = 0
     for edge in graph.edges():  # arrival order
-        completed.extend(algorithm.process_edge(edge))
+        completed.extend(algorithm.replay_edge(edge))
         replayed += 1
     return replayed, completed
 

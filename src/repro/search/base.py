@@ -138,6 +138,12 @@ class SearchAlgorithm(abc.ABC):
         """
         return type(self).static_relevant_etypes(self.query)
 
+    def replay_edge(self, edge: Edge) -> List[Match]:
+        """:meth:`process_edge` for an edge of a window replay
+        (:mod:`repro.search.adaptive`), which runs against a graph that
+        already holds the window's later edges."""
+        return self.process_edge(edge)
+
     def housekeeping(self) -> None:
         """Periodic maintenance (expiry sweeps); optional per algorithm."""
 

@@ -15,6 +15,11 @@ leaf is searched with its compiled
 backtracker. ``compiled_plans=False`` restores the seed behaviour — full
 leaf scan through ``find_anchored_matches`` — which the equivalence tests
 and the throughput benchmark use as the reference path.
+
+Unconstrained single-edge leaves keep no table of their own: their
+matches are the window's live edges of one type, which the graph already
+indexes (:class:`~repro.sjtree.node.GraphLeafView`). Offering such a leaf
+an edge is a counter bump and its sibling's probe.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from ..isomorphism.plan import (
     execute_plans,
     split_plans_for_code,
 )
-from ..sjtree.node import FIFOLeafTable, MatchTable, SJTreeNode
+from ..sjtree.node import FIFOLeafTable, GraphLeafView, MatchTable, SJTreeNode
 from ..sjtree.tree import SJTree
 from .base import PHASE_ISO, PHASE_JOIN, SearchAlgorithm
 
@@ -72,7 +77,7 @@ def disable_expiry_tracking(tree: SJTree, window: TimeWindow) -> None:
             node.table.track_expiry = False
 
 
-def specialize_tables(tree: SJTree) -> None:
+def specialize_tables(tree: SJTree, graph: StreamingGraph) -> None:
     """Strip the table machinery an eager search can never need.
 
     Only sound for the eager search: each left/right pair is joined
@@ -81,12 +86,18 @@ def specialize_tables(tree: SJTree) -> None:
     one exception, multi-edge leaves, where a window replay
     (``engine.refresh_query``) rediscovers a match once per constituent
     edge because the replayed graph already holds the later ones.
-    Single-edge leaves get the FIFO specialization (see
-    :class:`~repro.sjtree.node.FIFOLeafTable`): every match stored there
-    is built from the arriving edge, so ``min_time`` is non-decreasing in
-    insertion order. Must run before any match is stored (construction
-    time, when tables are empty); hand-assembled trees whose tables were
-    pre-populated are left alone.
+
+    A single-edge leaf stores one match per arriving data edge, built at
+    the arrival instant. When that edge needs no check — one non-loop
+    query edge without vertex types or bindings — and the leaf is joined
+    on one of its endpoints, the leaf's matches are the graph's own
+    per-vertex, per-type index: it becomes a
+    :class:`~repro.sjtree.node.GraphLeafView` over ``graph``. Other
+    single-edge leaves get the FIFO specialization (see
+    :class:`~repro.sjtree.node.FIFOLeafTable`): ``min_time`` is
+    non-decreasing in insertion order. Must run before any match is
+    stored (construction time, when tables are empty); hand-assembled
+    trees whose tables were pre-populated are left alone.
     """
     for node in tree.nodes:
         table = node.table
@@ -94,8 +105,28 @@ def specialize_tables(tree: SJTree) -> None:
             continue
         if not node.is_leaf:
             table.dedup = False
-        elif len(node.edge_ids) == 1:
-            node.table = FIFOLeafTable(track_expiry=table.track_expiry)
+        elif len(node.edge_ids) == 1 and not node.is_root:
+            view = _graph_leaf_view(node, graph)
+            if view is None:
+                node.table = FIFOLeafTable(track_expiry=table.track_expiry)
+            else:
+                node.table = view
+    tree._inserts.clear()  # closures compile in the table kinds
+
+
+def _graph_leaf_view(node: SJTreeNode, graph: StreamingGraph):
+    """The :class:`GraphLeafView` serving a single-edge leaf, or ``None``."""
+    (plan,) = node.match_plans()
+    key_plan = node.compiled_key_plan()
+    if not plan.trivial or plan.is_loop or len(key_plan) != 1:
+        return None
+    return GraphLeafView(
+        graph,
+        plan.etype_code,
+        key_plan[0][1],
+        node.match_shape(),
+        node.table.track_expiry,
+    )
 
 
 class DynamicGraphSearch(SearchAlgorithm):
@@ -122,7 +153,11 @@ class DynamicGraphSearch(SearchAlgorithm):
         for leaf in self._leaves:  # hand-built trees may lack plans
             leaf.match_plans()
         disable_expiry_tracking(tree, self.window)
-        specialize_tables(tree)
+        specialize_tables(tree, graph)
+        #: leaf node ids whose table is a GraphLeafView
+        self._graph_leaves = frozenset(
+            leaf.node_id for leaf in self._leaves if type(leaf.table) is GraphLeafView
+        )
 
     def process_edge(self, edge: Edge) -> List[Match]:
         results: List[Match] = []
@@ -139,9 +174,22 @@ class DynamicGraphSearch(SearchAlgorithm):
         graph = self.graph
         window = self.window
         insert = self.tree.insert_match
+        graph_leaves = self._graph_leaves
         if profile is not None:
             profile.phase_enter(PHASE_ISO)
         for leaf in leaves:
+            if leaf.node_id in graph_leaves:
+                if edge.src == edge.dst:
+                    continue  # the leaf's one query edge is not a loop
+                insert_edge = self.tree.compile_edge_insert(leaf.node_id, window)
+                if profile is not None:
+                    profile.bump("leaf_matches", 1)
+                    profile.phase_enter(PHASE_JOIN)
+                    insert_edge(edge, window.cutoff, sink)
+                    profile.phase_exit()
+                else:
+                    insert_edge(edge, window.cutoff, sink)
+                continue
             matches = execute_plans(graph, leaf.plans, edge)
             if not matches:
                 continue
@@ -180,52 +228,45 @@ class DynamicGraphSearch(SearchAlgorithm):
         leaves = self._leaves_by_etype.get(code)
         if leaves is None:
             return None  # no leaf fragment contains this edge type
+        tree = self.tree
+        window = self.window
+        # per leaf, in join order: (insert, nonloop plans, loop plans), or
+        # (insert_edge, None, None) for a graph-backed leaf
         actions = []
         for leaf in leaves:
+            if leaf.node_id in self._graph_leaves:
+                insert_edge = tree.compile_edge_insert(leaf.node_id, window)
+                actions.append((insert_edge, None, None))
+                continue
             nonloop, loops = split_plans_for_code(leaf.plans, code)
-            actions.append(
-                (
-                    self.tree.compile_insert(leaf.node_id, self.window),
-                    nonloop,
-                    loops,
-                )
-            )
+            actions.append((tree.compile_insert(leaf.node_id, window), nonloop, loops))
         graph = self.graph
-        window = self.window
         Match_ = Match
 
-        if len(actions) == 1:
-            leaf_insert0, nonloop0, loops0 = actions[0]
-            if not loops0 and len(nonloop0) == 1 and nonloop0[0].trivial:
-                # Fused fast path for the dominant routing shape — one
-                # leaf, one trivial (single-query-edge, non-loop) plan:
-                # the whole per-edge body (Match construction, staleness
-                # gate, table insert, sibling probe) collapses into one
-                # tree-compiled kernel. A loop edge runs no plans,
-                # exactly like the general loop over the empty ``loops``
-                # list. The results list is reused across calls
-                # (completions are rare); copying it out on a hit keeps
-                # the returned list caller-owned, as everywhere else.
-                shape0 = nonloop0[0].shape
-                trivial_insert0 = self.tree.compile_trivial_leaf_insert(
-                    leaves[0].node_id, window, shape0
-                )
-                if trivial_insert0 is not None:
-                    results0: List[Match] = []
-                    sink0 = results0.append
+        if len(actions) == 1 and actions[0][1] is None:
+            # Fused fast path for the dominant routing shape — one
+            # graph-backed leaf: the whole per-edge body is the leaf's
+            # edge insert (counter bump, sibling probe, joins). A loop
+            # edge matches nothing there. The results list is reused
+            # across calls (completions are rare); copying it out on a
+            # hit keeps the returned list caller-owned, as everywhere
+            # else.
+            insert_edge0 = actions[0][0]
+            results0: List[Match] = []
+            sink0 = results0.append
 
-                    def handle_trivial(edge: Edge) -> List[Match]:
-                        if edge.src == edge.dst:
-                            return _NO_MATCHES
-                        trivial_insert0(edge, window._cutoff, sink0)
-                        if results0:
-                            out = results0[:]
-                            results0.clear()
-                            self.matches_emitted += len(out)
-                            return out
-                        return _NO_MATCHES
+            def handle_graph_leaf(edge: Edge) -> List[Match]:
+                if edge.src == edge.dst:
+                    return _NO_MATCHES
+                insert_edge0(edge, window._cutoff, sink0)
+                if results0:
+                    out = results0[:]
+                    results0.clear()
+                    self.matches_emitted += len(out)
+                    return out
+                return _NO_MATCHES
 
-                    return handle_trivial
+            return handle_graph_leaf
 
         def handle(edge: Edge) -> List[Match]:
             results: List[Match] = []
@@ -233,6 +274,10 @@ class DynamicGraphSearch(SearchAlgorithm):
             cutoff = window._cutoff  # plain attr: skip the property call
             is_loop = edge.src == edge.dst
             for leaf_insert, nonloop, loops in actions:
+                if nonloop is None:
+                    if not is_loop:
+                        leaf_insert(edge, cutoff, sink)
+                    continue
                 for plan in loops if is_loop else nonloop:
                     if plan.trivial:
                         ts = edge.timestamp
@@ -274,6 +319,16 @@ class DynamicGraphSearch(SearchAlgorithm):
             if profile is not None:
                 profile.phase_exit()
         return self._emit(results)
+
+    def replay_edge(self, edge: Edge) -> List[Match]:
+        # The replayed graph already holds the later edges of the window;
+        # graph-backed leaves must not show them to this one.
+        horizon = self.tree.horizon
+        horizon[0] = edge.edge_id
+        try:
+            return self.process_edge(edge)
+        finally:
+            horizon[0] = None
 
     def housekeeping(self) -> None:
         self.tree.expire(self.window.cutoff)

@@ -248,6 +248,13 @@ class ContinuousQueryEngine:
         or ``"auto"`` (Relative-Selectivity rule). ``options`` are passed to
         the algorithm constructor (e.g. ``retrospective=False`` for the
         lazy ablation, ``period=...`` for PeriodicVF2).
+
+        A query registered on a live window starts from that window: it is
+        warmed by the same replay :meth:`refresh_query` runs, and the
+        matches the replay completes are not emitted (the window held them
+        before the query existed). So every strategy sees the same partial
+        state, and emits the same records from here on, whatever its
+        decomposition.
         """
         if not query.is_connected():
             raise QueryError(
@@ -270,6 +277,11 @@ class ContinuousQueryEngine:
             algorithm=self._build_algorithm(query, strategy, **options),
             decision=decision,
         )
+        if self.graph.num_edges:
+            from .adaptive import replay_window
+
+            replay_window(self.graph, registered.algorithm)
+            registered.algorithm.matches_emitted = 0
         registered.algorithm.profile.enabled = self.profile_phases
         if isinstance(registered.algorithm, (DynamicGraphSearch, LazySearch)):
             registered.tree = registered.algorithm.tree
@@ -549,6 +561,7 @@ class ContinuousQueryEngine:
         by_type = graph._by_type
         vertex_types = graph._vertex_types
         degrees = graph._degrees
+        loops = graph._loops
         vtype_code = VOCABULARY.vtype_code
         drop_vertex = graph._drop_vertex
         next_eid = graph._next_edge_id
@@ -609,6 +622,8 @@ class ContinuousQueryEngine:
                         degrees[odst] -= 1
                         if degrees[odst] == 0:
                             drop_vertex(odst)
+                    else:
+                        loops[ocode] -= 1
                     if degrees[osrc] == 0:
                         drop_vertex(osrc)
                     evicted += 1
@@ -648,6 +663,8 @@ class ContinuousQueryEngine:
                 degrees[src] += 1
                 if dst != src:
                     degrees[dst] += 1
+                else:
+                    loops[code] = loops.get(code, 0) + 1
                 # --- ingest done; sweep when due, then dispatch via the LUT ---
                 if cutoff >= sweep_at:
                     self.sweep()

@@ -35,6 +35,11 @@ with ``min_time >= cutoff``.
 When the graph window is infinite nothing can ever expire and
 ``track_expiry=False`` makes ``expire`` a no-op; a list-bucket table
 keeps no per-insert expiry state either way.
+
+The matches of an eager single-edge leaf are exactly the window's live
+edges of its type, which the graph already indexes by vertex and type:
+such a leaf stores nothing and reads them through a
+:class:`GraphLeafView` (see ``repro.search.dynamic.specialize_tables``).
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..graph.types import Edge
 from ..isomorphism.match import (
     JoinPlan,
     Match,
@@ -86,8 +92,7 @@ class MatchTable:
         self._live = 0
         #: lifetime insert count (the space-complexity measure of §5.2 uses it)
         self.inserted_total = 0
-        #: lifetime probe count — general-path probes only; the fused
-        #: trivial-leaf kernels in tree.py bypass this method by design
+        #: lifetime probe count (every sibling probe of UPDATE-SJ-TREE)
         self.probes_total = 0
         #: lifetime expired-match count (telemetry)
         self.expired_total = 0
@@ -182,8 +187,11 @@ class MatchTable:
 class FIFOLeafTable:
     """Append-only match table for eager single-edge leaf matches.
 
-    :class:`~repro.search.dynamic.DynamicGraphSearch` stores, at a leaf
-    covering one query edge, exactly one match per arriving data edge,
+    Eager trees use it for the single-edge leaves a :class:`GraphLeafView`
+    cannot serve — those with vertex-type or binding constraints, a loop
+    query edge or a two-vertex join key. There
+    :class:`~repro.search.dynamic.DynamicGraphSearch` stores exactly one
+    match per arriving data edge that passes the leaf's checks,
     built at the arrival instant — so ``min_time`` equals the stream
     clock and insertion order is globally sorted by ``min_time``. Expiry
     is then strictly front-first, both in the table-wide ring and inside
@@ -227,8 +235,6 @@ class FIFOLeafTable:
         self._ring_matches: "deque[Match]" = deque()
         self._live = 0  # maintained only when not track_expiry
         self.inserted_total = 0
-        # general-path counters; the fused trivial-leaf kernel in tree.py
-        # reads sibling buckets directly and bypasses both by design
         self.probes_total = 0
         self.expired_total = 0
         self.track_expiry = track_expiry
@@ -290,6 +296,99 @@ class FIFOLeafTable:
         return len(self._buckets)
 
 
+class GraphLeafView:
+    """The match table of an eager single-edge leaf, read off the graph.
+
+    A leaf covering one unconstrained, non-loop query edge ``a -t-> b``
+    matches every live non-loop data edge of type ``t`` — exactly what
+    :class:`~repro.graph.StreamingGraph` already indexes, per vertex and
+    type code, in arrival order. Keyed on ``a`` (``key_is_src``) the
+    bucket under data vertex ``v`` is ``graph._out[v][t]``, keyed on
+    ``b`` it is ``graph._in[v][t]``, minus self-loops; it equals the live
+    part of the :class:`FIFOLeafTable` bucket the leaf used to keep, in
+    the same order, because the engine offers a query every edge of its
+    types from the start of the window on (``engine.register`` replays a
+    non-empty window into a new query).
+
+    So the view stores nothing: offering it an edge only bumps
+    ``inserted_total`` (the §5.2 lifetime-insert measure), eviction keeps
+    it exact, and sweeps skip it. The SJ-Tree kernels read ``index`` and
+    ``code`` directly and join the bare edges through the
+    :class:`~repro.isomorphism.match.JoinPlan` edge-side variants, so no
+    one-edge :class:`Match` is built. ``probe`` (counted), iteration
+    (one-edge matches built on demand) and ``len`` (the live count, O(1)
+    off the graph's per-type counts) serve everything else.
+    ``track_expiry`` mirrors the FIFO table's: a snapshot lists the
+    view's entries in that table's order, which it sets.
+    """
+
+    __slots__ = (
+        "graph",
+        "index",
+        "code",
+        "key_is_src",
+        "shape",
+        "inserted_total",
+        "probes_total",
+        "expired_total",
+        "track_expiry",
+    )
+
+    def __init__(
+        self,
+        graph,
+        code: int,
+        key_is_src: bool,
+        shape: MatchShape,
+        track_expiry: bool = True,
+    ) -> None:
+        self.graph = graph
+        #: vertex -> etype code -> arrival-ordered edge segment
+        self.index = graph._out if key_is_src else graph._in
+        self.code = code
+        self.key_is_src = key_is_src
+        self.shape = shape
+        self.inserted_total = 0
+        self.probes_total = 0
+        self.expired_total = 0  # eviction, not a sweep, retires entries
+        self.track_expiry = track_expiry
+
+    def empty_copy(self) -> "GraphLeafView":
+        """A view over the same graph with fresh counters."""
+        return type(self)(
+            self.graph, self.code, self.key_is_src, self.shape, self.track_expiry
+        )
+
+    def edges(self) -> Iterator[Edge]:
+        """The leaf's matches as data edges, in arrival order."""
+        for edge in self.graph.edges_of_type_code(self.code):
+            if edge.src != edge.dst:
+                yield edge
+
+    def probe(self, key: JoinKey) -> Tuple[Edge, ...]:
+        """The data edges stored under ``key``, in arrival order."""
+        self.probes_total += 1
+        by_code = self.index.get(key)
+        if by_code is None:
+            return ()
+        return tuple(
+            [edge for edge in by_code.get(self.code, ()) if edge.src != edge.dst]
+        )
+
+    def __len__(self) -> int:
+        return self.graph.non_loop_count_code(self.code)
+
+    def __iter__(self) -> Iterator[Match]:
+        shape = self.shape
+        qeids = shape.qeids
+        for edge in self.edges():
+            ts = edge.timestamp
+            yield Match(qeids, (edge,), ts, ts, shape)
+
+    def num_buckets(self) -> int:
+        return 0  # it keeps none of its own
+
+
 @dataclass
 class SJTreeNode:
     """One node of the SJ-Tree (Definition 3.1.1).
@@ -320,6 +419,8 @@ class SJTreeNode:
     #: leaf metadata: human label + estimated selectivity of the primitive
     leaf_label: str = ""
     leaf_selectivity: Optional[float] = None
+    #: a MatchTable, or (eager single-edge leaves) a FIFOLeafTable or a
+    #: GraphLeafView
     table: MatchTable = field(default_factory=MatchTable)
     #: compiled anchored-match plans for the fragment (leaf hot path) and
     #: the vertex-anchored plan built from them (Lazy Search's backfill);

@@ -8,7 +8,10 @@ with symmetric sibling probing, as one closure per node: whichever child
 receives a match probes the other child's hash table on the shared cut
 projection, and successful joins climb the chain of parent closures until
 the root emits a complete match. ``insert_match`` is the same chain,
-looked up per call.
+looked up per call. A leaf whose table is a graph-backed
+:class:`~repro.sjtree.node.GraphLeafView` is offered bare data edges
+instead (``compile_edge_insert``), and its sibling
+reads it straight off the graph's vertex index.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from ..graph.window import TimeWindow
 from ..isomorphism.match import JoinPlan, Match
 from ..query.query_graph import QueryGraph
 from ..stats.selectivity import LeafSelectivity, expected_selectivity
-from .node import FIFOLeafTable, SJTreeNode
+from .node import GraphLeafView, SJTreeNode
 
 #: Callback invoked with every complete (root-level) match.
 MatchSink = Callable[[Match], None]
@@ -48,8 +51,12 @@ class SJTree:
         # ``self`` (held by ``_inserts``) would tie the tree, and every
         # match in its tables, into a cycle only the cyclic GC frees.
         self._complete = [0]
-        #: compiled UPDATE-SJ-TREE closures, by (node id, window width)
-        self._inserts: Dict[Tuple[int, float], Callable[..., bool]] = {}
+        #: compiled UPDATE-SJ-TREE closures, by (node id, window width[,
+        #: "edge" for a graph-backed leaf's edge insert])
+        self._inserts: Dict[tuple, Callable] = {}
+        #: replay horizon: while set to an edge id, graph-backed leaves
+        #: show their sibling only the edges up to it (``replay_edge``)
+        self.horizon: List[Optional[int]] = [None]
 
     @property
     def complete_matches(self) -> int:
@@ -257,7 +264,9 @@ class SJTree:
         ``partial_match_count`` both trigger, so an entry outlives its
         window by at most a quarter window (callers driving a search
         algorithm directly on a finite window should call
-        ``housekeeping()`` periodically, as the engine does).
+        ``housekeeping()`` periodically, as the engine does). A
+        graph-backed sibling needs no filter: eviction keeps the graph
+        exact.
 
         This is :meth:`compile_insert`'s closure for the node, looked up
         (compiled on first use) per call.
@@ -284,14 +293,15 @@ class SJTree:
         closures are cached per ``(node, width)``. Node *objects* are
         captured but their ``table`` attribute is read per call, so
         :meth:`reset_state` and a checkpoint restore (which replace or
-        refill tables) never invalidate a closure.
+        refill tables) never invalidate a closure. Whether a table is a
+        :class:`~repro.sjtree.node.GraphLeafView` is compiled in: eager
+        search decides that before the first insert.
         """
         width = window.width
         compiled = self._inserts.get((node_id, width))
         if compiled is not None:
             return compiled
-        nodes = self.nodes
-        node = nodes[node_id]
+        node = self.nodes[node_id]
 
         if node.is_root:
             # Reached from below, τ < tW was checked by the joining child;
@@ -309,6 +319,19 @@ class SJTree:
             self._inserts[node_id, width] = root_insert
             return root_insert
 
+        if type(node.table) is GraphLeafView:
+            # a one-edge match from the reference matcher: offer its edge
+            insert_edge = self.compile_edge_insert(node_id, window)
+
+            def insert(match, cutoff, sink, on_insert=None):
+                if match.min_time < cutoff:
+                    return False
+                insert_edge(match.edges[0], cutoff, sink)
+                return True
+
+            self._inserts[node_id, width] = insert
+            return insert
+
         key_plan = node.compiled_key_plan()
         # Single-vertex keys (1-vertex cuts dominate small queries) are the
         # bare vertex, not a 1-tuple: one allocation per insert saved. Key
@@ -318,11 +341,7 @@ class SJTree:
         # so bare and tuple keys never mix in one table.
         bare = len(key_plan) == 1
         slot0, is_src0 = key_plan[0] if bare else (0, False)
-        parent = nodes[node.parent]  # type: ignore[index]
-        sibling = nodes[node.sibling]  # type: ignore[index]
-        as_left = parent.left == node_id
-        join = self._join_plan(parent).join
-        insert_parent = self.compile_insert(parent.node_id, window)
+        join_siblings = self._compile_sibling_join(node, window)
 
         def insert(match, cutoff, sink, on_insert=None):
             if match.min_time < cutoff:
@@ -340,15 +359,7 @@ class SJTree:
                 )
             if not node.table.insert(key, match):
                 return False
-            for other in sibling.table.probe(key):
-                if other.min_time < cutoff:
-                    continue  # stale entry awaiting the housekeeping sweep
-                joined = join(match, other) if as_left else join(other, match)
-                if joined is None:
-                    continue
-                if joined.max_time - joined.min_time >= width:
-                    continue  # τ(g) must stay below tW
-                insert_parent(joined, cutoff, sink, on_insert)
+            join_siblings(match, key, cutoff, sink, on_insert)
 
             # The enablement hook runs *after* sibling probing: a
             # retrospective insertion triggered by the hook probes this
@@ -363,6 +374,103 @@ class SJTree:
         self._inserts[node_id, width] = insert
         return insert
 
+    def compile_edge_insert(self, node_id: int, window: TimeWindow) -> Callable:
+        """The insert of a graph-backed leaf, compiled into a closure
+        ``insert_edge(edge, cutoff, sink)`` over the arriving data edge.
+
+        The edge already sits in the graph, which is the leaf's table, so
+        the insert is a counter bump; then the sibling probe runs as in
+        :meth:`compile_insert`, with the edge itself as the leaf side of
+        every join. No staleness gate: the edge is the newest in the
+        window. The caller skips self-loops, which the leaf never matches.
+        Eager trees only — no enablement hook.
+        """
+        width = window.width
+        compiled = self._inserts.get((node_id, width, "edge"))
+        if compiled is not None:
+            return compiled
+        node = self.nodes[node_id]
+        is_src0 = node.table.key_is_src
+        join_siblings = self._compile_sibling_join(node, window)
+
+        def insert_edge(edge, cutoff, sink):
+            node.table.inserted_total += 1
+            join_siblings(edge, edge.src if is_src0 else edge.dst, cutoff, sink, None)
+
+        self._inserts[node_id, width, "edge"] = insert_edge
+        return insert_edge
+
+    def _compile_sibling_join(self, node: SJTreeNode, window: TimeWindow) -> Callable:
+        """``join_siblings(item, key, cutoff, sink, on_insert)``: join
+        ``item`` — a match just stored at ``node``, or the bare edge a
+        graph-backed ``node`` was offered — with every live sibling entry
+        under ``key`` and insert the results at the parent.
+
+        The sibling bucket is iterated live: the parent's closure only
+        touches tables strictly above this leaf pair. A stored sibling's
+        stale entries are skipped by the cutoff filter; a graph-backed
+        sibling reads the graph segment, whose self-loops it skips and
+        which the replay horizon cuts off at the edge being replayed.
+        """
+        width = window.width
+        nodes = self.nodes
+        parent = nodes[node.parent]  # type: ignore[index]
+        sibling = nodes[node.sibling]  # type: ignore[index]
+        as_left = parent.left == node.node_id
+        plan = self._join_plan(parent)
+        item_is_edge = type(node.table) is GraphLeafView
+        other_is_edge = type(sibling.table) is GraphLeafView
+        if item_is_edge and other_is_edge:
+            join = plan.join_edges
+        elif item_is_edge:
+            join = plan.join_edge_match if as_left else plan.join_match_edge
+        elif other_is_edge:
+            join = plan.join_match_edge if as_left else plan.join_edge_match
+        else:
+            join = plan.join
+        insert_parent = self.compile_insert(parent.node_id, window)
+
+        if not other_is_edge:
+
+            def join_siblings(item, key, cutoff, sink, on_insert):
+                for other in sibling.table.probe(key):
+                    if other.min_time < cutoff:
+                        continue  # stale entry awaiting the housekeeping sweep
+                    joined = join(item, other) if as_left else join(other, item)
+                    if joined is None:
+                        continue
+                    if joined.max_time - joined.min_time >= width:
+                        continue  # τ(g) must stay below tW
+                    insert_parent(joined, cutoff, sink, on_insert)
+
+            return join_siblings
+
+        index = sibling.table.index
+        code = sibling.table.code
+        horizon = self.horizon
+
+        def join_siblings(item, key, cutoff, sink, on_insert):
+            by_code = index.get(key)
+            if by_code is None:
+                return
+            others = by_code.get(code)
+            if others is None:
+                return
+            limit = horizon[0]
+            for other in others:
+                if other.src == other.dst:
+                    continue  # a self-loop never matches a non-loop leaf
+                if limit is not None and other.edge_id > limit:
+                    break  # a replayed edge sees no later one
+                joined = join(item, other) if as_left else join(other, item)
+                if joined is None:
+                    continue
+                if joined.max_time - joined.min_time >= width:
+                    continue
+                insert_parent(joined, cutoff, sink, on_insert)
+
+        return join_siblings
+
     def _join_plan(self, parent: SJTreeNode) -> JoinPlan:
         """The sibling join at ``parent`` (compiled on first use)."""
         if parent.join_plan is None:
@@ -374,76 +482,20 @@ class SJTree:
             )
         return parent.join_plan
 
-    def compile_trivial_leaf_insert(
-        self, node_id: int, window: TimeWindow, shape
-    ) -> Optional[Callable]:
-        """Fully-fused insert kernel for *fresh single-edge* leaf matches.
-
-        The returned ``trivial_insert(edge, cutoff, sink)`` builds the
-        one-edge :class:`Match` inline and skips the staleness gate of
-        :meth:`compile_insert` — a trivial match's ``min_time`` is the
-        just-advanced stream clock, which can never sit below the cutoff
-        derived from it. Only compiled for non-root
-        :class:`FIFOLeafTable` leaves with a single-vertex join key over
-        the match's only slot (the dominant decomposition shape); returns
-        ``None`` otherwise and the caller falls back to the general
-        compiled insert.
-
-        The leaf insert is the table's own ``insert`` — duplicate
-        suppression is vacuous there (each data edge reaches a leaf
-        exactly once), so the sibling probe always runs — and the sibling
-        bucket (a list or a deque, by table class) is read straight from
-        its dict and iterated live: the parent's closure only touches
-        tables strictly above this leaf pair. ``node.table`` is still
-        read per call, so :meth:`reset_state` (class-preserving) never
-        invalidates the closure.
-        """
-        nodes = self.nodes
-        node = nodes[node_id]
-        if node.is_root or type(node.table) is not FIFOLeafTable:
-            return None  # the compiled general insert is already minimal
-        key_plan = node.compiled_key_plan()
-        if len(key_plan) != 1 or key_plan[0][0] != 0:
-            return None
-        is_src0 = key_plan[0][1]
-        parent = nodes[node.parent]  # type: ignore[index]
-        sibling = nodes[node.sibling]  # type: ignore[index]
-        as_left = parent.left == node_id
-        join = self._join_plan(parent).join
-        insert_parent = self.compile_insert(parent.node_id, window)
-        width = window.width
-        qeids = shape.qeids
-        Match_ = Match
-
-        def trivial_insert(edge, cutoff, sink):
-            ts = edge.timestamp
-            match = Match_(qeids, (edge,), ts, ts, shape)
-            key = edge.src if is_src0 else edge.dst
-            node.table.insert(key, match)
-            others = sibling.table._buckets.get(key)
-            if others is None:
-                return
-            for other in others:
-                if other.min_time < cutoff:
-                    continue
-                joined = join(match, other) if as_left else join(other, match)
-                if joined is None:
-                    continue
-                if joined.max_time - joined.min_time >= width:
-                    continue
-                insert_parent(joined, cutoff, sink)
-
-        return trivial_insert
-
     # ------------------------------------------------------------------
     # maintenance / accounting
     # ------------------------------------------------------------------
 
     def expire(self, cutoff: float) -> int:
-        """Expire stale partial matches in every node; return total dropped."""
+        """Expire stale partial matches in every stored table; return total
+        dropped. Graph-backed leaves are skipped: eviction keeps them exact."""
         if math.isinf(cutoff) and cutoff < 0:
             return 0
-        return sum(node.table.expire(cutoff) for node in self.nodes)
+        return sum(
+            node.table.expire(cutoff)
+            for node in self.nodes
+            if type(node.table) is not GraphLeafView
+        )
 
     def total_partial_matches(self) -> int:
         """Live partial matches across all nodes."""

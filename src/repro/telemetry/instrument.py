@@ -173,12 +173,12 @@ def engine_registry(engine) -> MetricsRegistry:
     # -- sjtree family ------------------------------------------------------
     residency = g(
         "repro_sjtree_node_residency",
-        "Live matches per SJ-Tree node table",
+        "Live matches per SJ-Tree node (graph-backed leaves: live edges of their type)",
         labels=("query", "node"),
     )
     buckets = g(
         "repro_sjtree_node_buckets",
-        "Hash buckets per SJ-Tree node table",
+        "Hash buckets per SJ-Tree node table (0 for graph-backed leaves)",
         labels=("query", "node"),
     )
     inserts = c(
@@ -188,7 +188,7 @@ def engine_registry(engine) -> MetricsRegistry:
     )
     probes = c(
         "repro_sjtree_node_probes_total",
-        "General-path table probes (fused trivial-leaf kernels bypass)",
+        "Probes of stored SJ-Tree tables (graph-backed leaves are read off the graph)",
         labels=("query", "node"),
     )
     expired = c(

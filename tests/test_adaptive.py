@@ -1,6 +1,7 @@
 """Tests for adaptive strategy refresh (window-replay migration)."""
 
 import math
+import random
 
 import pytest
 
@@ -144,3 +145,46 @@ class TestRefresh:
         records = engine.process_event(STREAM_A[2])
         assert len(records) == 1, "the replay stored a leaf match twice"
         assert engine.partial_match_count() == 3  # T, T, and one (T,U)
+
+
+class TestLateRegistration:
+    """A query registered on a live window is warmed by the window replay,
+    so what it emits no longer depends on its decomposition."""
+
+    @staticmethod
+    def late_records(strategy):
+        rng = random.Random(5)
+        events = [
+            EdgeEvent(
+                f"v{rng.randrange(15)}", f"v{rng.randrange(15)}", rng.choice("ABC"), t
+            )
+            for t in range(3000)
+        ]
+        engine = ContinuousQueryEngine(window=40.0)
+        engine.warmup(events)
+        engine.process_events(events[:1500])
+        query = QueryGraph.path(["A", "B", "C", "A"], name="q")
+        registered = engine.register(query, strategy=strategy, name="q")
+        assert registered.algorithm.matches_emitted == 0  # the replay emits nothing
+        records = engine.process_events(events[1500:])
+        assert registered.algorithm.matches_emitted == len(records)
+        return [(r.match.fingerprint, r.completed_at) for r in records]
+
+    def test_every_strategy_emits_the_same_records(self):
+        """Before the warm-up: Single 551 records (single-edge leaves started
+        empty), Path 552 (its two-edge leaves anchored on older edges), VF2
+        556 (it searches the whole window)."""
+        single = self.late_records("Single")
+        assert len(single) == 556
+        assert self.late_records("Path") == single  # same order, too
+        for strategy in ("VF2", "SingleLazy", "PathLazy", "IncIso"):
+            assert sorted(self.late_records(strategy)) == sorted(single), strategy
+
+    def test_registration_on_an_empty_window_replays_nothing(self, monkeypatch):
+        from repro.search import adaptive
+
+        def no_replay(graph, algorithm):
+            raise AssertionError("replayed an empty window")
+
+        monkeypatch.setattr(adaptive, "replay_window", no_replay)
+        make_engine().register(QueryGraph.path(["T", "U"], name="q"), strategy="Single")

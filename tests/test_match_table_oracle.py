@@ -21,6 +21,12 @@ sweep expiry and the compiled join chain are exercised against the seed
 configuration record-for-record — with every ``MatchTable`` swapped for
 a checking table that raises if the invariants that retired
 copy-on-write and eager duplicate suppression are ever violated.
+
+The last part holds graph-backed leaves (``GraphLeafView``) to the FIFO
+tables they replaced: probe for probe at every edge of hypothesis
+streams (self-loops, equal timestamps, one etype on both key roles,
+finite and infinite windows), record for record against the reference
+configuration on every ingest path and across a mid-stream refresh.
 """
 
 import heapq
@@ -28,13 +34,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ContinuousQueryEngine
 from repro.analysis.experiments import mixed_etype_workload
+from repro.graph import EdgeEvent
 from repro.graph.types import Edge
 from repro.isomorphism import Match
 from repro.query import QueryGraph
-from repro.sjtree.node import FIFOLeafTable, MatchTable
+from repro.search import dynamic as dynamic_module
+from repro.sjtree.node import FIFOLeafTable, GraphLeafView, MatchTable
 
 from .util import CheckingTable, install_checking_tables
 
@@ -307,3 +316,245 @@ def test_slab_encoding_equivalence_mixed_workload(strategy):
     seed = run_mixed(False, strategy, window=15.0)
     assert fast == seed
     assert fast  # the workload must actually produce matches
+
+
+# ---------------------------------------------------------------------------
+# graph-backed leaves: the window is the leaf table
+# ---------------------------------------------------------------------------
+
+#: one etype repeated along a path (keys on both endpoint roles), and a
+#: fork whose two leaves are keyed on the shared source
+VIEW_QUERIES = (
+    ("path", [(0, 1, "TCP"), (1, 2, "UDP"), (2, 3, "TCP")]),
+    ("fork", [(1, 0, "TCP"), (0, 2, "UDP")]),
+)
+VIEW_WARMUP = [
+    EdgeEvent("w0", "w1", "TCP", 0.0),
+    EdgeEvent("w1", "w2", "UDP", 0.0),
+    EdgeEvent("w2", "w3", "TCP", 0.0),
+    EdgeEvent("w3", "w1", "UDP", 0.0),
+]
+
+#: small vertex pool (self-loops allowed), two types, steps of 0 (equal
+#: timestamps) to 2 — with a window of 3 the window turns over often
+view_streams = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.sampled_from(["TCP", "UDP"]),
+        st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]),
+    ),
+    min_size=1,
+    max_size=45,
+)
+view_windows = st.sampled_from([3.0, math.inf])
+
+
+def view_events(rows):
+    events, t = [], 100.0
+    for src, dst, etype, step in rows:
+        t += step
+        events.append(EdgeEvent(f"v{src}", f"v{dst}", etype, t))
+    return events
+
+
+def view_queries():
+    queries = []
+    for name, edges in VIEW_QUERIES:
+        query = QueryGraph(name=name)
+        for src, dst, etype in edges:
+            query.add_edge(src, dst, etype)
+        queries.append(query)
+    return queries
+
+
+def view_engine(window, **settings_):
+    options = {}
+    if settings_.pop("reference", False):
+        settings_["dispatch"] = False
+        options["compiled_plans"] = False
+    engine = ContinuousQueryEngine(window=window, **settings_)
+    engine.warmup(VIEW_WARMUP)
+    for query in view_queries():
+        engine.register(query, strategy="Single", name=query.name, **options)
+    return engine
+
+
+def identities(records):
+    return [(r.query_name, r.match.fingerprint, r.completed_at) for r in records]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=view_streams, window=view_windows)
+def test_graph_leaf_probe_equals_a_fed_fifo_table(rows, window):
+    """At every edge, each graph-backed leaf's probe, under every key,
+    equals that of a FIFOLeafTable fed the leaf matches the leaf is
+    offered (every non-loop edge of its type), stale entries dropped;
+    and its ``len`` is that table's live count."""
+    engine = view_engine(window)
+    leaves = [
+        leaf
+        for registered in engine.queries.values()
+        for leaf in registered.tree.leaves()
+    ]
+    assert all(type(leaf.table) is GraphLeafView for leaf in leaves)
+    assert {leaf.table.key_is_src for leaf in leaves} == {True, False}
+    fifos = [FIFOLeafTable() for _ in leaves]
+    for event in view_events(rows):
+        engine.process_event(event)
+        edge = engine.graph.edge_by_id(engine.graph.total_edges_seen - 1)
+        cutoff = engine.graph.window.cutoff
+        for leaf, fifo in zip(leaves, fifos):
+            view = leaf.table
+            shape = leaf.match_shape()
+            if edge.etype_code == view.code and edge.src != edge.dst:
+                key = edge.src if view.key_is_src else edge.dst
+                ts = edge.timestamp
+                fifo.insert(key, Match(shape.qeids, (edge,), ts, ts, shape))
+            keys = set(engine.graph.vertices()) | set(fifo._buckets)
+            for key in keys:
+                got = [e.edge_id for e in view.probe(key)]
+                want = [
+                    m.edges[0].edge_id
+                    for m in fifo.probe(key)
+                    if m.min_time >= cutoff
+                ]
+                assert got == want, (key, got, want)
+            fifo.expire(cutoff)
+            assert len(view) == len(fifo)
+            assert view.inserted_total == fifo.inserted_total
+
+
+def fifo_backed(monkeypatch):
+    """Make eager trees keep FIFO tables on every single-edge leaf."""
+    monkeypatch.setattr(dynamic_module, "_graph_leaf_view", lambda node, graph: None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=view_streams, window=view_windows)
+def test_graph_leaves_emit_the_reference_records(rows, window):
+    """Ordered records of the graph-backed engine on the events, rows,
+    per-event and profiled paths equal the reference configuration's
+    (no dispatch, interpretive matcher, per-event) and those of the same
+    engine with FIFO leaf tables — also across a mid-stream refresh."""
+    events = view_events(rows)
+    reference = view_engine(window, reference=True)
+    want = [r for e in events for r in reference.process_event(e)]
+    want = identities(want)
+
+    chunked = view_engine(window, chunk_size=7)
+    assert identities(chunked.process_events(events)) == want
+    rows_engine = view_engine(window, chunk_size=5)
+    pinned = rows_engine.process_rows(
+        [
+            (i, e.src, e.dst, e.etype, e.timestamp, e.src_type, e.dst_type)
+            for i, e in enumerate(events)
+        ]
+    )
+    assert identities([record for _, record in pinned]) == want
+    per_event = view_engine(window)
+    assert identities([r for e in events for r in per_event.process_event(e)]) == want
+    profiled = view_engine(window, profile_phases=True)
+    assert identities(profiled.process_events(events)) == want
+
+    half = len(events) // 2
+    refreshed = view_engine(window)
+    got = refreshed.process_events(events[:half])
+    for name in ("path", "fork"):
+        refreshed.refresh_query(name, strategy="Single")
+    got += refreshed.process_events(events[half:])
+    assert identities(got) == want
+
+
+@pytest.mark.parametrize("window", [3.0, math.inf], ids=["finite", "inf"])
+def test_fifo_leaves_emit_what_graph_leaves_emit(monkeypatch, window):
+    """The engine with FIFO leaf tables is the oracle the graph-backed
+    leaves replaced: same ordered records, with and without a refresh."""
+    rng = random.Random(7)
+    rows = [
+        (
+            rng.randrange(6),
+            rng.randrange(6),
+            rng.choice(["TCP", "UDP"]),
+            rng.choice([0.0, 0.5, 1.0]),
+        )
+        for _ in range(300)
+    ]
+    events = view_events(rows)
+
+    def run(refresh_at=None):
+        engine = view_engine(window, chunk_size=16)
+        records = engine.process_events(events[:refresh_at])
+        if refresh_at is not None:
+            engine.refresh_query("path", strategy="Single")
+            records += engine.process_events(events[refresh_at:])
+        return identities(records)
+
+    views = run()
+    assert views
+    assert run(refresh_at=150) == views
+    with monkeypatch.context() as patch:
+        fifo_backed(patch)
+        leaf = view_engine(window).queries["path"].tree.leaves()[0]
+        assert type(leaf.table) is FIFOLeafTable
+        assert run() == views
+        assert run(refresh_at=150) == views
+
+
+def test_graph_leaves_allocate_no_match_and_are_never_swept(monkeypatch):
+    """Offering an edge to a graph-backed leaf builds no Match and stores
+    nothing, and the sweeps pass it by. The stream carries only the outer
+    two types of an A-B-C path, so no join can ever succeed: every Match
+    built would be a leaf's."""
+    engine = ContinuousQueryEngine(window=5.0)
+    engine.warmup(
+        [
+            EdgeEvent("a", "b", "A", 0.0),
+            EdgeEvent("b", "c", "B", 0.0),
+            EdgeEvent("c", "d", "C", 0.0),
+        ]
+    )
+    query = QueryGraph.path(["A", "B", "C"], name="abc")
+    tree = engine.register(query, strategy="Single", name="abc").tree
+    leaves = tree.leaves()
+    graph = engine.graph
+    for leaf in leaves:
+        view = leaf.table
+        assert type(view) is GraphLeafView
+        assert view.index is (graph._out if view.key_is_src else graph._in)
+        owned = [getattr(view, slot) for slot in GraphLeafView.__slots__]
+        assert not any(
+            isinstance(value, (list, dict, set, tuple)) and value is not view.index
+            for value in owned
+        )
+
+    built = []
+    real_init = Match.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    def no_sweep(self, cutoff):
+        raise AssertionError("a sweep touched a graph-backed leaf")
+
+    monkeypatch.setattr(Match, "__init__", counting_init)
+    monkeypatch.setattr(GraphLeafView, "expire", no_sweep, raising=False)
+    rng = random.Random(3)
+    events = [
+        EdgeEvent(
+            f"v{rng.randrange(9)}", f"v{rng.randrange(9)}", rng.choice("AC"), t / 4
+        )
+        for t in range(400)
+    ]
+    assert engine.process_events(events[:200]) == []
+    for event in events[200:]:
+        assert engine.process_event(event) == []
+    assert built == []
+    assert engine._sweeps > 4
+    offered = sum(1 for e in events if e.src != e.dst)
+    assert sum(leaf.table.inserted_total for leaf in leaves) == offered
+    assert tree.lifetime_inserts() == offered
+    live = sum(1 for e in graph.edges() if e.src != e.dst)
+    assert sum(len(leaf.table) for leaf in leaves) == live
+    assert engine.partial_match_count() == live

@@ -19,6 +19,7 @@ from repro import CheckpointError, ContinuousQueryEngine, EngineConfig, ShardedE
 from repro.analysis.experiments import mixed_etype_workload
 from repro.persistence import load_engine, read_manifest, write_manifest
 from repro.persistence import snapshot as snapshot_module
+from repro.graph import EdgeEvent
 from repro.persistence.binary import BinaryReader, BinaryWriter
 from repro.persistence.snapshot import (
     SNAPSHOT_MAGIC,
@@ -29,7 +30,7 @@ from repro.persistence.snapshot import (
     estimator_from_section,
 )
 from repro.query.query_graph import QueryGraph
-from repro.sjtree.node import MatchTable
+from repro.sjtree.node import GraphLeafView, MatchTable
 from repro.stats import SelectivityEstimator, estimator as estimator_module
 
 CUT_POINTS = (100, 350, 600)
@@ -794,3 +795,115 @@ def test_binary_unknown_tag():
 def test_binary_rejects_unsupported_types():
     with pytest.raises(CheckpointError, match="cannot serialize"):
         BinaryWriter().write_value(object())
+
+
+# ---------------------------------------------------------------------------
+# graph-backed leaves: written as the FIFO tables they replaced, and
+# restored matches must fit their node
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("width", [30.0, math.inf], ids=["window-30", "window-inf"])
+def test_graph_backed_leaves_write_the_fifo_table_bytes(monkeypatch, workload, width):
+    """For the same engine state the snapshot bytes do not depend on
+    whether single-edge leaves are graph views or FIFO tables, and either
+    restores into the other and continues to the same records."""
+    from repro.search import dynamic as dynamic_module
+
+    events, queries = workload
+    full = identities(_single_engine(events, queries, width).run(events).records)
+    views = _single_engine(events, queries, width)
+    before = identities(views.run(events[:350]).records)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamic_module, "_graph_leaf_view", lambda node, graph: None)
+        fifo = _single_engine(events, queries, width)
+        assert identities(fifo.run(events[:350]).records) == before
+        fifo_bytes = engine_to_bytes(fifo, cursor=350)
+        from_views = engine_from_bytes(engine_to_bytes(views, cursor=350), queries)[0]
+        assert identities(from_views.run(events[350:]).records) == full[len(before) :]
+    assert engine_to_bytes(views, cursor=350) == fifo_bytes
+    restored, _ = engine_from_bytes(fifo_bytes, queries)
+    assert identities(restored.run(events[350:]).records) == full[len(before) :]
+
+
+def _fit_engine():
+    """T-U-V path, every single-edge leaf a graph view: one complete match
+    and a U self-loop, which no leaf stores."""
+    engine = ContinuousQueryEngine(window=math.inf)
+    engine.warmup([EdgeEvent("w", "x", etype, 0.0) for etype in "TUV"])
+    query = QueryGraph.path(["T", "U", "V"], name="q")
+    engine.register(query, strategy="Single", name="q")
+    for src, dst, etype, ts in [
+        ("a", "b", "T", 1.0),
+        ("b", "c", "U", 2.0),
+        ("c", "d", "V", 3.0),
+        ("d", "d", "U", 4.0),  # edge 3: a self-loop
+    ]:
+        engine.process_event(EdgeEvent(src, dst, etype, ts))
+    return engine, [query]
+
+
+def _tree_tail(tree, entries) -> bytes:
+    """The table part of a query slice, as ``_dump_tree_state`` ends it."""
+    w = BinaryWriter()
+    for node, rows in zip(tree.nodes, entries):
+        w.write_varint(node.table.inserted_total)
+        w.write_varint(len(rows))
+        for row in rows:
+            for edge_id in row:
+                w.write_varint(edge_id)
+    return w.getvalue()
+
+
+def _mutate_entry(node_kind, to):
+    """Replace the first entry of the ``node_kind`` node ("U-leaf" or
+    "join") by the edge-id row ``to(row)``."""
+
+    def mutate(tree, entries):
+        for node, rows in zip(tree.nodes, entries):
+            leaf_u = node.is_leaf and node.match_shape().etypes == ("U",)
+            join = not node.is_leaf and not node.is_root
+            if (node_kind == "U-leaf" and leaf_u) or (node_kind == "join" and join):
+                rows[0] = to(rows[0])
+                return
+        raise AssertionError(node_kind)
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    ("mutate", "message"),
+    [
+        (_mutate_entry("U-leaf", lambda row: (0,)), "has type 'T', not 'U'"),
+        (_mutate_entry("U-leaf", lambda row: (3,)), "is a self-loop"),
+        (_mutate_entry("U-leaf", lambda row: (9,)), "not in the restored window"),
+        (_mutate_entry("join", lambda row: row[::-1]), "has type"),
+        (
+            _mutate_entry("join", lambda row: tuple(3 if i == 1 else i for i in row)),
+            "is a self-loop",
+        ),
+    ],
+    ids=["view-type", "view-loop", "view-evicted", "join-type", "join-loop"],
+)
+def test_restored_matches_must_fit_their_node(mutate, message):
+    """Mutated snapshot bytes naming an edge its node could never have
+    stored raise CheckpointError instead of seeding wrong joins."""
+    engine, queries = _fit_engine()
+    tree = engine.queries["q"].tree
+    assert all(type(leaf.table) is GraphLeafView for leaf in tree.leaves())
+    entries = [
+        [(e.edge_id,) for e in node.table.edges()]
+        if type(node.table) is GraphLeafView
+        else [tuple(e.edge_id for e in m.edges) for m in node.table]
+        for node in tree.nodes
+    ]
+    assert [(1,)] in entries  # the U leaf lists its edge but not the loop
+    data = engine_to_bytes(engine)
+    tail = _tree_tail(tree, entries)
+    assert data.endswith(tail)
+    engine_from_bytes(data, queries)  # the untouched bytes restore
+    mutate(tree, entries)
+    mutated = data[: -len(tail)] + _tree_tail(tree, entries)
+    assert len(mutated) == len(data)
+    with pytest.raises(CheckpointError, match=message):
+        engine_from_bytes(mutated, queries)

@@ -58,9 +58,9 @@ class Config:
         ("isomorphism/plan.py", "_descend"),
         ("isomorphism/plan.py", "_run"),
         ("isomorphism/plan.py", "_emit"),
-        ("isomorphism/match.py", "join"),
-        ("sjtree/tree.py", "insert"),
-        ("sjtree/tree.py", "trivial_insert"),
+        ("isomorphism/match.py", "join*"),
+        ("sjtree/tree.py", "insert*"),
+        ("sjtree/tree.py", "join_siblings"),
         ("sjtree/node.py", "insert"),
         ("sjtree/node.py", "probe"),
         ("sjtree/node.py", "expire"),
