@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Union
 
@@ -166,7 +167,8 @@ def read_stream(
     ``bad_records`` routes malformed lines through a
     :class:`BadRecordLog`; without one (the default) the first bad line
     raises :class:`~repro.errors.ParseError` — crash-consistent ingest
-    never silently drops input.
+    never silently drops input. A timestamp must parse as a finite float:
+    ``nan``, ``inf`` and ``-inf`` make a line bad too.
     """
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -186,9 +188,12 @@ def read_stream(
             try:
                 timestamp = float(parts[0])
             except ValueError:
+                timestamp = math.nan
+            if not math.isfinite(timestamp):
+                # nan / inf / -inf parse, but no window can hold them
                 reason = f"bad timestamp {parts[0]!r}"
                 if bad_records is None:
-                    raise ParseError(f"{path}:{lineno}: {reason}") from None
+                    raise ParseError(f"{path}:{lineno}: {reason}")
                 bad_records.record(path, lineno, line, reason)
                 continue
             yield EdgeEvent(

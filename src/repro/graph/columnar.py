@@ -246,20 +246,21 @@ class EdgeChunk:
         True iff feeding the chunk per-event would never raise the
         out-of-order :class:`~repro.errors.GraphError` — i.e. the first
         timestamp is ``>= last_timestamp`` and the column is
-        non-decreasing. Vectorized under numpy; pure-Python loop
-        otherwise.
+        non-decreasing. Every comparison is a ``>=``, which NaN fails, so
+        a chunk holding a NaN timestamp is never presorted. Vectorized
+        under numpy; pure-Python loop otherwise.
         """
         times = self.times
         if not times:
             return True
-        if times[0] < last_timestamp:
+        if not times[0] >= last_timestamp:
             return False
         if _active is not None and self.n >= MIN_VECTOR_CHUNK:
             buf = self._times_f64()
             return bool((buf[1:] >= buf[:-1]).all())
         prev = last_timestamp
         for timestamp in times:
-            if timestamp < prev:
+            if not timestamp >= prev:
                 return False
             prev = timestamp
         return True

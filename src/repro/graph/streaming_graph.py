@@ -97,7 +97,8 @@ class StreamingGraph:
 
         Advances the window clock and, when ``evict`` is true, drops edges
         older than ``t_last - tW`` (§2 of the paper). Events must arrive in
-        non-decreasing timestamp order.
+        non-decreasing timestamp order; a NaN timestamp is out of order
+        everywhere (it compares false with every clock).
 
         ``edge_id`` pins the id the stored edge receives instead of the
         next auto-assigned one; it must not go backwards. The sharded
@@ -107,10 +108,11 @@ class StreamingGraph:
         execution paths.
         """
         timestamp = event.timestamp
-        if timestamp < self._last_timestamp:
+        # written so NaN fails it: a NaN clock would never evict again
+        if not timestamp >= self._last_timestamp:
             raise GraphError(
                 "out-of-order event: timestamp "
-                f"{timestamp} < last seen {self._last_timestamp}; "
+                f"{timestamp} is not >= last seen {self._last_timestamp}; "
                 "sort the stream with iter_events_sorted() first"
             )
         return self.add_prepared(

@@ -22,7 +22,9 @@ coordinator:
   per-worker graph holds just the slice of the stream its queries can
   match. A shard containing a query that must observe every edge
   (``PeriodicVF2``) receives the unfiltered stream.
-* **Merge**: workers send records back as flat rows plus a per-reply
+* **Merge**: every coordinator↔worker message is a typed
+  :mod:`repro.runtime.protocol` tuple. A worker answers each ``Collect``
+  with a ``Collected`` body: its records as flat rows plus a per-reply
   edge dictionary (:mod:`repro.runtime.wire`), every row tagged with
   ``(stream index, global query registration position)``; a stable sort
   over those tags reconstructs the exact emission order of the
@@ -87,10 +89,27 @@ from ..telemetry.registry import SECONDS_BUCKETS, HistogramSlot, MetricsRegistry
 from .autoscale import AutoscaleController, AutoscalePolicy
 from .faults import FaultPlan
 from .partition import ShardPlan, estimate_query_cost, greedy_balanced, round_robin
+from .protocol import (
+    READY_TIMEOUT,
+    TASKS,
+    Batch,
+    Checkpoint,
+    CheckpointDone,
+    Close,
+    Collect,
+    Collected,
+    Describe,
+    Described,
+    Failed,
+    Metrics,
+    MetricsSnapshot,
+    Ready,
+    Reply,
+    ReplyBody,
+    check_handlers,
+)
 from .supervisor import RestartPolicy, Supervisor
 from .wire import EdgeRow, RecordRow, SourcedBatch, decode_records, encode_records
-
-_READY_TIMEOUT = 120.0
 
 #: Bound on queued-but-unprocessed batches per worker. Keeps coordinator
 #: memory at O(batch_size x queue depth) per shard on arbitrarily long
@@ -157,54 +176,6 @@ class _WorkerInit:
     incarnation: int = 0
 
 
-def _error_payload(init: _WorkerInit, context: str, **extra) -> dict:
-    """Structured cross-process failure report for one worker.
-
-    ``repr(exc)`` alone (the pre-fix payload) threw away the traceback at
-    the process boundary, leaving remote failures undebuggable. The
-    payload carries everything the coordinator side cannot reconstruct:
-    the formatted traceback, the worker's identity and query shard, and
-    per-context details (batch size, first edge id). Must be called from
-    an ``except`` block.
-    """
-    exc = sys.exc_info()[1]
-    payload = {
-        "worker_id": init.worker_id,
-        "context": context,
-        "queries": [spec.name for spec in init.specs],
-        "type": type(exc).__name__,
-        "message": str(exc),
-        "traceback": traceback.format_exc(),
-    }
-    payload.update(extra)
-    return payload
-
-
-def _format_worker_error(worker_id: int, payload) -> str:
-    """Render a worker error payload into one coordinator-side message.
-
-    Accepts both the structured dict (current workers) and a bare string
-    (defensive: a mixed-version respawn should degrade, not crash the
-    error path itself).
-    """
-    if not isinstance(payload, dict):
-        return f"shard worker {worker_id} failed: {payload}"
-    head = (
-        f"shard worker {worker_id} failed during {payload.get('context', '?')} "
-        f"(queries={payload.get('queries')}"
-    )
-    if payload.get("batch_events") is not None:
-        head += (
-            f", batch_events={payload['batch_events']}"
-            f", first_edge_id={payload.get('first_edge_id')}"
-        )
-    head += f"): {payload.get('type')}: {payload.get('message')}"
-    trace = payload.get("traceback")
-    if trace:
-        head += "\n--- worker traceback ---\n" + trace.rstrip()
-    return head
-
-
 def _open_engine(
     config: EngineConfig,
     estimator: SelectivityEstimator,
@@ -230,111 +201,164 @@ def _open_engine(
     return engine
 
 
-def _worker_main(init: _WorkerInit, task_queue, result_queue) -> None:
-    """Subprocess entry point: one engine, one query shard, batch loop.
+class _Worker:
+    """One worker process's state, shared by its task handlers."""
 
-    Every reply carries ``init.incarnation`` so a supervising coordinator
-    can distinguish this incarnation's replies from stale chatter a dead
-    predecessor left in the result queue's pipe.
+    def __init__(self, init: _WorkerInit, engine, injector, result_queue) -> None:
+        self.init = init
+        self.engine = engine
+        self.injector = injector
+        self.result_queue = result_queue
+        self.position = {spec.name: spec.position for spec in init.specs}
+        # The reply under construction, in wire form (see runtime/wire.py):
+        # records are encoded batch by batch as they are found, so the
+        # worker never retains MatchRecord objects between collects.
+        self.edge_rows: Dict[int, EdgeRow] = {}
+        self.record_rows: List[RecordRow] = []
+        self.running = True
+
+
+def _failed(init: _WorkerInit, context: str, **extra) -> Failed:
+    """The report of the exception being handled (call from ``except``)."""
+    exc = sys.exc_info()[1]
+    return Failed(
+        worker_id=init.worker_id,
+        context=context,
+        queries=[spec.name for spec in init.specs],
+        type=type(exc).__name__,
+        message=str(exc),
+        traceback=traceback.format_exc(),
+        **extra,
+    )
+
+
+def _on_batch(worker: _Worker, task: Batch) -> Optional[Failed]:
+    rows = task.rows
+    injector = worker.injector
+    die = False
+    if injector is not None:
+        rows, die = injector.intercept(rows)
+    try:
+        # process_rows pins each edge_id to the global stream index, so
+        # the worker's (filtered) graph assigns the same edge ids as the
+        # single-process graph — match fingerprints must be byte-identical
+        # across execution paths. The returned (index, record) tags,
+        # extended with the query's global registration position,
+        # reconstruct exact emission order.
+        encode_records(
+            worker.engine.process_rows(rows),
+            worker.position,
+            worker.edge_rows,
+            worker.record_rows,
+        )
+    except BaseException:
+        worker.running = False
+        return _failed(
+            worker.init,
+            type(task).__name__.lower(),
+            batch_events=len(rows),
+            first_edge_id=rows[0][0] if rows else None,
+        )
+    if die:
+        # Flush and join the result queue's feeder thread before
+        # hard-exiting: os._exit at an arbitrary moment can sever the
+        # feeder inside the write lock *shared by every worker*, leaving
+        # the semaphore orphaned — survivors' replies would then never
+        # reach the coordinator and the run would wedge. The injected
+        # death models a crash between events, not a corrupted IPC layer.
+        worker.result_queue.close()
+        worker.result_queue.join_thread()
+        injector.kill_now()
+    return None
+
+
+def _on_collect(worker: _Worker, task: Collect) -> Collected:
+    reply = Collected(
+        task.seq,
+        list(worker.edge_rows.values()),
+        worker.record_rows,
+        worker.engine.partial_match_count(),
+    )
+    worker.edge_rows = {}
+    worker.record_rows = []
+    return reply
+
+
+def _on_checkpoint(worker: _Worker, task: Checkpoint) -> CheckpointDone:
+    # Queue order guarantees every batch streamed before the checkpoint
+    # request has been folded in; the coordinator collects before
+    # checkpointing, so no record is pending and the snapshot is a clean
+    # between-events cut. A failed write must NOT kill the worker — its
+    # in-memory window state is exactly what the caller will want to
+    # snapshot again once the disk recovers — so the failure rides back
+    # in the reply and the worker keeps processing.
+    injector = worker.injector
+    try:
+        if injector is not None:
+            injector.before_checkpoint()
+        worker.engine.checkpoint(task.path)
+        if injector is not None:
+            injector.after_checkpoint(task.path)
+    except Exception as exc:
+        return CheckpointDone(str(exc))
+    return CheckpointDone(None)
+
+
+def _on_describe(worker: _Worker, task: Describe) -> Described:
+    return Described(worker.engine.describe())
+
+
+def _on_metrics(worker: _Worker, task: Metrics) -> MetricsSnapshot:
+    # Queue order means the snapshot reflects every batch sent before the
+    # request, exactly like describe.
+    return MetricsSnapshot(len(worker.record_rows), worker.engine.metrics().collect())
+
+
+def _on_close(worker: _Worker, task: Close) -> None:
+    worker.running = False
+
+
+_HANDLERS = {
+    Batch: _on_batch,
+    Collect: _on_collect,
+    Checkpoint: _on_checkpoint,
+    Describe: _on_describe,
+    Metrics: _on_metrics,
+    Close: _on_close,
+}
+check_handlers(_HANDLERS)
+
+
+def _worker_main(init: _WorkerInit, task_queue, result_queue) -> None:
+    """Subprocess entry point: one engine, one query shard, task loop.
+
+    Each task goes to its handler in :data:`_HANDLERS`; whatever body the
+    handler returns is sent back in a :class:`Reply` stamped with
+    ``init.incarnation``, so a supervising coordinator can tell this
+    incarnation's replies from stale chatter a dead predecessor left in
+    the result queue's pipe.
     """
 
-    def reply(kind: str, payload) -> None:
-        result_queue.put((init.worker_id, kind, payload, init.incarnation))
+    def send(body: ReplyBody) -> None:
+        result_queue.put(Reply(init.worker_id, init.incarnation, body))
 
     injector = None
     if init.fault_plan is not None:
-        injector = init.fault_plan.injector(init.worker_id, init.incarnation)
-        if not injector:
-            injector = None
+        injector = init.fault_plan.injector(init.worker_id, init.incarnation) or None
     try:
         engine = _open_engine(
             init.config, init.estimator, init.specs, init.restore_path
         )
     except BaseException:  # surfaced by the coordinator's gather
-        reply("error", _error_payload(init, "startup"))
+        send(_failed(init, "startup"))
         return
-    reply("ready", None)
-
-    position = {spec.name: spec.position for spec in init.specs}
-    process_rows = engine.process_rows
-    # The reply under construction, in wire form (see runtime/wire.py):
-    # records are encoded batch by batch as they are found, so the worker
-    # never retains MatchRecord objects between collects.
-    edge_rows: Dict[int, EdgeRow] = {}
-    record_rows: List[RecordRow] = []
-    while True:
-        message = task_queue.get()
-        kind = message[0]
-        if kind == "batch":
-            rows = message[1]
-            die = False
-            if injector is not None:
-                rows, die = injector.intercept(rows)
-            try:
-                # process_rows pins each edge_id to the global stream index,
-                # so the worker's (filtered) graph assigns the same edge ids
-                # as the single-process graph — match fingerprints must be
-                # byte-identical across execution paths. The returned
-                # (index, record) tags, extended with the query's global
-                # registration position, reconstruct exact emission order.
-                encode_records(process_rows(rows), position, edge_rows, record_rows)
-            except BaseException:
-                reply(
-                    "error",
-                    _error_payload(
-                        init,
-                        "batch",
-                        batch_events=len(rows),
-                        first_edge_id=rows[0][0] if rows else None,
-                    ),
-                )
-                return
-            if die:
-                # Flush and join the result queue's feeder thread before
-                # hard-exiting: os._exit at an arbitrary moment can sever
-                # the feeder inside the write lock *shared by every
-                # worker*, leaving the semaphore orphaned — survivors'
-                # replies would then never reach the coordinator and the
-                # run would wedge. The injected death models a crash
-                # between events, not a corrupted IPC layer.
-                result_queue.close()
-                result_queue.join_thread()
-                injector.kill_now()
-        elif kind == "collect":
-            batch = (list(edge_rows.values()), record_rows)
-            reply("collect", (message[1], batch, engine.partial_match_count()))
-            edge_rows = {}
-            record_rows = []
-        elif kind == "checkpoint":
-            # Queue order guarantees every batch streamed before the
-            # checkpoint request has been folded in; the coordinator
-            # collects before checkpointing, so no record is pending and
-            # the snapshot is a clean between-events cut. A failed write
-            # must NOT kill the worker — its in-memory window state is
-            # exactly what the caller will want to snapshot again once
-            # the disk recovers — so the failure rides back in the reply
-            # payload and the worker keeps processing.
-            try:
-                if injector is not None:
-                    injector.before_checkpoint()
-                engine.checkpoint(message[1])
-                if injector is not None:
-                    injector.after_checkpoint(message[1])
-            except Exception as exc:
-                reply("checkpoint", str(exc))
-            else:
-                reply("checkpoint", None)
-        elif kind == "describe":
-            reply("describe", engine.describe())
-        elif kind == "metrics":
-            # Snapshot of this worker's full registry plus the live
-            # merge-buffer depth (records matched but not yet collected) —
-            # the coordinator folds both into the aggregate. Queue order
-            # means the snapshot reflects every batch sent before the
-            # request, exactly like describe.
-            reply("metrics", (len(record_rows), engine.metrics().collect()))
-        elif kind == "close":
-            return
+    send(Ready())
+    worker = _Worker(init, engine, injector, result_queue)
+    while worker.running:
+        task = task_queue.get()
+        body = _HANDLERS[type(task)](worker, task)
+        if body is not None:
+            send(body)
 
 
 class ShardedEngine:
@@ -638,7 +662,7 @@ class ShardedEngine:
             # failures (a torn restore snapshot, an OOM-killed spawn)
             # are recovered under the restart policy.
             self._supervisor = Supervisor(self, self.restart_policy)
-        self._gather("ready", timeout=_READY_TIMEOUT)
+        self._gather(Ready, timeout=READY_TIMEOUT)
         self._started = True
 
     def _spawn_worker(self, slot: int, restore_path: Optional[str], incarnation=0):
@@ -711,7 +735,7 @@ class ShardedEngine:
         self._result_queue = None
 
     def _post_poison_pill(self, slot: int, deadline_seconds: float = 5.0) -> None:
-        """Deliver ``("close",)`` to one worker without ever blocking.
+        """Deliver :class:`Close` to one worker without ever blocking.
 
         ``put_nowait`` on a task queue at capacity raises ``Full``;
         silently swallowing that (the pre-fix behaviour) dropped the
@@ -727,7 +751,7 @@ class ShardedEngine:
         deadline = time.monotonic() + deadline_seconds
         while True:
             try:
-                task_queue.put_nowait(("close",))
+                task_queue.put_nowait(Close())
                 return
             except (ValueError, OSError):
                 return  # queue already closed/broken; terminate() backstop
@@ -845,7 +869,6 @@ class ShardedEngine:
         default_route = self._default_route
         pending: List[List[tuple]] = [[] for _ in self._procs]
         routed_counts = [0] * len(self._procs)
-        task_queues = self._task_queues
         processed = 0
         if limit is not None:
             events = itertools.islice(events, limit)
@@ -873,12 +896,8 @@ class ShardedEngine:
                 self._put_batch(slot, batch)
                 routed_counts[slot] += len(batch)
         self._collect_seq += 1
-        for slot in range(len(task_queues)):
-            self._put(slot, ("collect", self._collect_seq))
-        replies = self._gather(
-            "collect",
-            resend=lambda slot: self._put(slot, ("collect", self._collect_seq)),
-        )
+        seq = self._collect_seq
+        replies = self._request(lambda slot: Collect(seq))
         # Records drained by the supervisor's recovery checkpoints are
         # part of this segment's output: the final collect only returns
         # what each worker produced since its last recovery cut.
@@ -889,14 +908,15 @@ class ShardedEngine:
         batches: List[SourcedBatch] = []
         stats: List[WorkerStats] = []
         for slot, shard in enumerate(self._shards):
-            seq, batch, partials = replies[shard.worker_id]
-            if seq != self._collect_seq:
+            collected = replies[shard.worker_id]
+            if collected.seq != seq:
                 raise ReproRuntimeError(
-                    f"worker {shard.worker_id} answered collect {seq}, "
-                    f"expected {self._collect_seq}"
+                    f"worker {shard.worker_id} answered collect "
+                    f"{collected.seq}, expected {seq}"
                 )
             # per worker in collection order: stashed recovery cuts, then
             # the final reply (the merge's stable sort relies on it)
+            batch = (collected.edge_rows, collected.record_rows)
             mine = [*stash.get(shard.worker_id, ()), (shard.worker_id, seq, batch)]
             worker_records = sum(len(rows) for _, _, (_, rows) in mine)
             batches += mine
@@ -911,7 +931,7 @@ class ShardedEngine:
                     worker_id=shard.worker_id,
                     events_routed=routed_counts[slot],
                     records=worker_records,
-                    partial_matches=partials,
+                    partial_matches=collected.partial_matches,
                     query_names=tuple(
                         self.specs[position].name for position in shard.positions
                     ),
@@ -968,9 +988,12 @@ class ShardedEngine:
                 }
             )
         else:
-            for slot, shard in enumerate(self._shards):
-                filename = manifest_mod.shard_filename(sequence, shard.worker_id)
-                self._put(slot, ("checkpoint", str(root / filename)))
+            files = [
+                manifest_mod.shard_filename(sequence, shard.worker_id)
+                for shard in self._shards
+            ]
+            replies = self._request(lambda slot: Checkpoint(str(root / files[slot])))
+            for shard, filename in zip(self._shards, files):
                 shards_entry.append(
                     {
                         "worker_id": shard.worker_id,
@@ -978,25 +1001,10 @@ class ShardedEngine:
                         "positions": list(shard.positions),
                     }
                 )
-            replies = self._gather(
-                "checkpoint",
-                resend=lambda slot: self._put(
-                    slot,
-                    (
-                        "checkpoint",
-                        str(
-                            root
-                            / manifest_mod.shard_filename(
-                                sequence, self._shards[slot].worker_id
-                            )
-                        ),
-                    ),
-                ),
-            )
             failures = {
-                worker_id: message
-                for worker_id, message in replies.items()
-                if message is not None
+                worker_id: done.error
+                for worker_id, done in replies.items()
+                if done.error is not None
             }
             if failures:
                 details = "; ".join(
@@ -1261,15 +1269,11 @@ class ShardedEngine:
         if self._serial_engine is not None:
             lines.append(self._serial_engine.describe())
         elif self._started:
-            for slot in range(len(self._task_queues)):
-                self._put(slot, ("describe",))
-            replies = self._gather(
-                "describe", resend=lambda slot: self._put(slot, ("describe",))
-            )
+            replies = self._request(lambda slot: Describe())
             for shard in self._shards:
                 lines.append(f"  worker {shard.worker_id}:")
                 lines.extend(
-                    "    " + line for line in replies[shard.worker_id].splitlines()
+                    "    " + line for line in replies[shard.worker_id].text.splitlines()
                 )
         return "\n".join(lines)
 
@@ -1277,8 +1281,8 @@ class ShardedEngine:
         """Aggregated cross-shard :class:`~repro.telemetry.MetricsRegistry`.
 
         Every worker snapshots its full engine registry (engine, graph,
-        sjtree, persistence families) via a ``metrics`` queue message —
-        the describe-style request/reply protocol, so snapshots reflect
+        sjtree, persistence families) in answer to a ``Metrics`` task —
+        the same request/reply path as describe, so snapshots reflect
         every batch dispatched before the call — and the coordinator
         merges them (counters/histograms sum, gauges follow their
         aggregation policy) together with its own ``repro_runtime_*``
@@ -1320,16 +1324,13 @@ class ShardedEngine:
                     depths[shard.worker_id] = self._task_queues[slot].qsize()
                 except NotImplementedError:
                     depths[shard.worker_id] = -1
-                self._put(slot, ("metrics",))
-            replies = self._gather(
-                "metrics", resend=lambda slot: self._put(slot, ("metrics",))
-            )
+            replies = self._request(lambda slot: Metrics())
             now = time.monotonic()
             rows = {}
             snapshots = []
             for slot, shard in enumerate(self._shards):
-                pending_records, families = replies[shard.worker_id]
-                snapshots.append(families)
+                snapshot = replies[shard.worker_id]
+                snapshots.append(snapshot.families)
                 heartbeat = self._last_heartbeat.get(shard.worker_id, now)
                 rows[shard.worker_id] = {
                     "alive": self._procs[slot].is_alive(),
@@ -1338,7 +1339,7 @@ class ShardedEngine:
                     "events_routed": self._routed_total.get(shard.worker_id, 0),
                     "records": self._records_total.get(shard.worker_id, 0),
                     "batches": self._batches_total.get(shard.worker_id, 0),
-                    "merge_buffer_records": pending_records,
+                    "merge_buffer_records": snapshot.pending_records,
                 }
         from ..telemetry.instrument import runtime_registry
 
@@ -1414,33 +1415,45 @@ class ShardedEngine:
         """
         worker_id = self._shards[slot].worker_id
         started = time.perf_counter()
-        self._put(slot, ("batch", batch))
+        self._put(slot, Batch(batch))
         self._batch_put.observe(time.perf_counter() - started)
         self._batches_total[worker_id] = self._batches_total.get(worker_id, 0) + 1
         if self._supervisor is not None:
             self._supervisor.note_batch(slot, batch)
 
+    def _request(self, make_task) -> Dict[int, ReplyBody]:
+        """Post ``make_task(slot)`` to every worker; gather the replies.
+
+        Each reply is of the class :data:`~repro.runtime.protocol.TASKS`
+        pairs with the task; under supervision a worker recovered
+        mid-request is sent its task again.
+        """
+        tasks = [make_task(slot) for slot in range(len(self._task_queues))]
+        for slot, task in enumerate(tasks):
+            self._put(slot, task)
+        return self._gather(TASKS[type(tasks[0])], tasks=tasks)
+
     def _gather(
         self,
-        kind: str,
+        expected: type,
         timeout: Optional[float] = None,
-        resend=None,
-    ) -> Dict[int, object]:
-        """Collect one ``kind`` reply from every worker, surfacing failures.
+        tasks: Optional[list] = None,
+    ) -> Dict[int, ReplyBody]:
+        """Collect one ``expected`` reply from every worker, surfacing failures.
 
-        With ``timeout=None`` (the collect/describe path) this waits as
-        long as the workers are alive — a long stream legitimately takes
-        long to drain, exactly as it would in-process; a worker that dies
-        without replying is detected on the next poll and raises. The
-        hard deadline is only used for the bounded startup handshake.
+        With ``timeout=None`` (every request) this waits as long as the
+        workers are alive — a long stream legitimately takes long to
+        drain, exactly as it would in-process; a worker that dies without
+        replying is detected on the next poll and raises. The hard
+        deadline is only used for the bounded startup handshake.
 
         Under supervision the gather is delegated to the supervisor,
-        which recovers dead workers mid-gather and uses ``resend`` to
-        re-issue the outstanding request to each replacement.
+        which recovers dead workers mid-gather and re-posts their entry
+        of ``tasks`` to each replacement.
         """
         if self._supervisor is not None:
-            return self._supervisor.gather(kind, timeout=timeout, resend=resend)
-        replies: Dict[int, object] = {}
+            return self._supervisor.gather(expected, timeout=timeout, tasks=tasks)
+        replies: Dict[int, ReplyBody] = {}
         deadline = None if timeout is None else time.monotonic() + timeout
         while len(replies) < len(self._procs):
             poll = 1.0
@@ -1453,14 +1466,12 @@ class ShardedEngine:
                         if s.worker_id not in replies
                     ]
                     raise ReproRuntimeError(
-                        f"timed out waiting for {kind!r} from workers "
-                        f"{missing}"
+                        f"timed out waiting for {expected.__name__} from "
+                        f"workers {missing}"
                     )
                 poll = min(remaining, poll)
             try:
-                worker_id, got_kind, payload, _inc = self._result_queue.get(
-                    timeout=poll
-                )
+                reply: Reply = self._result_queue.get(timeout=poll)
             except queue_module.Empty:
                 self._ensure_workers_alive(replies)
                 continue
@@ -1468,28 +1479,16 @@ class ShardedEngine:
             # that answers the protocol is demonstrably draining its
             # queue. metrics() turns the age of this stamp into the
             # per-worker heartbeat gauge.
-            self._last_heartbeat[worker_id] = time.monotonic()
-            if got_kind == "error":
-                context = (
-                    payload.get("context") if isinstance(payload, dict) else None
-                )
-                raise WorkerError(
-                    _format_worker_error(worker_id, payload),
-                    worker_id=worker_id,
-                    context=context,
-                    remote_traceback=(
-                        payload.get("traceback")
-                        if isinstance(payload, dict)
-                        else None
-                    ),
-                    payload=payload if isinstance(payload, dict) else None,
-                )
-            if got_kind != kind:
+            self._last_heartbeat[reply.worker_id] = time.monotonic()
+            body = reply.body
+            if isinstance(body, Failed):
+                raise body.to_error()
+            if not isinstance(body, expected):
                 raise ReproRuntimeError(
-                    f"protocol error: expected {kind!r} from worker "
-                    f"{worker_id}, got {got_kind!r}"
+                    f"protocol error: expected {expected.__name__} from worker "
+                    f"{reply.worker_id}, got {type(body).__name__}"
                 )
-            replies[worker_id] = payload
+            replies[reply.worker_id] = body
         return replies
 
     def _ensure_workers_alive(self, replies: Dict[int, object]) -> None:

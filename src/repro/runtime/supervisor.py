@@ -4,7 +4,7 @@ The sharded coordinator (:mod:`repro.runtime.sharded`) historically
 treated a dead worker as fatal: any crash surfaced as an error and the
 whole engine was lost, along with every worker's window state. This
 module adds the self-healing layer: a :class:`Supervisor` that detects
-worker death (process exitcode, structured error replies, heartbeat-age
+worker death (process exitcode, ``Failed`` replies, heartbeat-age
 stalls) and — under a :class:`RestartPolicy` — respawns the dead shard
 and replays exactly the events it lost, so the merged output stays
 **byte-identical to an uninterrupted run**.
@@ -16,11 +16,13 @@ The supervisor shadows the coordinator's dispatch loop:
 * Every batch put to a worker is also appended to that worker's
   coordinator-side **replay buffer**.
 * When a buffer reaches ``replay_buffer_batches`` the supervisor takes a
-  **recovery checkpoint** of that one worker: a targeted ``collect``
+  **recovery checkpoint** of that one worker: a targeted ``Collect``
   drains the worker's finished records into a coordinator-side *stash*
   (they are part of the current run's output and must survive the
-  worker), then the worker snapshots its engine into the supervisor's
-  scratch directory. On success the buffer is cleared and the recovery
+  worker), then a ``Checkpoint`` task snapshots its engine into the
+  supervisor's scratch directory. Each is posted on its own and its
+  declared reply (:data:`~repro.runtime.protocol.TASKS`) awaited before
+  the next. On success the buffer is cleared and the recovery
   cursor advances to the last dispatched stream index — bounding both
   the buffer and the replay work a crash can cost.
 * On death, the replacement worker restores from the newest recovery
@@ -29,7 +31,11 @@ The supervisor shadows the coordinator's dispatch loop:
   replayed into it. Replay is idempotent at the record level: stream
   indices at or below the worker's *stash cursor* were already stashed
   or returned to the caller, so re-emitted records are deduplicated by
-  cursor when the next ``collect`` reply is filtered.
+  cursor when the next ``Collected`` reply is filtered.
+* Every reply arrives in a ``Reply`` envelope naming the worker and its
+  incarnation. Replies for other workers wait in a pending buffer;
+  replies from a dead incarnation are dropped. A request in flight when
+  its worker died is posted again to the replacement.
 
 Determinism is inherited from the runtime's record-identity design:
 edge ids are pinned to global stream indices, so a worker rebuilt from
@@ -44,7 +50,7 @@ engine's lifetime, with exponential backoff (plus deterministic seeded
 jitter) between attempts. Exhausting the budget raises
 :class:`~repro.errors.WorkerError` carrying the last failure's context —
 including the remote traceback when the death crossed the process
-boundary as a structured error reply — so a persistent fault (a poison
+boundary as a ``Failed`` reply — so a persistent fault (a poison
 batch, a corrupt snapshot) fails fast instead of looping forever.
 """
 
@@ -57,15 +63,26 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import WorkerError
 from ..telemetry.registry import SECONDS_BUCKETS, HistogramSlot
+from .protocol import (
+    READY_TIMEOUT,
+    TASKS,
+    Batch,
+    Checkpoint,
+    Collect,
+    Collected,
+    Failed,
+    Ready,
+    Reply,
+    ReplyBody,
+    Task,
+)
 from .wire import SourcedBatch
 
 __all__ = ["RestartPolicy", "Supervisor", "backoff_delay"]
-
-_READY_TIMEOUT = 120.0
 
 #: Seed for the backoff jitter: reproducible recovery schedules in tests
 #: while still decorrelating restart storms across workers at runtime.
@@ -146,10 +163,12 @@ def backoff_delay(
 class _WorkerDied(Exception):
     """Internal signal: one worker needs recovery (never escapes module)."""
 
-    def __init__(self, reason: str, payload=None, exitcode=None) -> None:
+    def __init__(
+        self, reason: str, failure: Optional[Failed] = None, exitcode=None
+    ) -> None:
         super().__init__(reason)
         self.reason = reason
-        self.payload = payload
+        self.failure = failure
         self.exitcode = exitcode
 
 
@@ -192,7 +211,7 @@ class Supervisor:
             shard.worker_id: slot for slot, shard in enumerate(engine._shards)
         }
         #: replies received while awaiting something else
-        self._pending: List[tuple] = []
+        self._pending: List[Reply] = []
         self._restarts: Dict[int, int] = {}
         self._restart_reasons: Dict[Tuple[int, str], int] = {}
         self._recovery_seconds = HistogramSlot(SECONDS_BUCKETS)
@@ -234,22 +253,18 @@ class Supervisor:
         self._recovery_checkpoints += 1
         path = self._snapshot_path(slot)
         try:
-            self._raw_put(slot, ("collect", seq))
-            self._raw_put(slot, ("checkpoint", str(path)))
-            _, batch, _ = self._filter_collect(
-                slot,
-                self._await(slot, "collect", match=lambda payload: payload[0] == seq),
-            )
-            if batch[1]:
+            collected = self._filter_collect(slot, self._ask(slot, Collect(seq)))
+            if collected.record_rows:
                 worker_id = engine._shards[slot].worker_id
+                batch = (collected.edge_rows, collected.record_rows)
                 self._stash[slot].append((worker_id, seq, batch))
-            failure = self._await(slot, "checkpoint")
+            done = self._ask(slot, Checkpoint(str(path)))
         except _WorkerDied as died:
             self.recover(
-                slot, reason=died.reason, payload=died.payload, exitcode=died.exitcode
+                slot, reason=died.reason, failure=died.failure, exitcode=died.exitcode
             )
             return
-        if failure is None:
+        if done.error is None:
             previous = self._snapshots[slot]
             self._cursor[slot] = tip
             self._snapshots[slot] = str(path)
@@ -290,88 +305,82 @@ class Supervisor:
 
     def gather(
         self,
-        kind: str,
+        expected: type,
         *,
         timeout: Optional[float] = None,
-        resend: Optional[Callable[[int], None]] = None,
-    ) -> Dict[int, object]:
-        """Collect one ``kind`` reply per worker, recovering as needed.
+        tasks: Optional[Sequence[Task]] = None,
+    ) -> Dict[int, ReplyBody]:
+        """Collect one ``expected`` reply per worker, recovering as needed.
 
-        ``resend`` reposts the outstanding request to a freshly recovered
-        worker (queue contents die with a worker, so the request must be
-        re-issued); ``ready`` needs none — recovery itself completes the
-        handshake. ``collect`` payloads are filtered against the stash
-        cursor (replay dedup) and advance it.
+        A freshly recovered worker is sent its entry of ``tasks`` again
+        (queue contents die with a worker, so the request must be
+        re-issued); :class:`Ready` needs none — recovery itself completes
+        the handshake. :class:`Collected` bodies are filtered against the
+        stash cursor (replay dedup) and advance it.
         """
-        replies: Dict[int, object] = {}
+        replies: Dict[int, ReplyBody] = {}
         for slot, shard in enumerate(self._engine._shards):
             replies[shard.worker_id] = self._await_recovering(
-                slot, kind, timeout=timeout, resend=resend
+                slot, expected, timeout=timeout, tasks=tasks
             )
         return replies
 
     def _await_recovering(
         self,
         slot: int,
-        kind: str,
+        expected: type,
         *,
         timeout: Optional[float],
-        resend: Optional[Callable[[int], None]],
-    ) -> object:
+        tasks: Optional[Sequence[Task]],
+    ) -> ReplyBody:
         while True:
             try:
-                payload = self._await(slot, kind, timeout=timeout)
+                body = self._await(slot, expected, timeout=timeout)
             except _WorkerDied as died:
                 self.recover(
                     slot,
                     reason=died.reason,
-                    payload=died.payload,
+                    failure=died.failure,
                     exitcode=died.exitcode,
                 )
-                if kind == "ready":
-                    return None  # recovery already completed the handshake
-                if resend is None:
-                    raise WorkerError(
-                        f"shard worker {self._engine._shards[slot].worker_id} "
-                        f"was recovered mid-{kind!r} but the request cannot "
-                        "be re-issued",
-                        worker_id=self._engine._shards[slot].worker_id,
-                        context=kind,
-                    ) from died
-                resend(slot)
+                if tasks is None:
+                    return Ready()  # recovery already completed the handshake
+                self._engine._put(slot, tasks[slot])
                 continue
-            if kind == "collect":
-                payload = self._filter_collect(slot, payload)
-            return payload
+            if isinstance(body, Collected):
+                body = self._filter_collect(slot, body)
+            return body
 
-    def _filter_collect(self, slot: int, payload) -> tuple:
+    def _filter_collect(self, slot: int, collected: Collected) -> Collected:
         """Drop replay-duplicate records; advance the stash cursor.
 
-        Only column 0 (the stream index) of the batch's record rows is
-        read; the edge dictionary rides along untouched.
+        Only column 0 (the stream index) of the record rows is read; the
+        edge dictionary rides along untouched.
         """
-        seq, (edge_rows, record_rows), partials = payload
         cutoff = self._stash_cursor[slot]
+        record_rows = collected.record_rows
+        self._stash_cursor[slot] = self._tip[slot]
         if record_rows and record_rows[0][0] <= cutoff:
             record_rows = [row for row in record_rows if row[0] > cutoff]
-        self._stash_cursor[slot] = self._tip[slot]
-        return (seq, (edge_rows, record_rows), partials)
+            return collected._replace(record_rows=record_rows)
+        return collected
+
+    def _ask(self, slot: int, task: Task) -> ReplyBody:
+        """Post one task to one worker and await its declared reply,
+        reporting death instead of recovering."""
+        self._raw_put(slot, task)
+        return self._await(slot, TASKS[type(task)])
 
     def _await(
-        self,
-        slot: int,
-        kind: str,
-        *,
-        timeout: Optional[float] = None,
-        match: Optional[Callable[[object], bool]] = None,
-    ) -> object:
-        """One reply of ``kind`` from ``slot``'s *current* incarnation.
+        self, slot: int, expected: type, *, timeout: Optional[float] = None
+    ) -> ReplyBody:
+        """One ``expected`` reply body from ``slot``'s *current* incarnation.
 
         Replies from other workers are parked in the pending buffer for
         their own awaits; stale replies from dead incarnations are
-        dropped. Raises :class:`_WorkerDied` on an error reply, observed
-        process death (after a short grace drain for replies still in
-        the queue's pipe), heartbeat stall, or deadline expiry.
+        dropped. Raises :class:`_WorkerDied` on a :class:`Failed` reply,
+        observed process death (after a short grace drain for replies
+        still in the queue's pipe), heartbeat stall, or deadline expiry.
         """
         engine = self._engine
         worker_id = engine._shards[slot].worker_id
@@ -379,27 +388,26 @@ class Supervisor:
         wait_start = time.monotonic()
         death_grace = None
         while True:
-            found = self._take_pending(slot, kind, match)
+            found = self._take_pending(slot, expected)
             if found is not None:
-                return found[2]
+                return found
             poll = 0.2
             if deadline is not None:
                 poll = min(poll, max(deadline - time.monotonic(), 0.01))
             try:
-                reply = engine._result_queue.get(timeout=poll)
+                reply: Optional[Reply] = engine._result_queue.get(timeout=poll)
             except queue_module.Empty:
                 reply = None
             now = time.monotonic()
             if reply is not None:
-                engine._last_heartbeat[reply[0]] = now
+                engine._last_heartbeat[reply.worker_id] = now
                 if self._is_stale(reply):
                     continue
-                w, k, payload, _inc = reply
-                if w == worker_id:
-                    if k == "error":
-                        raise _WorkerDied("error", payload=payload)
-                    if k == kind and (match is None or match(payload)):
-                        return payload
+                if reply.worker_id == worker_id:
+                    if isinstance(reply.body, Failed):
+                        raise _WorkerDied("error", failure=reply.body)
+                    if isinstance(reply.body, expected):
+                        return reply.body
                 self._pending.append(reply)
                 continue
             proc = engine._procs[slot]
@@ -421,26 +429,21 @@ class Supervisor:
             if deadline is not None and now >= deadline:
                 raise _WorkerDied("timeout")
 
-    def _take_pending(
-        self, slot: int, kind: str, match: Optional[Callable[[object], bool]]
-    ) -> Optional[tuple]:
+    def _take_pending(self, slot: int, expected: type) -> Optional[ReplyBody]:
         worker_id = self._engine._shards[slot].worker_id
         for index, reply in enumerate(self._pending):
-            if self._is_stale(reply):
+            if reply.worker_id != worker_id or self._is_stale(reply):
                 continue
-            w, k, payload, _inc = reply
-            if w != worker_id:
-                continue
-            if k == "error":
+            if isinstance(reply.body, Failed):
                 self._pending.pop(index)
-                raise _WorkerDied("error", payload=payload)
-            if k == kind and (match is None or match(payload)):
-                return self._pending.pop(index)
+                raise _WorkerDied("error", failure=reply.body)
+            if isinstance(reply.body, expected):
+                return self._pending.pop(index).body
         return None
 
-    def _is_stale(self, reply: tuple) -> bool:
-        slot = self._slot_of.get(reply[0])
-        return slot is not None and reply[3] != self._incarnations[slot]
+    def _is_stale(self, reply: Reply) -> bool:
+        slot = self._slot_of.get(reply.worker_id)
+        return slot is not None and reply.incarnation != self._incarnations[slot]
 
     def _raw_put(self, slot: int, message) -> None:
         """Queue put that reports death instead of recovering (used from
@@ -461,7 +464,7 @@ class Supervisor:
     # ------------------------------------------------------------------
 
     def recover(
-        self, slot: int, *, reason: str, payload=None, exitcode=None
+        self, slot: int, *, reason: str, failure: Optional[Failed] = None, exitcode=None
     ) -> None:
         """Restart one dead (or wedged) worker and replay its lost delta.
 
@@ -476,14 +479,13 @@ class Supervisor:
         worker_id = shard.worker_id
         started = time.perf_counter()
         while True:
-            if reason == "exit" and payload is None:
-                final = self._drain_final_error(slot, worker_id)
-                if final is not None:
+            if reason == "exit" and failure is None:
+                failure = self._drain_final_error(slot, worker_id)
+                if failure is not None:
                     reason = "error"
-                    payload = final
             count = self._restarts.get(worker_id, 0) + 1
             if count > self._policy.max_restarts:
-                raise self._budget_exhausted(worker_id, reason, payload, exitcode)
+                raise self._budget_exhausted(worker_id, reason, failure, exitcode)
             self._restarts[worker_id] = count
             key = (worker_id, reason)
             self._restart_reasons[key] = self._restart_reasons.get(key, 0) + 1
@@ -503,7 +505,9 @@ class Supervisor:
             self._pending = [
                 reply
                 for reply in self._pending
-                if not (reply[0] == worker_id and reply[3] == incarnation)
+                if not (
+                    reply.worker_id == worker_id and reply.incarnation == incarnation
+                )
             ]
             time.sleep(backoff_delay(self._policy, count, self._rng))
             self._incarnations[slot] = incarnation + 1
@@ -515,30 +519,30 @@ class Supervisor:
             engine._procs[slot] = proc
             engine._task_queues[slot] = task_queue
             try:
-                self._await(slot, "ready", timeout=_READY_TIMEOUT)
+                self._await(slot, Ready, timeout=READY_TIMEOUT)
             except _WorkerDied as died:
                 reason = "startup"
-                payload, exitcode = died.payload, died.exitcode
+                failure, exitcode = died.failure, died.exitcode
                 continue
             try:
                 for rows in self._replay[slot]:
-                    self._raw_put(slot, ("batch", rows))
+                    self._raw_put(slot, Batch(rows))
                     self._replayed_batches += 1
                     self._replayed_events += len(rows)
             except _WorkerDied as died:
                 reason = died.reason
-                payload, exitcode = died.payload, died.exitcode
+                failure, exitcode = died.failure, died.exitcode
                 continue
             break
         self._recovery_seconds.observe(time.perf_counter() - started)
 
-    def _drain_final_error(self, slot: int, worker_id: int):
-        """The dying incarnation's structured failure, if it left one.
+    def _drain_final_error(self, slot: int, worker_id: int) -> Optional[Failed]:
+        """The dying incarnation's :class:`Failed` report, if it left one.
 
-        A worker that fails *in-protocol* replies ``error`` and returns;
-        the reply is flushed through the result queue's feeder thread at
-        interpreter exit. When the death is instead detected on the
-        dispatch path — task queue full, process gone — that reply is
+        A worker that fails *in-protocol* replies :class:`Failed` and
+        returns; the reply is flushed through the result queue's feeder
+        thread at interpreter exit. When the death is instead detected on
+        the dispatch path — task queue full, process gone — that reply is
         still in the pipe, and without it the restart would be recorded
         as an unexplained ``exit`` and a budget-exhaustion error would
         lose the remote traceback. Give the pipe the same grace period
@@ -547,56 +551,41 @@ class Supervisor:
         """
         engine = self._engine
         incarnation = self._incarnations[slot]
+
+        def mine(reply: Reply) -> bool:
+            return reply.worker_id == worker_id and reply.incarnation == incarnation
+
         for index, reply in enumerate(self._pending):
-            if (
-                reply[0] == worker_id
-                and reply[3] == incarnation
-                and reply[1] == "error"
-            ):
+            if mine(reply) and isinstance(reply.body, Failed):
                 self._pending.pop(index)
-                return reply[2]
+                return reply.body
         deadline = time.monotonic() + 0.5
         while time.monotonic() < deadline:
             try:
                 reply = engine._result_queue.get(timeout=0.05)
             except queue_module.Empty:
                 continue
-            engine._last_heartbeat[reply[0]] = time.monotonic()
-            if reply[0] == worker_id and reply[3] == incarnation:
-                if reply[1] == "error":
-                    return reply[2]
+            engine._last_heartbeat[reply.worker_id] = time.monotonic()
+            if mine(reply):
+                if isinstance(reply.body, Failed):
+                    return reply.body
                 continue  # dropped: the request is re-issued after respawn
             self._pending.append(reply)
         return None
 
     def _budget_exhausted(
-        self, worker_id: int, reason: str, payload, exitcode
+        self, worker_id: int, reason: str, failure: Optional[Failed], exitcode
     ) -> WorkerError:
-        context = reason
-        remote_traceback = None
-        detail = ""
-        if isinstance(payload, dict):
-            context = payload.get("context", reason)
-            remote_traceback = payload.get("traceback")
-            detail = f": {payload.get('type')}: {payload.get('message')}"
-        message = (
+        lead = (
             f"shard worker {worker_id} exceeded its restart budget "
             f"(max_restarts={self._policy.max_restarts}); last failure: "
             f"{reason}"
         )
         if exitcode is not None:
-            message += f" (exitcode={exitcode})"
-        message += detail
-        if remote_traceback:
-            message += "\n--- worker traceback ---\n" + remote_traceback.rstrip()
-        return WorkerError(
-            message,
-            worker_id=worker_id,
-            context=context,
-            exitcode=exitcode,
-            remote_traceback=remote_traceback,
-            payload=payload if isinstance(payload, dict) else None,
-        )
+            lead += f" (exitcode={exitcode})"
+        if failure is not None:
+            return failure.to_error(lead + "\n", exitcode=exitcode)
+        return WorkerError(lead, worker_id=worker_id, context=reason, exitcode=exitcode)
 
     # ------------------------------------------------------------------
     # introspection / lifecycle

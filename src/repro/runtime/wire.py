@@ -2,7 +2,7 @@
 
 A complete match is nothing more than its lineage — the ordered data
 edges that produced it — so that is what a worker sends back, not the
-``MatchRecord -> Match -> Edge`` object graph. One ``collect`` reply
+``MatchRecord -> Match -> Edge`` object graph. One ``Collected`` reply
 carries a *record batch* of two flat tables:
 
 * an **edge dictionary**: one ``(edge_id, src, dst, etype, timestamp)``

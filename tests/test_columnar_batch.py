@@ -16,6 +16,7 @@ edge to the evict / ingest / dispatch stages).
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -268,6 +269,49 @@ def test_out_of_order_chunk_raises_like_per_event(
     assert accounting(engine) == accounting(reference)
     assert engine.graph.total_edges_seen == at
     assert engine.partial_match_count() == reference.partial_match_count()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("chunk_size", [8, 256], ids=["below-vector", "vector"])
+@pytest.mark.parametrize("path", ["event", "events", "rows"])
+@pytest.mark.parametrize("at", [0, 45])
+def test_nan_timestamp_raises_at_its_position(backend, chunk_size, path, at):
+    """NaN compares false with every clock, so an ``a < b`` order check
+    lets it in, and at the head of the eviction FIFO it stops eviction for
+    good (``nan < cutoff`` never holds). Every path must refuse it at its
+    position, with the prefix ingested exactly as the per-event path
+    ingests it."""
+    assert 8 < columnar.MIN_VECTOR_CHUNK < 256
+    columnar.set_backend(backend)
+    rng = random.Random(7)
+    events = []
+    for i in range(120):
+        src, dst = rng.sample(range(6), 2)
+        events.append(EdgeEvent(f"n{src}", f"n{dst}", rng.choice(ETYPES), i / 2))
+    bad = events[at]
+    events[at] = EdgeEvent(bad.src, bad.dst, bad.etype, math.nan)
+    prefix_records, prefix = per_event_reference(events[:at])
+    engine = build_engine(chunk_size)
+    records = []
+    with pytest.raises(GraphError, match="timestamp nan"):
+        if path == "event":
+            for event in events:
+                records.extend(engine.process_event(event))
+        elif path == "events":
+            engine.process_events(events)
+        else:
+            engine.process_rows(as_rows(events))
+    assert engine.graph.total_edges_seen == at
+    assert accounting(engine) == accounting(prefix)
+    assert engine.partial_match_count() == prefix.partial_match_count()
+    if path == "event":
+        assert identity(records) == prefix_records
+    elif path == "events":
+        batched = build_engine(chunk_size).process_events(events[:at])
+        assert identity(batched) == prefix_records
+    else:
+        tagged = build_engine(chunk_size).process_rows(as_rows(events[:at]))
+        assert identity([record for _, record in tagged]) == prefix_records
 
 
 @pytest.mark.parametrize("dispatch", [True, False])

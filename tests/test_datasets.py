@@ -1,6 +1,7 @@
 """Unit tests for the synthetic dataset generators and stream I/O."""
 
 import itertools
+import json
 
 import pytest
 
@@ -19,6 +20,8 @@ from repro.datasets import (
     split_stream,
     write_stream,
 )
+from repro.datasets.io import BadRecordLog
+from repro.errors import ParseError
 from repro.graph import EdgeEvent
 import random
 
@@ -261,6 +264,30 @@ class TestStreamIO:
         path.write_text("soon\ta\tip\tTCP\tb\tip\n")
         with pytest.raises(Exception, match="timestamp"):
             list(read_stream(path))
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_timestamp_is_a_bad_record(self, tmp_path, stamp):
+        """nan and ±inf parse as floats, but no window can hold them: they
+        take the bad-record path — ParseError, or quarantine."""
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            "1.0\ta\tip\tTCP\tb\tip\n"
+            f"{stamp}\tb\tip\tTCP\tc\tip\n"
+            "2.0\tc\tip\tTCP\td\tip\n"
+        )
+        with pytest.raises(ParseError, match=f"{path}:2: bad timestamp '{stamp}'"):
+            list(read_stream(path))
+        dead_letters = tmp_path / "dead.jsonl"
+        log = BadRecordLog("quarantine", quarantine_path=dead_letters)
+        try:
+            events = list(read_stream(path, bad_records=log))
+        finally:
+            log.close()
+        assert [event.timestamp for event in events] == [1.0, 2.0]
+        assert log.bad_records == 1
+        (entry,) = [json.loads(line) for line in dead_letters.read_text().splitlines()]
+        assert entry["lineno"] == 2
+        assert entry["reason"] == f"bad timestamp '{stamp}'"
 
     def test_chunked_reading_covers_stream(self, tmp_path):
         events = NetflowGenerator(num_events=53, seed=11).generate()

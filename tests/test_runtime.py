@@ -8,13 +8,14 @@ import time
 import pytest
 
 from repro import QueryGraph, ShardedEngine
-from repro.errors import QueryError
+from repro.errors import QueryError, WorkerError
 from repro.graph.types import EdgeEvent
 from repro.runtime import (
     estimate_query_cost,
     greedy_balanced,
     round_robin,
 )
+from repro.runtime.protocol import Close, Describe, Ready, Reply
 from repro.stats.estimator import SelectivityEstimator
 
 
@@ -264,27 +265,37 @@ class TestShardedEngineAPI:
                 EdgeEvent("x", "y", "B", 1.0),
                 EdgeEvent("y", "z", "C", 1.0),
             ] * 10
-            with pytest.raises(RuntimeError, match="worker"):
+            with pytest.raises(RuntimeError, match="worker") as excinfo:
                 engine.run(bad)
         finally:
             engine.close()
+        # the structured report crosses the process boundary intact
+        error = excinfo.value
+        assert isinstance(error, WorkerError)
+        assert error.context == "batch"
+        assert "GraphError" in error.remote_traceback
+        assert "out-of-order event" in error.remote_traceback
+        assert isinstance(error.payload, dict)
+        # the "ab" shard's first batch (stream indices 0, 1, 3, 4) breaks
+        # at index 1; the "c" shard only ever sees t=1.0 and never fails
+        assert error.payload["batch_events"] == 4
+        assert error.payload["first_edge_id"] == 0
 
 
 def _slow_worker_main(init, task_queue, result_queue):
     """A worker that drains its queue slowly but honours the poison pill.
 
     Stands in for a healthy-but-backlogged worker: with the task queue
-    filled to capacity, the old ``close()`` lost its ``("close",)``
+    filled to capacity, the old ``close()`` lost its :class:`Close`
     message to ``queue.Full`` and the worker only died via the
     ``terminate()`` backstop (non-zero exit code, after the full join
     timeout). The fixed poison-pill path must reach this loop.
     """
     import time as time_module
 
-    result_queue.put((init.worker_id, "ready", None, init.incarnation))
+    result_queue.put(Reply(init.worker_id, init.incarnation, Ready()))
     while True:
-        message = task_queue.get()
-        if message[0] == "close":
+        if isinstance(task_queue.get(), Close):
             return
         time_module.sleep(0.25)
 
@@ -309,7 +320,7 @@ class TestCloseUnderFullQueue:
         for task_queue in engine._task_queues:
             while True:
                 try:
-                    task_queue.put_nowait(("noop",))
+                    task_queue.put_nowait(Describe())
                 except queue_module.Full:
                     break
         started = time.monotonic()

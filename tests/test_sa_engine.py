@@ -178,7 +178,6 @@ class TestRedFixtures:
             "hot-strkey",
             "hot-attr",
             "codec-tags",
-            "wire-protocol",
             "metrics-schema",
             "env-knobs",
         }
@@ -229,14 +228,6 @@ class TestRedFixtures:
         assert "_dump_orphan" in messages
         assert len(codec) == 3
 
-    def test_wire_protocol_sites(self, findings):
-        wire = [f for f in findings if f.rule == "wire-protocol"]
-        messages = " | ".join(f.message for f in wire)
-        assert "3-tuple" in messages
-        assert "'drain'" in messages
-        assert "'ack'" in messages
-        assert len(wire) == 3
-
     def test_metrics_schema_sites(self, findings):
         metrics = [f for f in findings if f.rule == "metrics-schema"]
         messages = " | ".join(f.message for f in metrics)
@@ -254,7 +245,7 @@ class TestRedFixtures:
         assert len(knobs) == 2
 
     def test_total(self, findings):
-        assert len(findings) == 22
+        assert len(findings) == 19
 
 
 class TestGreenFixtures:
@@ -272,7 +263,7 @@ class TestCLI:
         monkeypatch.chdir(FIXTURES / "red")
         assert main([".", "--no-baseline"]) == 1
         out = capsys.readouterr().out
-        assert "[determinism]" in out and "22 new" in out
+        assert "[determinism]" in out and "19 new" in out
 
     def test_green_exits_zero(self, capsys, monkeypatch):
         monkeypatch.chdir(FIXTURES / "green")
@@ -302,7 +293,7 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("determinism", "wire-protocol", "env-knobs"):
+        for rule in ("determinism", "codec-tags", "env-knobs"):
             assert rule in out
 
     def test_update_baseline_then_clean(self, capsys, monkeypatch, tmp_path):
@@ -313,7 +304,7 @@ class TestCLI:
         # With every finding baselined the run passes but reports them.
         assert main([".", "--baseline", str(baseline)]) == 0
         out = capsys.readouterr().out
-        assert "22 baselined" in out and "(baselined)" in out
+        assert "19 baselined" in out and "(baselined)" in out
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from .env_knobs import EnvKnobsChecker
 from .hotpath import HotPathChecker
 from .metrics_schema import MetricsSchemaChecker
 from .typed_errors import TypedErrorsChecker
-from .wire_protocol import WireProtocolChecker
 
 
 def all_checkers() -> List[Checker]:
@@ -20,7 +19,6 @@ def all_checkers() -> List[Checker]:
         TypedErrorsChecker(),
         HotPathChecker(),
         CodecTagsChecker(),
-        WireProtocolChecker(),
         MetricsSchemaChecker(),
         EnvKnobsChecker(),
     ]

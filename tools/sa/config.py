@@ -2,9 +2,9 @@
 
 Everything a checker knows about *this* codebase — which modules are
 emission-order-sensitive, which functions are hot, where the codec /
-wire-protocol / metrics / env-knob registries live — is declared here,
-so the checkers themselves stay generic AST machinery and the fixture
-tests can point the same checkers at synthetic trees.
+metrics / env-knob registries live — is declared here, so the checkers
+themselves stay generic AST machinery and the fixture tests can point
+the same checkers at synthetic trees.
 """
 
 from __future__ import annotations
@@ -95,33 +95,6 @@ class Config:
             "_dump_query_state": "_restore_query",
             "_dump_tree_state": "_load_tree",
         }
-    )
-
-    # -- wire protocol --------------------------------------------------
-    #: modules producing/consuming coordinator<->worker messages.
-    protocol_modules: Tuple[str, ...] = (
-        "runtime/sharded.py",
-        "runtime/supervisor.py",
-    )
-    #: function whose dispatch loop consumes task messages.
-    task_consumer_function: str = "_worker_main"
-    #: call names that enqueue a task-message tuple (first positional
-    #: tuple argument with a constant str tag).
-    task_put_calls: FrozenSet[str] = frozenset(
-        {"_put", "_raw_put", "put", "put_nowait"}
-    )
-    #: the reply helper: ``reply(tag, payload)``.
-    reply_call: str = "reply"
-    #: every reply tuple on the result queue has exactly this arity
-    #: (worker_id, kind, payload, incarnation).
-    reply_arity: int = 4
-    #: call names whose first str argument names an expected reply kind.
-    reply_request_calls: FrozenSet[str] = frozenset(
-        {"_gather", "gather", "_await", "_await_recovering"}
-    )
-    #: variable names holding a message tag in consumer comparisons.
-    tag_variable_names: FrozenSet[str] = frozenset(
-        {"kind", "got_kind", "k", "reply_kind"}
     )
 
     # -- metrics schema -------------------------------------------------
