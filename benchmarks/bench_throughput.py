@@ -85,7 +85,7 @@ from typing import List, Optional, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import ContinuousQueryEngine, QueryGraph, ShardedEngine
+from repro import ContinuousQueryEngine, QueryGraph, ShardedEngine, envknobs
 from repro.analysis.experiments import (
     BenchScale,
     mixed_etype_queries,
@@ -167,7 +167,7 @@ TELEMETRY_DENSE_SEGMENTS = 10
 
 def worker_counts_from_env() -> Optional[Tuple[int, ...]]:
     """Parse ``REPRO_BENCH_WORKERS``; ``None`` means "skip the sweep"."""
-    raw = os.environ.get("REPRO_BENCH_WORKERS")
+    raw = envknobs.read("REPRO_BENCH_WORKERS")
     if raw is None:
         return DEFAULT_WORKER_COUNTS
     raw = raw.strip().lower()
@@ -836,7 +836,7 @@ def run(write: bool = True) -> dict:
     fast_elapsed = fast_timing["elapsed_seconds"]
     result = {
         "benchmark": "throughput",
-        "scale": os.environ.get("REPRO_BENCH_SCALE", "small").lower(),
+        "scale": (envknobs.read("REPRO_BENCH_SCALE") or "small").lower(),
         "workload": {
             "queries": NUM_QUERIES,
             "etypes": NUM_ETYPES,

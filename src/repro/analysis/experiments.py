@@ -17,12 +17,12 @@ Encapsulates the paper's evaluation protocol (§6.1, §6.4):
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .. import envknobs
 from ..datasets.base import StreamGenerator, split_stream
 from ..graph.types import EdgeEvent
 from ..query.generator import (
@@ -158,7 +158,7 @@ class BenchScale:
 
     @classmethod
     def from_env(cls) -> "BenchScale":
-        level = os.environ.get("REPRO_BENCH_SCALE", "small").lower()
+        level = (envknobs.read("REPRO_BENCH_SCALE") or "small").lower()
         presets = {
             "smoke": cls(2_000, 0.25, 2, 5.0),
             "small": cls(8_000, 0.25, 3, 20.0),

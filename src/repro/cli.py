@@ -195,14 +195,10 @@ def _ingest_families(bad_records: Optional[BadRecordLog]) -> dict:
 
     counts = bad_records.metrics()
     reg = MetricsRegistry()
-    reg.counter(
-        "repro_ingest_bad_records_total",
-        "Malformed stream lines dropped by --on-bad-record",
-    ).slot.inc(counts["bad_records"])
-    reg.counter(
-        "repro_ingest_quarantined_records_total",
-        "Malformed stream lines appended to the dead-letter file",
-    ).slot.inc(counts["quarantined"])
+    reg.family("repro_ingest_bad_records_total").slot.inc(counts["bad_records"])
+    reg.family("repro_ingest_quarantined_records_total").slot.inc(
+        counts["quarantined"]
+    )
     return reg.collect()
 
 

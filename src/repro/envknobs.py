@@ -1,11 +1,11 @@
-"""The registry of every ``REPRO_*`` environment knob.
+"""The registry of every ``REPRO_*`` environment knob, and its one reader.
 
-One module owns the catalog so knobs cannot fork: ``tools/sa`` (rule
-``env-knobs``) statically requires every ``REPRO_*`` key read anywhere
-in the tree to be declared here, and every declared key to be read
-somewhere — adding an ad-hoc ``os.environ.get("REPRO_...")`` without
-registering it (or leaving a stale entry behind after removing the last
-reader) fails lint.
+Every knob is declared in :data:`KNOWN_KNOBS` and read through
+:func:`read`, which raises on a key the registry does not declare, so a
+knob cannot be read without being declared.  ``tools/sa`` (rule
+``env-knobs``) flags any ``os.environ``/``os.getenv`` access with a
+``REPRO_*`` key outside this module, and a test checks that every
+declared key is read somewhere.
 
 Keys map to a one-line description of what the knob does and where it is
 honored.  The knob *semantics* live with their readers (``faults.py``,
@@ -15,9 +15,9 @@ honored.  The knob *semantics* live with their readers (``faults.py``,
 from __future__ import annotations
 
 import os
-from typing import Dict, List
+from typing import Dict, Mapping, Optional
 
-__all__ = ["KNOWN_KNOBS", "unknown_repro_knobs"]
+__all__ = ["KNOWN_KNOBS", "read"]
 
 KNOWN_KNOBS: Dict[str, str] = {
     "REPRO_FAULTS": (
@@ -43,14 +43,9 @@ KNOWN_KNOBS: Dict[str, str] = {
 }
 
 
-def unknown_repro_knobs(environ=os.environ) -> List[str]:
-    """``REPRO_*`` keys set in ``environ`` that no code reads.
-
-    A typo like ``REPRO_NO_FSYNCS=1`` silently does nothing; callers
-    (the CLI) can warn on a non-empty return instead.
-    """
-    return sorted(
-        key
-        for key in environ
-        if key.startswith("REPRO_") and key not in KNOWN_KNOBS
-    )
+def read(key: str, environ: Mapping[str, str] = os.environ) -> Optional[str]:
+    """The value of the declared knob ``key`` in ``environ``, or None when
+    it is unset.  Raises :class:`ValueError` for an undeclared key."""
+    if key not in KNOWN_KNOBS:
+        raise ValueError(f"{key!r} is not a declared knob in repro.envknobs")
+    return environ.get(key)

@@ -39,7 +39,7 @@ exercise both paths in one process.
 
 from __future__ import annotations
 
-import os
+import math
 from itertools import chain
 from typing import (
     Dict,
@@ -53,6 +53,7 @@ from typing import (
     TypeVar,
 )
 
+from .. import envknobs
 from ..errors import ReproRuntimeError
 from .types import VOCABULARY, EdgeEvent
 
@@ -60,7 +61,7 @@ _Key = TypeVar("_Key", bound=Hashable)
 
 #: numpy module when importable, else None — resolved once at import.
 _NUMPY = None
-if not os.environ.get("REPRO_NO_NUMPY"):
+if not envknobs.read("REPRO_NO_NUMPY"):
     try:  # pragma: no cover - exercised via both CI legs
         import numpy as _NUMPY  # type: ignore[no-redef]
     except ImportError:  # pragma: no cover
@@ -247,13 +248,15 @@ class EdgeChunk:
         out-of-order :class:`~repro.errors.GraphError` — i.e. the first
         timestamp is ``>= last_timestamp`` and the column is
         non-decreasing. Every comparison is a ``>=``, which NaN fails, so
-        a chunk holding a NaN timestamp is never presorted. Vectorized
-        under numpy; pure-Python loop otherwise.
+        a chunk holding a NaN timestamp is never presorted; nor is one
+        ending in ``+inf`` (a sorted column holds ``+inf`` only at its
+        end), which the graph rejects. Vectorized under numpy;
+        pure-Python loop otherwise.
         """
         times = self.times
         if not times:
             return True
-        if not times[0] >= last_timestamp:
+        if not (times[0] >= last_timestamp and times[-1] < math.inf):
             return False
         if _active is not None and self.n >= MIN_VECTOR_CHUNK:
             buf = self._times_f64()

@@ -98,7 +98,9 @@ class StreamingGraph:
         Advances the window clock and, when ``evict`` is true, drops edges
         older than ``t_last - tW`` (§2 of the paper). Events must arrive in
         non-decreasing timestamp order; a NaN timestamp is out of order
-        everywhere (it compares false with every clock).
+        everywhere (it compares false with every clock). A ``+inf``
+        timestamp is rejected too: it would evict every live edge and put
+        every later finite event out of order.
 
         ``edge_id`` pins the id the stored edge receives instead of the
         next auto-assigned one; it must not go backwards. The sharded
@@ -109,7 +111,12 @@ class StreamingGraph:
         """
         timestamp = event.timestamp
         # written so NaN fails it: a NaN clock would never evict again
-        if not timestamp >= self._last_timestamp:
+        if not self._last_timestamp <= timestamp < math.inf:
+            if timestamp == math.inf:
+                raise GraphError(
+                    f"event timestamp {timestamp} is not finite; it would "
+                    "evict the whole window"
+                )
             raise GraphError(
                 "out-of-order event: timestamp "
                 f"{timestamp} is not >= last seen {self._last_timestamp}; "

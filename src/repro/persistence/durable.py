@@ -33,6 +33,8 @@ import zlib
 from pathlib import Path
 from typing import Union
 
+from .. import envknobs
+
 __all__ = [
     "FSYNC_ENV",
     "TRAILER_MAGIC",
@@ -54,7 +56,7 @@ TRAILER_SIZE = len(TRAILER_MAGIC) + 4  # magic + big-endian CRC-32
 
 def fsync_enabled() -> bool:
     """True unless ``REPRO_NO_FSYNC`` disables durability syscalls."""
-    return os.environ.get(FSYNC_ENV, "").strip().lower() not in (
+    return (envknobs.read(FSYNC_ENV) or "").strip().lower() not in (
         "1",
         "true",
         "yes",

@@ -43,6 +43,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
+from .. import envknobs
 from ..errors import FaultInjectionError
 
 __all__ = [
@@ -151,7 +152,7 @@ class FaultPlan:
 
         The value is the plan's JSON, or ``@<path>`` naming a JSON file.
         """
-        raw = environ.get(FAULTS_ENV)
+        raw = envknobs.read(FAULTS_ENV, environ)
         if raw is None or not raw.strip():
             return None
         raw = raw.strip()

@@ -85,7 +85,8 @@ from ..search.engine import (
 )
 from ..search.strategy import StrategyDecision, choose_strategy
 from ..stats.estimator import SelectivityEstimator
-from ..telemetry.registry import SECONDS_BUCKETS, HistogramSlot, MetricsRegistry
+from ..telemetry.registry import HistogramSlot, MetricsRegistry
+from ..telemetry.schema import SECONDS_BUCKETS
 from .autoscale import AutoscaleController, AutoscalePolicy
 from .faults import FaultPlan
 from .partition import ShardPlan, estimate_query_cost, greedy_balanced, round_robin

@@ -66,7 +66,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import WorkerError
-from ..telemetry.registry import SECONDS_BUCKETS, HistogramSlot
+from ..telemetry.registry import HistogramSlot
+from ..telemetry.schema import SECONDS_BUCKETS
 from .protocol import (
     READY_TIMEOUT,
     TASKS,

@@ -363,7 +363,7 @@ class ContinuousQueryEngine:
             started = clock()
             # skipped when add_event is about to reject the event, which
             # must leave the graph exactly as it was
-            if event.timestamp >= graph.last_timestamp and (
+            if graph.last_timestamp <= event.timestamp < math.inf and (
                 edge_id is None or edge_id >= graph._next_edge_id
             ):
                 graph.window.advance(event.timestamp)

@@ -10,8 +10,6 @@ assemble registries on demand, and the CLI can stream snapshots to JSONL
 
 from .exposition import MetricsHTTPServer, MetricsJSONLWriter
 from .registry import (
-    BYTES_BUCKETS,
-    SECONDS_BUCKETS,
     CheckpointStats,
     CounterSlot,
     GaugeSlot,
@@ -21,9 +19,11 @@ from .registry import (
     render_prometheus,
 )
 from .schema import (
+    BYTES_BUCKETS,
     REQUIRED_AUTOSCALE_FAMILIES,
     REQUIRED_ENGINE_FAMILIES,
     REQUIRED_RUNTIME_FAMILIES,
+    SECONDS_BUCKETS,
     validate_jsonl_file,
     validate_jsonl_lines,
     validate_snapshot,

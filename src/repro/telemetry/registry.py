@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+from .schema import BYTES_BUCKETS, KNOWN_FAMILIES, SECONDS_BUCKETS
 
 __all__ = [
     "CounterSlot",
@@ -25,32 +27,7 @@ __all__ = [
     "CheckpointStats",
     "MetricFamily",
     "MetricsRegistry",
-    "SECONDS_BUCKETS",
-    "BYTES_BUCKETS",
 ]
-
-# Shared fixed bucket ladders. Fixed (not adaptive) bounds keep observe()
-# a single bisect + list increment and make cross-process merges exact.
-SECONDS_BUCKETS: Tuple[float, ...] = (
-    0.0005,
-    0.001,
-    0.005,
-    0.01,
-    0.05,
-    0.1,
-    0.5,
-    1.0,
-    5.0,
-)
-BYTES_BUCKETS: Tuple[float, ...] = (
-    1_024.0,
-    16_384.0,
-    65_536.0,
-    262_144.0,
-    1_048_576.0,
-    16_777_216.0,
-    134_217_728.0,
-)
 
 
 class CounterSlot:
@@ -136,59 +113,39 @@ class CheckpointStats:
         self.last_bytes = size_bytes
 
 
-_KINDS = ("counter", "gauge", "histogram")
-# Gauge aggregations understood by merge_snapshots. "sum" is the default
-# (queue depths, residency); "max" suits configuration/clock-style gauges
-# where summing across workers is meaningless.
-_GAUGE_AGGS = ("sum", "max", "min")
-
-
 class MetricFamily:
-    """A named metric plus its labelled sample slots."""
+    """A declared metric family plus its labelled sample slots."""
 
-    __slots__ = ("name", "kind", "help", "label_names", "agg", "bounds", "_slots")
+    __slots__ = ("name", "spec", "_slots")
 
-    def __init__(
-        self,
-        name: str,
-        kind: str,
-        help_text: str = "",
-        label_names: Sequence[str] = (),
-        agg: str = "sum",
-        bounds: Optional[Sequence[float]] = None,
-    ) -> None:
-        if kind not in _KINDS:
-            raise ValueError(f"unknown metric kind {kind!r}")
-        if agg not in _GAUGE_AGGS:
-            raise ValueError(f"unknown gauge aggregation {agg!r}")
-        if kind == "histogram" and bounds is None:
-            raise ValueError("histogram family requires bucket bounds")
+    def __init__(self, name: str) -> None:
+        spec = KNOWN_FAMILIES.get(name)
+        if spec is None:
+            raise ValueError(
+                f"{name!r} is not a declared metric family "
+                "(declare it in repro.telemetry.schema.KNOWN_FAMILIES)"
+            )
         self.name = name
-        self.kind = kind
-        self.help = help_text
-        self.label_names: Tuple[str, ...] = tuple(label_names)
-        self.agg = agg
-        self.bounds: Optional[Tuple[float, ...]] = (
-            tuple(sorted(float(b) for b in bounds)) if bounds is not None else None
-        )
+        self.spec = spec
         self._slots: Dict[Tuple[str, ...], object] = {}
 
     def labels(self, *values: object):
         """Return (creating on first use) the slot for a label combination."""
         key = tuple(str(v) for v in values)
-        if len(key) != len(self.label_names):
+        spec = self.spec
+        if len(key) != len(spec.labels):
             raise ValueError(
-                f"{self.name}: expected {len(self.label_names)} label values, "
+                f"{self.name}: expected {len(spec.labels)} label values, "
                 f"got {len(key)}"
             )
         slot = self._slots.get(key)
         if slot is None:
-            if self.kind == "counter":
+            if spec.kind == "counter":
                 slot = CounterSlot()
-            elif self.kind == "gauge":
+            elif spec.kind == "gauge":
                 slot = GaugeSlot()
             else:
-                slot = HistogramSlot(self.bounds or ())
+                slot = HistogramSlot(spec.bounds)
             self._slots[key] = slot
         return slot
 
@@ -202,7 +159,7 @@ class MetricFamily:
         for key in sorted(self._slots):
             slot = self._slots[key]
             sample: dict = {"labels": list(key)}
-            if self.kind == "histogram":
+            if self.spec.kind == "histogram":
                 assert isinstance(slot, HistogramSlot)
                 sample["bounds"] = list(slot.bounds)
                 sample["counts"] = list(slot.counts)
@@ -226,70 +183,13 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
 
-    # -- family constructors ------------------------------------------------
-
-    def counter(
-        self, name: str, help_text: str = "", labels: Sequence[str] = ()
-    ) -> MetricFamily:
-        return self._family(name, "counter", help_text, labels)
-
-    def gauge(
-        self,
-        name: str,
-        help_text: str = "",
-        labels: Sequence[str] = (),
-        agg: str = "sum",
-    ) -> MetricFamily:
-        return self._family(name, "gauge", help_text, labels, agg=agg)
-
-    def histogram(
-        self,
-        name: str,
-        bounds: Sequence[float],
-        help_text: str = "",
-        labels: Sequence[str] = (),
-    ) -> MetricFamily:
-        return self._family(name, "histogram", help_text, labels, bounds=bounds)
-
-    def _family(
-        self,
-        name: str,
-        kind: str,
-        help_text: str,
-        labels: Sequence[str],
-        agg: str = "sum",
-        bounds: Optional[Sequence[float]] = None,
-    ) -> MetricFamily:
-        family = self._families.get(name)
-        if family is not None:
-            if family.kind != kind:
-                raise ValueError(
-                    f"{name}: registered as {family.kind}, requested {kind}"
-                )
-            return family
-        family = MetricFamily(name, kind, help_text, labels, agg=agg, bounds=bounds)
-        self._families[name] = family
-        return family
-
     def family(self, name: str) -> MetricFamily:
-        return self._families[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._families
-
-    def families(self) -> List[str]:
-        return list(self._families)
-
-    # -- convenience writers ------------------------------------------------
-
-    def inc(self, name: str, amount: float = 1.0, *label_values: object) -> None:
-        self._families[name].labels(*label_values).inc(amount)
-
-    def set(self, name: str, value: float, *label_values: object) -> None:
-        self._families[name].labels(*label_values).set(value)
-
-    def observe(self, name: str, value: float, *label_values: object) -> None:
-        self._families[name].labels(*label_values).observe(value)
+        """The family ``name``, built from its catalog declaration on first
+        use; an undeclared name raises :class:`ValueError`."""
+        family = self._families.get(name)
+        if family is None:
+            family = self._families[name] = MetricFamily(name)
+        return family
 
     # -- snapshots ----------------------------------------------------------
 
@@ -297,37 +197,32 @@ class MetricsRegistry:
         """Point-in-time snapshot as a plain JSON-able dict."""
         snap: Dict[str, dict] = {}
         for name, family in self._families.items():
+            spec = family.spec
             entry: dict = {
-                "type": family.kind,
-                "help": family.help,
-                "labels": list(family.label_names),
+                "type": spec.kind,
+                "help": spec.help,
+                "labels": list(spec.labels),
                 "samples": family.samples(),
             }
-            if family.kind == "gauge":
-                entry["agg"] = family.agg
+            if spec.kind == "gauge":
+                entry["agg"] = spec.agg
             snap[name] = entry
         return snap
 
     @classmethod
     def from_snapshot(cls, snapshot: Dict[str, dict]) -> "MetricsRegistry":
-        """Rebuild a registry (e.g. coordinator-side) from a snapshot dict."""
+        """Rebuild a registry (e.g. coordinator-side) from a snapshot dict.
+
+        Families come from the catalog by name; the snapshot supplies
+        only the samples.
+        """
         registry = cls()
         for name, entry in snapshot.items():
-            kind = entry["type"]
-            bounds = None
-            if kind == "histogram":
-                bounds = entry["samples"][0]["bounds"] if entry["samples"] else ()
-            family = registry._family(
-                name,
-                kind,
-                entry.get("help", ""),
-                entry.get("labels", ()),
-                agg=entry.get("agg", "sum"),
-                bounds=bounds,
-            )
+            family = registry.family(name)
+            histogram = family.spec.kind == "histogram"
             for sample in entry["samples"]:
                 slot = family.labels(*sample["labels"])
-                if kind == "histogram":
+                if histogram:
                     assert isinstance(slot, HistogramSlot)
                     slot.counts = list(sample["counts"])
                     slot.sum = sample["sum"]

@@ -1,105 +1,284 @@
-"""Schema validation for emitted metric snapshots and JSONL streams.
+"""The metric family catalog, and validation of emitted snapshots.
 
-Shared by the CI smoke leg (``tools/validate_metrics_jsonl.py``) and the
-test suite, so "the emitter's output is well-formed" is asserted from one
-place.  Validation errors raise :class:`ValueError` with a message that
-names the offending line/family.
+:data:`KNOWN_FAMILIES` declares every ``repro_*`` family exactly once.
+:meth:`~repro.telemetry.registry.MetricsRegistry.family` builds a family
+from its name alone, and :func:`validate_snapshot` holds every emitted
+family to its declaration, so the emitters, the catalog and the CI
+JSONL check (``tools/validate_metrics_jsonl.py``) cannot diverge.
+Validation errors raise :class:`ValueError` with a message that names
+the offending line/family.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Literal, NamedTuple, Optional, Tuple
 
 __all__ = [
+    "BYTES_BUCKETS",
     "KNOWN_FAMILIES",
     "REQUIRED_AUTOSCALE_FAMILIES",
     "REQUIRED_ENGINE_FAMILIES",
     "REQUIRED_RUNTIME_FAMILIES",
+    "SECONDS_BUCKETS",
+    "Family",
     "validate_snapshot",
     "validate_jsonl_lines",
     "validate_jsonl_file",
 ]
 
+# Shared fixed bucket ladders. Fixed (not adaptive) bounds keep observe()
+# a single bisect + list increment and make cross-process merges exact.
+SECONDS_BUCKETS: Tuple[float, ...] = (
+    0.0005,
+    0.001,
+    0.005,
+    0.01,
+    0.05,
+    0.1,
+    0.5,
+    1.0,
+    5.0,
+)
+BYTES_BUCKETS: Tuple[float, ...] = (
+    1_024.0,
+    16_384.0,
+    65_536.0,
+    262_144.0,
+    1_048_576.0,
+    16_777_216.0,
+    134_217_728.0,
+)
+
+
+class Family(NamedTuple):
+    """One metric family's declaration: everything but its samples.
+
+    ``agg`` is how a gauge merges across workers: ``"sum"`` (queue
+    depths, residency), or ``"max"``/``"min"`` for configuration- and
+    clock-style gauges where a sum means nothing.  Counters and
+    histograms always sum.  ``bounds`` are a histogram's bucket upper
+    bounds.
+    """
+
+    kind: Literal["counter", "gauge", "histogram"]
+    help: str
+    labels: Tuple[str, ...] = ()
+    agg: Literal["sum", "max", "min"] = "sum"
+    bounds: Tuple[float, ...] = ()
+
+
 # The complete family catalog: every ``repro_*`` family any registry
-# builder may emit, with its label names.  ``tools/sa`` (rule
-# ``metrics-schema``) statically cross-checks this dict against the
-# registration sites in ``instrument.py``/``cli.py`` — adding a family
-# there without cataloging it here (or vice versa) fails lint, so the
-# validator below and the emitting code cannot silently diverge.
-KNOWN_FAMILIES = {
+# builder may emit.  Its dict order is not the emission order; a
+# registry emits families in the order its builder first asks for them.
+KNOWN_FAMILIES: Dict[str, Family] = {
     # -- engine -------------------------------------------------------
-    "repro_engine_edges_ingested_total": (),
-    "repro_engine_edges_evicted_total": (),
-    "repro_engine_chunks_processed_total": (),
-    "repro_engine_sweeps_total": (),
-    "repro_engine_dispatch_hits_total": (),
-    "repro_engine_chunk_size": (),
-    "repro_engine_dispatch_lut_size": (),
-    "repro_engine_dispatch_programs_compiled": (),
-    "repro_engine_queries": (),
-    "repro_engine_profile_enabled": (),
-    "repro_engine_matches_total": ("query",),
-    "repro_engine_partial_matches": ("query",),
-    "repro_engine_query_strategy_info": ("query", "strategy"),
-    "repro_engine_query_phase_seconds_total": ("query", "phase"),
-    "repro_engine_query_phase_calls_total": ("query", "phase"),
-    "repro_engine_stage_seconds_total": ("stage",),
-    "repro_engine_stage_calls_total": ("stage",),
-    "repro_engine_kernel_backend_info": ("backend",),
+    "repro_engine_edges_ingested_total": Family("counter", "Stream edges ingested"),
+    "repro_engine_edges_evicted_total": Family(
+        "counter", "Edges evicted from the window"
+    ),
+    "repro_engine_chunks_processed_total": Family("counter", "Batched ingest chunks"),
+    "repro_engine_sweeps_total": Family("counter", "Housekeeping sweeps"),
+    "repro_engine_dispatch_hits_total": Family(
+        "counter", "Edges routed to at least one compiled query program"
+    ),
+    "repro_engine_chunk_size": Family(
+        "gauge", "Configured ingest chunk size", agg="max"
+    ),
+    "repro_engine_dispatch_lut_size": Family(
+        "gauge", "Interned etype codes the dispatch LUT spans", agg="max"
+    ),
+    "repro_engine_dispatch_programs_compiled": Family(
+        "gauge", "Dispatch programs compiled (lazily or via warm_kernels)", agg="max"
+    ),
+    "repro_engine_queries": Family("gauge", "Registered continuous queries"),
+    "repro_engine_profile_enabled": Family(
+        "gauge", "1 when per-stage phase profiling is on", agg="max"
+    ),
+    "repro_engine_matches_total": Family(
+        "counter", "Completed matches emitted", ("query",)
+    ),
+    "repro_engine_partial_matches": Family(
+        "gauge", "Live partial matches (match-table residency)", ("query",)
+    ),
+    "repro_engine_query_strategy_info": Family(
+        "gauge",
+        "Always 1; strategy carried as a label",
+        ("query", "strategy"),
+        agg="max",
+    ),
+    "repro_engine_query_phase_seconds_total": Family(
+        "counter",
+        "Exclusive per-query phase seconds (iso/join split of §6.4.1)",
+        ("query", "phase"),
+    ),
+    "repro_engine_query_phase_calls_total": Family(
+        "counter", "Entries per per-query phase", ("query", "phase")
+    ),
+    "repro_engine_stage_seconds_total": Family(
+        "counter", "Chunk-kernel stage seconds (evict/ingest/dispatch)", ("stage",)
+    ),
+    "repro_engine_stage_calls_total": Family(
+        "counter", "Per-edge credits per kernel stage", ("stage",)
+    ),
+    "repro_engine_kernel_backend_info": Family(
+        "gauge",
+        "Always 1; active kernel backend carried as a label",
+        ("backend",),
+        agg="max",
+    ),
     # -- graph --------------------------------------------------------
-    "repro_graph_live_edges": (),
-    "repro_graph_live_vertices": (),
-    "repro_graph_window_width_seconds": (),
-    "repro_graph_vocabulary_etypes": (),
-    "repro_graph_last_timestamp": (),
-    "repro_graph_etype_live_edges": ("etype",),
+    "repro_graph_live_edges": Family("gauge", "Edges currently inside the window"),
+    "repro_graph_live_vertices": Family(
+        "gauge", "Vertices with at least one live edge"
+    ),
+    "repro_graph_window_width_seconds": Family(
+        "gauge", "Configured sliding-window width (+Inf = unbounded)", agg="max"
+    ),
+    "repro_graph_vocabulary_etypes": Family(
+        "gauge", "Interned edge-type vocabulary size", agg="max"
+    ),
+    "repro_graph_last_timestamp": Family(
+        "gauge", "Stream clock (max event timestamp seen)", agg="max"
+    ),
+    "repro_graph_etype_live_edges": Family(
+        "gauge", "Live edges per edge type", ("etype",)
+    ),
     # -- sjtree -------------------------------------------------------
-    "repro_sjtree_node_residency": ("query", "node"),
-    "repro_sjtree_node_buckets": ("query", "node"),
-    "repro_sjtree_node_inserts_total": ("query", "node"),
-    "repro_sjtree_node_probes_total": ("query", "node"),
-    "repro_sjtree_node_expired_total": ("query", "node"),
+    "repro_sjtree_node_residency": Family(
+        "gauge",
+        "Live matches per SJ-Tree node (graph-backed leaves: live edges of their type)",
+        ("query", "node"),
+    ),
+    "repro_sjtree_node_buckets": Family(
+        "gauge",
+        "Hash buckets per SJ-Tree node table (0 for graph-backed leaves)",
+        ("query", "node"),
+    ),
+    "repro_sjtree_node_inserts_total": Family(
+        "counter",
+        "Lifetime match-table inserts (§5.2 space measure)",
+        ("query", "node"),
+    ),
+    "repro_sjtree_node_probes_total": Family(
+        "counter",
+        "Probes of stored SJ-Tree tables (graph-backed leaves are read off the graph)",
+        ("query", "node"),
+    ),
+    "repro_sjtree_node_expired_total": Family(
+        "counter", "Matches expired out of node tables", ("query", "node")
+    ),
     # -- persistence --------------------------------------------------
-    "repro_persistence_checkpoints_total": (),
-    "repro_persistence_checkpoint_seconds": (),
-    "repro_persistence_checkpoint_bytes": (),
-    "repro_persistence_last_checkpoint_bytes": (),
+    "repro_persistence_checkpoints_total": Family("counter", "Checkpoints written"),
+    "repro_persistence_checkpoint_seconds": Family(
+        "histogram", "Checkpoint write duration", bounds=SECONDS_BUCKETS
+    ),
+    "repro_persistence_checkpoint_bytes": Family(
+        "histogram", "Checkpoint snapshot size", bounds=BYTES_BUCKETS
+    ),
+    "repro_persistence_last_checkpoint_bytes": Family(
+        "gauge", "Size of the most recent checkpoint", agg="max"
+    ),
     # -- ingest (CLI bad-record policy) -------------------------------
-    "repro_ingest_bad_records_total": (),
-    "repro_ingest_quarantined_records_total": (),
+    "repro_ingest_bad_records_total": Family(
+        "counter", "Malformed stream lines dropped by --on-bad-record"
+    ),
+    "repro_ingest_quarantined_records_total": Family(
+        "counter", "Malformed stream lines appended to the dead-letter file"
+    ),
     # -- runtime coordinator ------------------------------------------
-    "repro_runtime_workers": (),
-    "repro_runtime_shards": (),
-    "repro_runtime_events_streamed_total": (),
-    "repro_runtime_rebalances_total": (),
-    "repro_runtime_worker_alive": ("worker",),
-    "repro_runtime_worker_queue_depth": ("worker",),
-    "repro_runtime_worker_heartbeat_age_seconds": ("worker",),
-    "repro_runtime_worker_events_routed_total": ("worker",),
-    "repro_runtime_worker_records_total": ("worker",),
-    "repro_runtime_worker_batches_total": ("worker",),
-    "repro_runtime_merge_buffer_records": ("worker",),
-    "repro_runtime_batch_put_seconds": (),
+    "repro_runtime_workers": Family("gauge", "Worker processes", agg="max"),
+    "repro_runtime_shards": Family("gauge", "Query shards", agg="max"),
+    "repro_runtime_events_streamed_total": Family(
+        "counter", "Events consumed by the coordinator"
+    ),
+    "repro_runtime_rebalances_total": Family(
+        "counter", "Completed online shard-layout rebalances (manual or autoscale)"
+    ),
+    "repro_runtime_worker_alive": Family(
+        "gauge", "1 while the worker process lives", ("worker",)
+    ),
+    "repro_runtime_worker_queue_depth": Family(
+        "gauge", "Task-queue backlog per worker (-1: qsize unsupported)", ("worker",)
+    ),
+    "repro_runtime_worker_heartbeat_age_seconds": Family(
+        "gauge",
+        "Seconds since the worker last replied on the result queue",
+        ("worker",),
+        agg="max",
+    ),
+    "repro_runtime_worker_events_routed_total": Family(
+        "counter", "Events routed to each worker", ("worker",)
+    ),
+    "repro_runtime_worker_records_total": Family(
+        "counter", "Match records collected from each worker", ("worker",)
+    ),
+    "repro_runtime_worker_batches_total": Family(
+        "counter", "Batches dispatched to each worker", ("worker",)
+    ),
+    "repro_runtime_merge_buffer_records": Family(
+        "gauge", "Records awaiting global-order merge per worker", ("worker",)
+    ),
+    "repro_runtime_batch_put_seconds": Family(
+        "histogram",
+        "Blocking task-queue put latency (backpressure signal)",
+        bounds=SECONDS_BUCKETS,
+    ),
     # -- supervised recovery ------------------------------------------
-    "repro_runtime_worker_restarts_total": ("worker", "reason"),
-    "repro_runtime_recovery_seconds": (),
-    "repro_runtime_replayed_batches_total": (),
-    "repro_runtime_replayed_events_total": (),
-    "repro_runtime_recovery_checkpoints_total": (),
-    "repro_runtime_recovery_checkpoint_failures_total": (),
-    "repro_runtime_replay_buffer_batches": ("worker",),
+    "repro_runtime_worker_restarts_total": Family(
+        "counter",
+        "Supervised worker restarts by worker and failure reason",
+        ("worker", "reason"),
+    ),
+    "repro_runtime_recovery_seconds": Family(
+        "histogram",
+        "Wall seconds per worker recovery (respawn + restore + replay)",
+        bounds=SECONDS_BUCKETS,
+    ),
+    "repro_runtime_replayed_batches_total": Family(
+        "counter", "Buffered batches replayed into respawned workers"
+    ),
+    "repro_runtime_replayed_events_total": Family(
+        "counter", "Stream events replayed into respawned workers"
+    ),
+    "repro_runtime_recovery_checkpoints_total": Family(
+        "counter", "Recovery checkpoints taken to trim replay buffers"
+    ),
+    "repro_runtime_recovery_checkpoint_failures_total": Family(
+        "counter", "Recovery-checkpoint attempts that failed (buffer kept)"
+    ),
+    "repro_runtime_replay_buffer_batches": Family(
+        "gauge", "Batches currently buffered for replay per worker", ("worker",)
+    ),
     # -- elastic autoscaling ------------------------------------------
-    "repro_runtime_autoscale_workers": (),
-    "repro_runtime_autoscale_min_workers": (),
-    "repro_runtime_autoscale_max_workers": (),
-    "repro_runtime_autoscale_evaluations_total": (),
-    "repro_runtime_autoscale_decisions_total": ("action",),
-    "repro_runtime_autoscale_skew_score": (),
-    "repro_runtime_autoscale_drift_score": (),
-    "repro_runtime_autoscale_backpressure_seconds": (),
-    "repro_runtime_autoscale_cooldown_ticks": (),
+    "repro_runtime_autoscale_workers": Family(
+        "gauge", "Current worker count under the elastic controller", agg="max"
+    ),
+    "repro_runtime_autoscale_min_workers": Family(
+        "gauge", "Controller scale-down floor", agg="max"
+    ),
+    "repro_runtime_autoscale_max_workers": Family(
+        "gauge", "Controller scale-up ceiling", agg="max"
+    ),
+    "repro_runtime_autoscale_evaluations_total": Family(
+        "counter", "Controller evaluation ticks"
+    ),
+    "repro_runtime_autoscale_decisions_total": Family(
+        "counter", "Layout-changing decisions by action", ("action",)
+    ),
+    "repro_runtime_autoscale_skew_score": Family(
+        "gauge", "Last tick's per-worker load skew (1 - mean/max)", agg="max"
+    ),
+    "repro_runtime_autoscale_drift_score": Family(
+        "gauge", "Last tick's edge-type-mix drift vs the layout baseline", agg="max"
+    ),
+    "repro_runtime_autoscale_backpressure_seconds": Family(
+        "gauge", "Last tick's mean blocking batch-put latency", agg="max"
+    ),
+    "repro_runtime_autoscale_cooldown_ticks": Family(
+        "gauge", "Evaluation ticks remaining in the post-action cooldown", agg="max"
+    ),
 }
 
 # Families every engine snapshot must carry (single-process and per-worker
@@ -186,7 +365,12 @@ def validate_snapshot(
     expect_runtime: bool = False,
     expect_autoscale: bool = False,
 ) -> None:
-    """Structural check of one snapshot dict."""
+    """Check one snapshot dict against the catalog.
+
+    Every family must be declared in :data:`KNOWN_FAMILIES` and carry
+    its declared type, help, labels and (gauges only) ``agg``; every
+    histogram sample its declared bounds.
+    """
     if not isinstance(families, dict):
         raise ValueError(f"snapshot is {type(families).__name__}, expected dict")
     required: Tuple[str, ...] = REQUIRED_ENGINE_FAMILIES
@@ -199,16 +383,27 @@ def validate_snapshot(
             raise ValueError(f"snapshot missing required family {name!r}")
     _validate_autoscale_consistency(families)
     for name, entry in families.items():
-        kind = entry.get("type")
-        if kind not in ("counter", "gauge", "histogram"):
-            raise ValueError(f"{name}: bad type {kind!r}")
-        labels = entry.get("labels")
-        if not isinstance(labels, list):
-            raise ValueError(f"{name}: labels must be a list")
+        spec = KNOWN_FAMILIES.get(name)
+        if spec is None:
+            raise ValueError(f"{name}: not a declared family")
+        kind = spec.kind
+        declared = (
+            ("type", kind),
+            ("help", spec.help),
+            ("labels", list(spec.labels)),
+            ("agg", spec.agg if kind == "gauge" else None),
+        )
+        for key, value in declared:
+            if entry.get(key) != value:
+                raise ValueError(
+                    f"{name}: {key} {entry.get(key)!r}, declared {value!r}"
+                )
         for sample in entry.get("samples", ()):
-            if len(sample.get("labels", ())) != len(labels):
+            if len(sample.get("labels", ())) != len(spec.labels):
                 raise ValueError(f"{name}: sample/family label arity mismatch")
             if kind == "histogram":
+                if sample["bounds"] != list(spec.bounds):
+                    raise ValueError(f"{name}: histogram bounds differ from declared")
                 if len(sample["counts"]) != len(sample["bounds"]) + 1:
                     raise ValueError(f"{name}: histogram counts/bounds mismatch")
                 if sum(sample["counts"]) != sample["count"]:

@@ -1,7 +1,7 @@
-"""Green fixture: reads only declared env knobs."""
+"""Green fixture: reads env knobs only through the registry."""
 
-import os
+import envknobs
 
 
 def load():
-    return os.environ.get("REPRO_ALPHA")
+    return envknobs.read_alpha()

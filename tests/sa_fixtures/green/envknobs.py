@@ -1,5 +1,7 @@
-"""Green fixture: the registry and the readers agree."""
+"""Green fixture: the registry is the one module that reads the environment."""
 
-KNOWN_KNOBS = {
-    "REPRO_ALPHA": "read by config_reader",
-}
+import os
+
+
+def read_alpha():
+    return os.environ.get("REPRO_ALPHA")

@@ -1,4 +1,4 @@
-"""Red fixture: reads an env knob the registry does not declare."""
+"""Red fixture: reads env knobs directly, outside the registry."""
 
 import os
 

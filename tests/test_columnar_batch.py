@@ -273,14 +273,28 @@ def test_out_of_order_chunk_raises_like_per_event(
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("chunk_size", [8, 256], ids=["below-vector", "vector"])
-@pytest.mark.parametrize("path", ["event", "events", "rows"])
-@pytest.mark.parametrize("at", [0, 45])
-def test_nan_timestamp_raises_at_its_position(backend, chunk_size, path, at):
+@pytest.mark.parametrize("path", ["event", "events", "rows", "profiled"])
+@pytest.mark.parametrize(
+    "at, bad_time",
+    [
+        pytest.param(0, math.nan, id="0"),
+        pytest.param(45, math.nan, id="45"),
+        pytest.param(0, math.inf, id="0-inf"),
+        # the stream's last event: the tail of a sorted chunk
+        pytest.param(119, math.inf, id="119-inf"),
+    ],
+)
+def test_nan_timestamp_raises_at_its_position(
+    backend, chunk_size, path, at, bad_time
+):
     """NaN compares false with every clock, so an ``a < b`` order check
     lets it in, and at the head of the eviction FIFO it stops eviction for
-    good (``nan < cutoff`` never holds). Every path must refuse it at its
-    position, with the prefix ingested exactly as the per-event path
-    ingests it."""
+    good (``nan < cutoff`` never holds). ``+inf`` passes every order check
+    but evicts the whole window and puts every later finite edge out of
+    order. Every path must refuse both at their position, with the prefix
+    ingested exactly as the per-event path ingests it ("profiled": the
+    per-event path with stage timers, which advances the window before
+    the insert)."""
     assert 8 < columnar.MIN_VECTOR_CHUNK < 256
     columnar.set_backend(backend)
     rng = random.Random(7)
@@ -289,15 +303,16 @@ def test_nan_timestamp_raises_at_its_position(backend, chunk_size, path, at):
         src, dst = rng.sample(range(6), 2)
         events.append(EdgeEvent(f"n{src}", f"n{dst}", rng.choice(ETYPES), i / 2))
     bad = events[at]
-    events[at] = EdgeEvent(bad.src, bad.dst, bad.etype, math.nan)
+    events[at] = EdgeEvent(bad.src, bad.dst, bad.etype, bad_time)
     prefix_records, prefix = per_event_reference(events[:at])
-    engine = build_engine(chunk_size)
+    profiled = path == "profiled"
+    engine = build_engine(chunk_size, profile_phases=profiled)
     records = []
-    with pytest.raises(GraphError, match="timestamp nan"):
+    with pytest.raises(GraphError, match=f"timestamp {bad_time}"):
         if path == "event":
             for event in events:
                 records.extend(engine.process_event(event))
-        elif path == "events":
+        elif path in ("events", "profiled"):
             engine.process_events(events)
         else:
             engine.process_rows(as_rows(events))
@@ -306,8 +321,10 @@ def test_nan_timestamp_raises_at_its_position(backend, chunk_size, path, at):
     assert engine.partial_match_count() == prefix.partial_match_count()
     if path == "event":
         assert identity(records) == prefix_records
-    elif path == "events":
-        batched = build_engine(chunk_size).process_events(events[:at])
+    elif path in ("events", "profiled"):
+        batched = build_engine(chunk_size, profile_phases=profiled).process_events(
+            events[:at]
+        )
         assert identity(batched) == prefix_records
     else:
         tagged = build_engine(chunk_size).process_rows(as_rows(events[:at]))

@@ -18,6 +18,9 @@ import pytest
 
 from repro import ContinuousQueryEngine, ShardedEngine
 from repro.analysis.experiments import mixed_etype_workload
+from repro.cli import _ingest_families
+from repro.datasets.io import BadRecordLog
+from repro.graph.types import EdgeEvent
 from repro.telemetry import (
     SECONDS_BUCKETS,
     HistogramSlot,
@@ -28,6 +31,13 @@ from repro.telemetry import (
     validate_jsonl_file,
     validate_jsonl_lines,
     validate_snapshot,
+)
+from repro.telemetry.instrument import engine_registry, runtime_registry
+from repro.telemetry.schema import (
+    KNOWN_FAMILIES,
+    REQUIRED_AUTOSCALE_FAMILIES,
+    REQUIRED_ENGINE_FAMILIES,
+    REQUIRED_RUNTIME_FAMILIES,
 )
 
 
@@ -86,24 +96,47 @@ class TestHistogramSlot:
             HistogramSlot((1.0,)).merge(HistogramSlot((2.0,)))
 
 
+# Declared families the registry unit tests below stand on.
+MATCHES = "repro_engine_matches_total"  # counter, labels (query,)
+PHASES = "repro_engine_query_phase_seconds_total"  # counter, (query, phase)
+SWEEPS = "repro_engine_sweeps_total"  # counter, unlabelled
+QUERIES = "repro_engine_queries"  # gauge, agg sum
+CHUNK = "repro_engine_chunk_size"  # gauge, agg max
+WIDTH = "repro_graph_window_width_seconds"  # gauge, agg max
+ROUTED = "repro_runtime_worker_events_routed_total"  # counter, (worker,)
+LAT = "repro_persistence_checkpoint_seconds"  # histogram, SECONDS_BUCKETS
+
+
+def _histogram_snapshot(*values):
+    reg = MetricsRegistry()
+    slot = reg.family(LAT).slot
+    for value in values:
+        slot.observe(value)
+    return reg.collect()
+
+
 class TestMetricsRegistry:
     def test_label_arity_is_checked(self):
         reg = MetricsRegistry()
-        family = reg.counter("c", labels=("a", "b"))
+        family = reg.family(PHASES)
         with pytest.raises(ValueError, match="expected 2 label values"):
             family.labels("only-one")
 
     def test_family_constructors_are_idempotent(self):
         reg = MetricsRegistry()
-        assert reg.counter("c") is reg.counter("c")
-        with pytest.raises(ValueError, match="registered as counter"):
-            reg.gauge("c")
+        assert reg.family(SWEEPS) is reg.family(SWEEPS)
+
+    def test_undeclared_family_raises(self):
+        with pytest.raises(ValueError, match="not a declared metric family"):
+            MetricsRegistry().family("repro_engine_typo_total")
+        with pytest.raises(ValueError, match="not a declared metric family"):
+            MetricsRegistry.from_snapshot({"hits": {"samples": []}})
 
     def test_collect_from_snapshot_roundtrip(self):
         reg = MetricsRegistry()
-        reg.counter("hits", "help text", labels=("query",)).labels("q1").inc(3)
-        reg.gauge("depth", agg="max").slot.set(7.5)
-        reg.histogram("lat", SECONDS_BUCKETS).slot.observe(0.002)
+        reg.family(MATCHES).labels("q1").inc(3)
+        reg.family(CHUNK).slot.set(7.5)
+        reg.family(LAT).slot.observe(0.002)
         snap = reg.collect()
         assert MetricsRegistry.from_snapshot(snap).collect() == snap
         # snapshots must survive a JSON round-trip (queue / JSONL transport)
@@ -112,67 +145,61 @@ class TestMetricsRegistry:
     def test_merge_sums_counters_and_honours_gauge_agg(self):
         def snap(counter, gsum, gmax):
             reg = MetricsRegistry()
-            reg.counter("c").slot.inc(counter)
-            reg.gauge("g_sum").slot.set(gsum)
-            reg.gauge("g_max", agg="max").slot.set(gmax)
+            reg.family(SWEEPS).slot.inc(counter)
+            reg.family(QUERIES).slot.set(gsum)
+            reg.family(CHUNK).slot.set(gmax)
             return reg.collect()
 
         merged = MetricsRegistry.merge_snapshots([snap(1, 10, 3), snap(2, 20, 9)])
-        assert merged["c"]["samples"][0]["value"] == 3
-        assert merged["g_sum"]["samples"][0]["value"] == 30
-        assert merged["g_max"]["samples"][0]["value"] == 9
+        assert merged[SWEEPS]["samples"][0]["value"] == 3
+        assert merged[QUERIES]["samples"][0]["value"] == 30
+        assert merged[CHUNK]["samples"][0]["value"] == 9
 
     def test_merge_unions_label_sets_and_sorts_samples(self):
         def snap(worker):
             reg = MetricsRegistry()
-            reg.counter("routed", labels=("worker",)).labels(worker).inc(1)
+            reg.family(ROUTED).labels(worker).inc(1)
             return reg.collect()
 
         merged = MetricsRegistry.merge_snapshots([snap("1"), snap("0"), snap("1")])
-        assert [s["labels"] for s in merged["routed"]["samples"]] == [["0"], ["1"]]
-        assert _samples(merged, "routed")[("1",)]["value"] == 2
+        assert [s["labels"] for s in merged[ROUTED]["samples"]] == [["0"], ["1"]]
+        assert _samples(merged, ROUTED)[("1",)]["value"] == 2
 
     def test_merge_combines_histograms(self):
-        def snap(value):
-            reg = MetricsRegistry()
-            reg.histogram("lat", (1.0,)).slot.observe(value)
-            return reg.collect()
-
-        merged = MetricsRegistry.merge_snapshots([snap(0.5), snap(2.0)])
-        sample = merged["lat"]["samples"][0]
-        assert sample["counts"] == [1, 1] and sample["count"] == 2
+        merged = MetricsRegistry.merge_snapshots(
+            [_histogram_snapshot(0.5), _histogram_snapshot(2.0)]
+        )
+        sample = merged[LAT]["samples"][0]
+        expected = HistogramSlot(SECONDS_BUCKETS)
+        expected.observe(0.5)
+        expected.observe(2.0)
+        assert sample["counts"] == expected.counts and sample["count"] == 2
 
     def test_merge_rejects_mismatched_histogram_bounds(self):
-        def snap(bound):
-            reg = MetricsRegistry()
-            reg.histogram("lat", (bound,)).slot.observe(0.5)
-            return reg.collect()
-
+        # a worker built from another catalog: same family, other ladder
+        other = _histogram_snapshot(0.5)
+        other[LAT]["samples"][0]["bounds"] = [2.0]
         with pytest.raises(ValueError, match="bounds differ"):
-            MetricsRegistry.merge_snapshots([snap(1.0), snap(2.0)])
+            MetricsRegistry.merge_snapshots([_histogram_snapshot(0.5), other])
 
 
 class TestPrometheusRendering:
     def test_counter_gauge_and_escaping(self):
         reg = MetricsRegistry()
-        reg.counter("hits", "total hits", labels=("q",)).labels('a"b\\c\nd').inc(2)
-        reg.gauge("width").slot.set(math.inf)
+        reg.family(MATCHES).labels('a"b\\c\nd').inc(2)
+        reg.family(WIDTH).slot.set(math.inf)
         text = reg.render_prometheus()
-        assert "# HELP hits total hits" in text
-        assert "# TYPE hits counter" in text
-        assert 'hits{q="a\\"b\\\\c\\nd"} 2' in text
-        assert "width +Inf" in text
+        assert f"# HELP {MATCHES} Completed matches emitted" in text
+        assert f"# TYPE {MATCHES} counter" in text
+        assert MATCHES + '{query="a\\"b\\\\c\\nd"} 2' in text
+        assert f"{WIDTH} +Inf" in text
 
     def test_histogram_buckets_accumulate(self):
-        reg = MetricsRegistry()
-        slot = reg.histogram("lat", (1.0, 5.0)).slot
-        for value in (0.5, 2.0, 9.0):
-            slot.observe(value)
-        text = render_prometheus(reg.collect())
-        assert 'lat_bucket{le="1"} 1' in text
-        assert 'lat_bucket{le="5"} 2' in text
-        assert 'lat_bucket{le="+Inf"} 3' in text
-        assert "lat_count 3" in text
+        text = render_prometheus(_histogram_snapshot(0.5, 2.0, 9.0))
+        assert LAT + '_bucket{le="1"} 1' in text
+        assert LAT + '_bucket{le="5"} 2' in text
+        assert LAT + '_bucket{le="+Inf"} 3' in text
+        assert f"{LAT}_count 3" in text
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +361,33 @@ class TestJSONLAndSchema:
         with pytest.raises(ValueError, match="missing required family"):
             validate_jsonl_lines([line])
 
+    @pytest.mark.parametrize(
+        "family, key, value, match",
+        [
+            ("repro_engine_typo_total", None, None, "not a declared family"),
+            ("repro_engine_matches_total", "labels", ["worker"], "labels"),
+            ("repro_graph_live_edges", "type", "counter", "type"),
+            ("repro_graph_window_width_seconds", "agg", "sum", "agg"),
+            ("repro_graph_live_edges", "help", "renamed", "help"),
+        ],
+    )
+    def test_drift_from_the_catalog_rejected(self, family, key, value, match):
+        snap = _engine_like_snapshot()
+        if key is None:
+            snap[family] = snap["repro_engine_edges_evicted_total"]
+        else:
+            snap[family][key] = value
+        with pytest.raises(ValueError, match=match):
+            validate_snapshot(snap)
+
+    def test_undeclared_histogram_bounds_rejected(self):
+        snap = _engine_like_snapshot()
+        snap.update(_histogram_snapshot(0.5))
+        sample = snap[LAT]["samples"][0]
+        sample["bounds"], sample["counts"] = [1.0], [1, 0]
+        with pytest.raises(ValueError, match="bounds differ from declared"):
+            validate_snapshot(snap)
+
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="no snapshots"):
             validate_jsonl_lines([])
@@ -420,14 +474,13 @@ def _autoscale_like_snapshot(
     """Engine families + the coordinator's autoscale/rebalance group."""
     snap = _engine_like_snapshot(ingested=ingested)
     reg = MetricsRegistry()
-    reg.counter("repro_runtime_rebalances_total").slot.inc(rebalances)
-    reg.gauge("repro_runtime_autoscale_workers", agg="max").slot.set(workers)
-    reg.gauge("repro_runtime_autoscale_min_workers", agg="max").slot.set(low)
-    reg.gauge("repro_runtime_autoscale_max_workers", agg="max").slot.set(high)
-    reg.counter("repro_runtime_autoscale_evaluations_total").slot.inc(evaluations)
-    decisions = reg.counter(
-        "repro_runtime_autoscale_decisions_total", labels=("action",)
-    )
+    f = reg.family
+    f("repro_runtime_rebalances_total").slot.inc(rebalances)
+    f("repro_runtime_autoscale_workers").slot.set(workers)
+    f("repro_runtime_autoscale_min_workers").slot.set(low)
+    f("repro_runtime_autoscale_max_workers").slot.set(high)
+    f("repro_runtime_autoscale_evaluations_total").slot.inc(evaluations)
+    decisions = f("repro_runtime_autoscale_decisions_total")
     for action, count in (decided or {}).items():
         decisions.labels(action).inc(count)
     snap.update(reg.collect())
@@ -437,16 +490,77 @@ def _autoscale_like_snapshot(
 def _engine_like_snapshot(ingested=10):
     """A minimal snapshot carrying every required engine family."""
     reg = MetricsRegistry()
-    reg.counter("repro_engine_edges_ingested_total").slot.inc(ingested)
-    reg.counter("repro_engine_edges_evicted_total")
-    reg.counter("repro_engine_chunks_processed_total").slot.inc(2)
-    reg.counter("repro_engine_matches_total", labels=("query",)).labels("q").inc(1)
-    reg.gauge("repro_engine_partial_matches", labels=("query",)).labels("q").set(3)
-    reg.gauge("repro_graph_live_edges").slot.set(ingested)
-    reg.gauge("repro_graph_live_vertices").slot.set(4)
-    reg.gauge("repro_graph_window_width_seconds", agg="max").slot.set(60.0)
-    reg.counter("repro_persistence_checkpoints_total")
+    f = reg.family
+    f("repro_engine_edges_ingested_total").slot.inc(ingested)
+    f("repro_engine_edges_evicted_total")
+    f("repro_engine_chunks_processed_total").slot.inc(2)
+    f("repro_engine_matches_total").labels("q").inc(1)
+    f("repro_engine_partial_matches").labels("q").set(3)
+    f("repro_graph_live_edges").slot.set(ingested)
+    f("repro_graph_live_vertices").slot.set(4)
+    f("repro_graph_window_width_seconds").slot.set(60.0)
+    f("repro_persistence_checkpoints_total")
     return reg.collect()
+
+
+# ---------------------------------------------------------------------------
+# the catalog
+# ---------------------------------------------------------------------------
+
+
+class TestCatalog:
+    def test_builders_emit_exactly_the_declared_families(self, tmp_path):
+        """Every declared family is emitted by some builder, and every
+        emitted family is declared (the registry raises otherwise)."""
+        engine = ContinuousQueryEngine(window=10.0)
+        engine.process_event(EdgeEvent("a", "b", "TCP", 1.0, "ip", "ip"))
+        engine.checkpoint(tmp_path / "snap.bin")
+        latencies = HistogramSlot(SECONDS_BUCKETS)
+        runtime = runtime_registry(
+            workers=1,
+            shards=1,
+            events_streamed=1,
+            worker_rows={0: {"alive": True}},
+            batch_put=latencies,
+            supervisor={
+                "restarts": {(0, "killed"): 1},
+                "recovery_seconds": latencies,
+                "replayed_batches": 0,
+                "replayed_events": 0,
+                "recovery_checkpoints": 0,
+                "checkpoint_failures": 0,
+                "replay_depth": {0: 0},
+            },
+            autoscaler={
+                "workers": 1,
+                "min_workers": 1,
+                "max_workers": 2,
+                "evaluations": 1,
+                "decisions": {},
+                "skew": 0.0,
+                "drift": 0.0,
+                "backpressure_seconds": 0.0,
+                "cooldown_ticks": 0,
+            },
+        )
+        emitted = (
+            set(engine_registry(engine).collect())
+            | set(runtime.collect())
+            | set(_ingest_families(BadRecordLog("skip")))
+        )
+        assert emitted == set(KNOWN_FAMILIES)
+
+    def test_required_families_are_declared(self):
+        required = (
+            REQUIRED_ENGINE_FAMILIES
+            + REQUIRED_RUNTIME_FAMILIES
+            + REQUIRED_AUTOSCALE_FAMILIES
+        )
+        assert set(required) <= set(KNOWN_FAMILIES)
+
+    def test_histograms_declare_bounds(self):
+        for name, spec in KNOWN_FAMILIES.items():
+            assert bool(spec.bounds) == (spec.kind == "histogram"), name
 
 
 # ---------------------------------------------------------------------------

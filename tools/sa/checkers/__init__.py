@@ -9,7 +9,6 @@ from .codec_tags import CodecTagsChecker
 from .determinism import DeterminismChecker
 from .env_knobs import EnvKnobsChecker
 from .hotpath import HotPathChecker
-from .metrics_schema import MetricsSchemaChecker
 from .typed_errors import TypedErrorsChecker
 
 
@@ -19,7 +18,6 @@ def all_checkers() -> List[Checker]:
         TypedErrorsChecker(),
         HotPathChecker(),
         CodecTagsChecker(),
-        MetricsSchemaChecker(),
         EnvKnobsChecker(),
     ]
 

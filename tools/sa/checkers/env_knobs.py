@@ -1,11 +1,9 @@
-"""Rule ``env-knobs`` — every ``REPRO_*`` env var is declared centrally.
+"""Rule ``env-knobs`` — ``REPRO_*`` env vars are read only in the registry.
 
-Environment knobs accrete one ad-hoc ``os.environ.get`` at a time and
-silently fork (two spellings of the same switch, a knob documented
-nowhere). This rule requires every accessed ``REPRO_*`` key to be
-declared in the registry module (``repro/envknobs.py`` →
-``KNOWN_KNOBS``), and every declared knob to be accessed somewhere in
-the scanned tree — so the registry is the complete, live catalog.
+Every ``REPRO_*`` knob is declared in ``repro/envknobs.py`` and read
+through ``envknobs.read``, which raises on an undeclared key. This rule
+closes the one way around that: a direct environment access with a
+``REPRO_*`` key anywhere outside the registry module is a finding.
 
 Recognized access forms: ``os.environ.get(K)`` / ``os.environ[K]`` /
 ``os.getenv(K)`` / ``environ.get(K)``, where ``K`` is a string literal
@@ -15,10 +13,10 @@ or a module-level string constant in the same file.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from ..config import Config
-from ..core import Checker, Finding, Project, SourceFile
+from ..core import FileChecker, Finding, SourceFile
 from ._util import const_str
 
 
@@ -40,128 +38,50 @@ def _is_environ(node: ast.expr) -> bool:
     return isinstance(node, ast.Name) and node.id == "environ"
 
 
-def _env_accesses(
-    src: SourceFile,
-) -> Iterable[Tuple[str, int]]:
+def _env_accesses(src: SourceFile) -> Iterator[Tuple[str, int]]:
     """(key, line) for every env access with a resolvable key."""
     constants = _module_str_constants(src.tree)
-
-    def resolve(node: ast.expr) -> Optional[str]:
-        direct = const_str(node)
-        if direct is not None:
-            return direct
-        if isinstance(node, ast.Name):
-            return constants.get(node.id)
-        return None
-
     for node in ast.walk(src.tree):
         key_node: Optional[ast.expr] = None
-        if isinstance(node, ast.Call):
+        if isinstance(node, ast.Call) and node.args:
             func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "get"
-                and _is_environ(func.value)
-                and node.args
-            ):
-                key_node = node.args[0]
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr == "getenv"
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "os"
-                and node.args
+            if isinstance(func, ast.Attribute) and (
+                (func.attr == "get" and _is_environ(func.value))
+                or (
+                    func.attr == "getenv"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "os"
+                )
             ):
                 key_node = node.args[0]
         elif isinstance(node, ast.Subscript) and _is_environ(node.value):
             key_node = node.slice
         if key_node is None:
             continue
-        key = resolve(key_node)
+        key = const_str(key_node)
+        if key is None and isinstance(key_node, ast.Name):
+            key = constants.get(key_node.id)
         if key is not None:
             yield key, node.lineno
 
 
-class EnvKnobsChecker(Checker):
+class EnvKnobsChecker(FileChecker):
     name = "env-knobs"
     rules = ("env-knobs",)
 
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        config = project.config
-        registry_files = project.match(config.env_registry_module)
-        declared: Dict[str, int] = {}
-        registry: Optional[SourceFile] = None
-        if registry_files:
-            registry = registry_files[0]
-            for node in registry.tree.body:
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target: Optional[ast.expr] = node.targets[0]
-                elif isinstance(node, ast.AnnAssign):
-                    target = node.target
-                else:
-                    continue
-                if not (
-                    isinstance(target, ast.Name)
-                    and target.id == config.env_registry_name
-                    and isinstance(node.value, ast.Dict)
-                ):
-                    continue
-                for key in node.value.keys:
-                    name = const_str(key) if key is not None else None
-                    if name is not None:
-                        declared[name] = key.lineno
+    def file_applies(self, rel: str, config: Config) -> bool:
+        return not rel.endswith(config.env_registry_module)
 
-        used: Dict[str, List[Tuple[str, int]]] = {}
-        findings: List[Finding] = []
-        for rel in sorted(project.files):
-            src = project.files[rel]
-            if src is registry:
-                continue
-            for key, line in _env_accesses(src):
-                if not key.startswith(config.env_prefix):
-                    continue
-                used.setdefault(key, []).append((rel, line))
-                if key not in declared:
-                    findings.append(
-                        Finding(
-                            rule="env-knobs",
-                            path=rel,
-                            line=line,
-                            message=(
-                                f"env knob {key!r} is read here but not "
-                                f"declared in {config.env_registry_module}"
-                                f"::{config.env_registry_name}"
-                            ),
-                        )
-                    )
-        if registry is None:
-            if used:
-                rel, line = next(iter(sorted(used.values())[0]))
-                findings.append(
-                    Finding(
-                        rule="env-knobs",
-                        path=rel,
-                        line=line,
-                        message=(
-                            f"REPRO_* env knobs are read but no registry "
-                            f"module ({config.env_registry_module}) is in "
-                            "the scanned tree"
-                        ),
-                    )
+    def check_file(self, src: SourceFile, config: Config) -> Iterable[Finding]:
+        for key, line in _env_accesses(src):
+            if key.startswith(config.env_prefix):
+                yield Finding(
+                    rule="env-knobs",
+                    path=src.rel,
+                    line=line,
+                    message=(
+                        f"env knob {key!r} is read directly; declare it in "
+                        f"{config.env_registry_module} and read it through "
+                        "envknobs.read"
+                    ),
                 )
-        else:
-            for key, line in sorted(declared.items()):
-                if key not in used:
-                    findings.append(
-                        Finding(
-                            rule="env-knobs",
-                            path=registry.rel,
-                            line=line,
-                            message=(
-                                f"declared env knob {key!r} is never read "
-                                "by any scanned module (stale registry "
-                                "entry?)"
-                            ),
-                        )
-                    )
-        return findings

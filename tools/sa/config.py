@@ -1,8 +1,8 @@
 """Repo-specific configuration for the invariant checkers.
 
 Everything a checker knows about *this* codebase — which modules are
-emission-order-sensitive, which functions are hot, where the codec /
-metrics / env-knob registries live — is declared here, so the checkers
+emission-order-sensitive, which functions are hot, where the codec and
+the env-knob registry live — is declared here, so the checkers
 themselves stay generic AST machinery and the fixture tests can point
 the same checkers at synthetic trees.
 """
@@ -97,21 +97,9 @@ class Config:
         }
     )
 
-    # -- metrics schema -------------------------------------------------
-    #: module that must catalog every family (KNOWN_FAMILIES + REQUIRED_*).
-    metrics_schema_module: str = "telemetry/schema.py"
-    #: registration method names on a registry object.
-    metric_register_methods: FrozenSet[str] = frozenset(
-        {"counter", "gauge", "histogram"}
-    )
-    #: metric families must start with this prefix to be checked.
-    metric_prefix: str = "repro_"
-
     # -- env knobs ------------------------------------------------------
-    #: module declaring every REPRO_* environment knob.
+    #: the one module allowed to read REPRO_* keys from the environment.
     env_registry_module: str = "envknobs.py"
-    #: name of the registry mapping in that module.
-    env_registry_name: str = "KNOWN_KNOBS"
     #: only keys with this prefix are governed.
     env_prefix: str = "REPRO_"
 
