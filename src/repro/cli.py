@@ -11,10 +11,12 @@ Mirrors the paper's two-step workflow and adds dataset generation::
 
 ``run`` prints every complete match as it is found, then a summary with
 the strategy decision and the profile split. ``--query`` may be repeated
-to register several continuous queries over the same stream;
-``--workers N`` (N > 1) executes them on the query-sharded parallel
-runtime (:mod:`repro.runtime`), and ``--batch-size`` sizes both the
-chunked stream reader and the per-worker ingest batches.
+to register several continuous queries over the same stream. Every run
+and resume drives one :class:`~repro.runtime.ShardedEngine`;
+``--workers N`` (N > 1) spreads the queries over N worker processes,
+and at one worker (or one query) the engine runs in-process.
+``--batch-size`` is the in-process segment size, so matches still print
+as they are found, and the per-worker ingest batch.
 
 Durability and shard-layout migration: ``run --checkpoint-dir`` rolls
 checkpoints, ``resume`` continues one — at the recorded layout or, with
@@ -50,7 +52,6 @@ from .datasets import (
     LSBenchGenerator,
     NetflowGenerator,
     NYTGenerator,
-    chunk_events,
     count_stream_events,
     read_stream,
     split_stream,
@@ -61,7 +62,7 @@ from .persistence import manifest as ckpt_manifest
 from .query.parser import parse_query
 from .query.query_graph import QueryGraph
 from .runtime import AutoscalePolicy, FaultPlan, RestartPolicy, ShardedEngine
-from .search.engine import ContinuousQueryEngine, EngineConfig
+from .search.engine import EngineConfig
 from .sjtree import builder as sjtree_builder
 from .sjtree import serialize as sjtree_serialize
 from .stats.estimator import SelectivityEstimator
@@ -267,85 +268,6 @@ def _finish_bad_records(bad_records: Optional[BadRecordLog]) -> None:
         print(line)
 
 
-def _drive_single(
-    engine: ContinuousQueryEngine,
-    events,
-    args: argparse.Namespace,
-    *,
-    cursor_base: int,
-    start_sequence: int,
-    pump: Optional[_MetricsPump] = None,
-) -> int:
-    """Chunked single-process processing with optional rolling checkpoints.
-
-    Returns the number of events processed. Checkpoints land exactly
-    every ``--checkpoint-every`` events (segment boundaries cut the batch
-    chunks), plus a final one at end of stream, so a ``resume`` replays
-    nothing that a completed checkpoint already covers. The metrics
-    cadence slices segments independently — both cadences count from
-    their own last cut, so neither shifts the other's boundaries — and a
-    final snapshot is always emitted at end of stream.
-    """
-    shown = 0
-    processed = 0
-    sequence = start_sequence
-    since_checkpoint = 0
-    since_metrics = 0
-    first = True
-    metrics_every = pump.every if pump is not None else None
-    while True:
-        take = None
-        if args.checkpoint_every is not None:
-            take = args.checkpoint_every - since_checkpoint
-        if metrics_every is not None:
-            until_metrics = metrics_every - since_metrics
-            take = until_metrics if take is None else min(take, until_metrics)
-        remaining = None if args.limit is None else max(args.limit - processed, 0)
-        if take is None:
-            take = remaining
-        elif remaining is not None:
-            take = min(take, remaining)
-        count = 0
-        for chunk in chunk_events(itertools.islice(events, take), args.batch_size):
-            for record in engine.process_events(chunk):
-                _print_match(record, shown, args.max_print)
-                shown += 1
-            count += len(chunk)
-        processed += count
-        since_checkpoint += count
-        since_metrics += count
-        ending = (
-            take is None
-            or count < take
-            or (args.limit is not None and processed >= args.limit)
-        )
-        checkpoint_due = (
-            args.checkpoint_every is not None
-            and since_checkpoint >= args.checkpoint_every
-        )
-        if args.checkpoint_dir is not None and (
-            checkpoint_due or (ending and (since_checkpoint or first))
-        ):
-            sequence += 1
-            ckpt_manifest.write_single_checkpoint(
-                args.checkpoint_dir,
-                engine,
-                sequence=sequence,
-                cursor=cursor_base + processed,
-                batch_size=args.batch_size,
-            )
-            since_checkpoint = 0
-        if pump is not None and (
-            ending or (metrics_every is not None and since_metrics >= metrics_every)
-        ):
-            pump.pump(processed)
-            since_metrics = 0
-        first = False
-        if ending:
-            break  # stream exhausted or --limit reached
-    return processed
-
-
 def _drive_sharded(
     engine: ShardedEngine,
     events,
@@ -354,16 +276,18 @@ def _drive_sharded(
     cursor_base: int,
     pump: Optional[_MetricsPump] = None,
 ) -> tuple[int, int]:
-    """Segmented sharded processing with optional rolling checkpoints.
+    """Segmented processing with optional rolling checkpoints.
 
     Returns ``(events_processed, records_emitted)``. Each segment is one
-    coordinator :meth:`~repro.runtime.ShardedEngine.run` (which collects
-    all worker records, making the following checkpoint — or shard
-    rebalance — a clean cut). Segments are cut at whichever of
-    ``--checkpoint-every`` / ``--rebalance-every`` / ``--limit`` lands
-    first; checkpoints still fall exactly every ``--checkpoint-every``
+    :meth:`~repro.runtime.ShardedEngine.run` (which collects all worker
+    records, making the following checkpoint — or shard rebalance — a
+    clean cut). Segments are cut at whichever of ``--checkpoint-every``
+    / ``--rebalance-every`` / ``--metrics-every`` / ``--limit`` lands
+    first, and at ``--batch-size`` while the engine runs in-process, so
+    matches print as they are found and memory stays batch-sized.
+    Checkpoints still fall exactly every ``--checkpoint-every``
     processed events (plus one at end of stream), no matter how the
-    rebalance cadence slices the segments.
+    other cadences slice the segments.
     """
     shown = 0
     processed = 0
@@ -376,24 +300,22 @@ def _drive_sharded(
     metrics_every = pump.every if pump is not None else None
     while True:
         # Next cut: whichever of the checkpoint cadence, rebalance cadence,
-        # metrics cadence and --limit lands first. Cadences count from
-        # their *last* cut, not from the segment start — a rebalance
-        # mid-interval must not push the next checkpoint out (see the
-        # cadence test).
-        take = None
+        # metrics cadence, in-process batch and --limit lands first.
+        # Cadences count from their *last* cut, not from the segment
+        # start — a rebalance mid-interval must not push the next
+        # checkpoint out (see the cadence test).
+        cuts = []
+        if engine.in_process:
+            cuts.append(args.batch_size)
         if args.checkpoint_every is not None:
-            take = args.checkpoint_every - since_checkpoint
+            cuts.append(args.checkpoint_every - since_checkpoint)
         if rebalance_every is not None:
-            until_rebalance = rebalance_every - since_rebalance
-            take = until_rebalance if take is None else min(take, until_rebalance)
+            cuts.append(rebalance_every - since_rebalance)
         if metrics_every is not None:
-            until_metrics = metrics_every - since_metrics
-            take = until_metrics if take is None else min(take, until_metrics)
-        remaining = None if args.limit is None else max(args.limit - processed, 0)
-        if take is None:
-            take = remaining
-        elif remaining is not None:
-            take = min(take, remaining)
+            cuts.append(metrics_every - since_metrics)
+        if args.limit is not None:
+            cuts.append(max(args.limit - processed, 0))
+        take = min(cuts, default=None)
         segment = events if take is None else itertools.islice(events, take)
         result = engine.run(segment)
         for record in result.records:
@@ -432,7 +354,9 @@ def _drive_sharded(
     return processed, records
 
 
-def _validate_run_options(args: argparse.Namespace) -> None:
+def _validate_run_options(args: argparse.Namespace, workers: int) -> None:
+    """Reject inconsistent options; ``workers`` is the resolved count
+    (``run --workers``, or ``resume``'s flag else the checkpoint's)."""
     if args.batch_size < 1:
         raise ValueError(f"--batch-size must be >= 1, got {args.batch_size}")
     if args.limit is not None and args.limit < 0:
@@ -448,13 +372,13 @@ def _validate_run_options(args: argparse.Namespace) -> None:
     if rebalance_every is not None:
         if rebalance_every < 1:
             raise ValueError(f"--rebalance-every must be >= 1, got {rebalance_every}")
-        if getattr(args, "workers", 1) < 2:
+        if workers < 2:
             raise ValueError(
                 "--rebalance-every applies to the sharded runtime; "
                 "pass --workers >= 2"
             )
     if getattr(args, "autoscale", False):
-        if getattr(args, "workers", 1) < 2:
+        if workers < 2:
             raise ValueError(
                 "--autoscale applies to the sharded runtime; pass --workers >= 2"
             )
@@ -494,14 +418,10 @@ def _validate_run_options(args: argparse.Namespace) -> None:
             raise ValueError(f"--max-restarts must be >= 0, got {max_restarts}")
         if not getattr(args, "supervise", False):
             raise ValueError("--max-restarts requires --supervise")
-    if getattr(args, "supervise", False):
-        # run knows its worker count up front; resume resolves it from
-        # the manifest and re-checks in _cmd_resume.
-        workers = getattr(args, "workers", None)
-        if workers is not None and workers < 2:
-            raise ValueError(
-                "--supervise applies to the sharded runtime; pass --workers >= 2"
-            )
+    if getattr(args, "supervise", False) and workers < 2:
+        raise ValueError(
+            "--supervise applies to the sharded runtime; pass --workers >= 2"
+        )
     policy = getattr(args, "on_bad_record", "fail")
     quarantine_file = getattr(args, "quarantine_file", None)
     if policy == "quarantine" and quarantine_file is None:
@@ -516,14 +436,16 @@ def _run_sharded_and_describe(
     args: argparse.Namespace,
     *,
     cursor_base: int,
-    bad_records: Optional[BadRecordLog] = None,
-) -> tuple[int, int, float]:
-    """Drive a sharded engine, print its describe() block, close it.
+    bad_records: Optional[BadRecordLog],
+    summary: str,
+) -> None:
+    """Drive the engine, print its closing report, close it.
 
-    Shared by ``run --workers N`` and ``resume``; returns
-    ``(events_processed, records_emitted, elapsed_seconds)`` for the
-    caller's closing summary line. Under ``--supervise`` a recovery
-    summary (restart counts per worker) is printed after describe().
+    Shared by ``run`` and ``resume``. The report is the engine's
+    describe() block, each strategy decision, the supervision and
+    autoscaling lines when those are armed, the ``--profile`` split, the
+    bad-record disposition and a closing ``N matches over M edges`` line
+    ending in ``(summary)``.
     """
     started = time.perf_counter()
     pump = _make_pump(
@@ -531,12 +453,16 @@ def _run_sharded_and_describe(
         lambda: {**engine.metrics().collect(), **_ingest_families(bad_records)},
     )
     try:
+        engine.start()  # _drive_sharded reads engine.in_process from here on
         processed, records = _drive_sharded(
             engine, events, args, cursor_base=cursor_base, pump=pump
         )
         elapsed = time.perf_counter() - started
         print()
         print(engine.describe())
+        for spec in engine.specs:
+            if spec.decision is not None:
+                print(spec.decision.explain())
         supervisor = engine._supervisor
         if supervisor is not None:
             restarts = supervisor.total_restarts
@@ -564,33 +490,9 @@ def _run_sharded_and_describe(
         if pump is not None:
             pump.close()
         engine.close()
-    return processed, records, elapsed
-
-
-def _print_sharded_summary(
-    records: int, processed: int, elapsed: float, suffix: str
-) -> None:
+    _finish_bad_records(bad_records)
     print()
-    print(f"{records} matches over {processed} edges in {elapsed:.3f}s ({suffix})")
-
-
-def _print_single_summary(engine: ContinuousQueryEngine, *, profile: bool) -> None:
-    print()
-    print(engine.describe())
-    registered = list(engine.queries.values())
-    for reg in registered:
-        if reg.decision is not None:
-            print(reg.decision.explain())
-    if not profile:
-        return
-    print()
-    print("profile:")
-    print("[kernel stages]")
-    print(engine.kernel_profile.report())
-    for reg in registered:
-        if len(registered) > 1:
-            print(f"[{reg.name}]")
-        print(reg.profile.report())
+    print(f"{records} matches over {processed} edges in {elapsed:.3f}s ({summary})")
 
 
 def _profile_rows(rows: list) -> str:
@@ -653,7 +555,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    _validate_run_options(args)
+    _validate_run_options(args, args.workers)
     queries = _load_queries(args.query)
     config = EngineConfig(
         window=math.inf if args.window is None else args.window,
@@ -666,62 +568,36 @@ def _cmd_run(args: argparse.Namespace) -> int:
     warm_n = int(total * args.warmup_fraction)
     bad_records = _bad_record_log(args)
     events = read_stream(args.stream, bad_records=bad_records)
-    warmup = itertools.islice(events, warm_n)
-
-    if args.workers > 1:
-        engine = ShardedEngine(
-            config=config,
-            workers=args.workers,
-            batch_size=args.batch_size,
-            partitioner=args.partitioner,
-            supervise=args.supervise,
-            restart_policy=_restart_policy(args),
-            fault_plan=FaultPlan.from_env(),
-            autoscale=_autoscale_policy(args),
-        )
-        engine.warmup(warmup)
-        specs = [engine.register(query, strategy=args.strategy) for query in queries]
-        # the coordinator batches per worker itself; feed it the
-        # remaining events straight off the parse iterator
-        processed, records, elapsed = _run_sharded_and_describe(
-            engine, events, args, cursor_base=warm_n, bad_records=bad_records
-        )
-        for spec in specs:
-            if spec.decision is not None:
-                print(spec.decision.explain())
-        _finish_bad_records(bad_records)
-        _print_sharded_summary(
-            records,
-            processed,
-            elapsed,
-            f"{args.workers} workers, batch={args.batch_size}",
-        )
-        return 0
-
-    engine = ContinuousQueryEngine(config=config)
-    engine.warmup(warmup)
+    engine = ShardedEngine(
+        config=config,
+        workers=args.workers,
+        batch_size=args.batch_size,
+        partitioner=args.partitioner,
+        supervise=args.supervise,
+        restart_policy=_restart_policy(args),
+        fault_plan=FaultPlan.from_env(),
+        autoscale=_autoscale_policy(args),
+    )
+    engine.warmup(itertools.islice(events, warm_n))
     for query in queries:
         engine.register(query, strategy=args.strategy)
-    pump = _make_pump(
+    _run_sharded_and_describe(
+        engine,
+        events,
         args,
-        lambda: {**engine.metrics().collect(), **_ingest_families(bad_records)},
+        cursor_base=warm_n,
+        bad_records=bad_records,
+        summary=f"{args.workers} workers, batch={args.batch_size}",
     )
-    try:
-        _drive_single(
-            engine, events, args, cursor_base=warm_n, start_sequence=0, pump=pump
-        )
-    finally:
-        if pump is not None:
-            pump.close()
-    _finish_bad_records(bad_records)
-    _print_single_summary(engine, profile=args.profile)
     return 0
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    _validate_run_options(args)
     queries = _load_queries(args.query)
     manifest = ckpt_manifest.read_manifest(args.checkpoint_dir)
+    _validate_run_options(
+        args, manifest["workers"] if args.workers is None else args.workers
+    )
     cursor = manifest["cursor"]
     bad_records = _bad_record_log(args)
     events = read_stream(args.stream, bad_records=bad_records)
@@ -731,63 +607,27 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             f"stream {args.stream} has only {skipped} events but the "
             f"checkpoint cursor is at {cursor}; wrong --stream file?"
         )
-
-    # the restored engine takes its window from the checkpoint
-    config = EngineConfig(profile_phases=args.profile)
-    migrating = args.workers is not None or args.partitioner is not None
-    if manifest["mode"] == ckpt_manifest.MODE_SHARDED or migrating:
-        # Checkpoints are layout-independent: --workers resumes at any
-        # M >= 1 (the directory is re-cut in place first), including a
-        # single-mode checkpoint migrated onto the sharded runtime.
-        engine = ShardedEngine.resume(
-            args.checkpoint_dir,
-            queries,
-            workers=args.workers,
-            partitioner=args.partitioner,
-            supervise=args.supervise,
-            restart_policy=_restart_policy(args),
-            fault_plan=FaultPlan.from_env(),
-            config=config,
-        )
-        processed, records, elapsed = _run_sharded_and_describe(
-            engine, events, args, cursor_base=cursor, bad_records=bad_records
-        )
-        _finish_bad_records(bad_records)
-        _print_sharded_summary(
-            records,
-            processed,
-            elapsed,
-            f"resumed at event {cursor}, {engine.workers} workers",
-        )
-        return 0
-
-    if args.supervise:
-        raise ValueError(
-            "--supervise applies to the sharded runtime; this checkpoint "
-            "resumes in-process (pass --workers >= 2 to migrate it)"
-        )
-    single, _ = ckpt_manifest.load_single_checkpoint(
-        args.checkpoint_dir, queries, config=config
+    # Checkpoints are layout-independent: --workers resumes at any
+    # M >= 1 (the directory is re-cut in place first). The restored
+    # engine takes its window from the checkpoint.
+    engine = ShardedEngine.resume(
+        args.checkpoint_dir,
+        queries,
+        workers=args.workers,
+        partitioner=args.partitioner,
+        supervise=args.supervise,
+        restart_policy=_restart_policy(args),
+        fault_plan=FaultPlan.from_env(),
+        config=EngineConfig(profile_phases=args.profile),
     )
-    pump = _make_pump(
+    _run_sharded_and_describe(
+        engine,
+        events,
         args,
-        lambda: {**single.metrics().collect(), **_ingest_families(bad_records)},
+        cursor_base=cursor,
+        bad_records=bad_records,
+        summary=f"resumed at event {cursor}, {engine.workers} workers",
     )
-    try:
-        processed = _drive_single(
-            single,
-            events,
-            args,
-            cursor_base=cursor,
-            start_sequence=manifest["sequence"],
-            pump=pump,
-        )
-    finally:
-        if pump is not None:
-            pump.close()
-    _finish_bad_records(bad_records)
-    _print_single_summary(single, profile=args.profile)
-    print(f"(resumed at event {cursor}; processed {processed} more)")
     return 0
 
 
@@ -878,7 +718,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=512,
-        help="events per ingest chunk / per worker batch",
+        help=(
+            "events per segment while the engine runs in-process, and per "
+            "worker batch otherwise"
+        ),
     )
     p_run.add_argument(
         "--rebalance-every",
@@ -983,7 +826,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=512,
-        help="events per ingest chunk (single-process resume)",
+        help=(
+            "events per segment while the engine runs in-process (a "
+            "multi-worker resume batches as the checkpoint recorded)"
+        ),
     )
     p_resume.add_argument(
         "--workers",

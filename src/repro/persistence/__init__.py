@@ -23,14 +23,12 @@ from .manifest import (
     MANIFEST_NAME,
     MODE_SHARDED,
     MODE_SINGLE,
-    load_single_checkpoint,
     query_shard_index,
     read_manifest,
     shard_filename,
     window_from_json,
     window_to_json,
     write_manifest,
-    write_single_checkpoint,
 )
 from .migrate import migrate_checkpoint
 from .snapshot import (
@@ -59,7 +57,6 @@ __all__ = [
     "engine_to_bytes",
     "engine_to_slices",
     "load_engine",
-    "load_single_checkpoint",
     "merge_shard_slices",
     "migrate_checkpoint",
     "query_shard_index",
@@ -70,5 +67,4 @@ __all__ = [
     "window_from_json",
     "window_to_json",
     "write_manifest",
-    "write_single_checkpoint",
 ]

@@ -4,7 +4,7 @@ A checkpoint *directory* is what the CLI (and the sharded runtime) roll
 forward as a stream is processed:
 
 * one binary engine snapshot per shard, named
-  ``ckpt-<sequence>-shard-<worker_id>.bin`` (a single-process run is
+  ``ckpt-<sequence>-shard-<worker_id>.bin`` (an in-process run is
   "shard 0" of a one-shard layout);
 * ``manifest.json`` — small, human-readable coordinator metadata: the
   stream cursor, the shard → snapshot-file map, the query placement and
@@ -16,6 +16,12 @@ replaced, then stale snapshot files from older sequences are pruned. A
 crash at any point leaves the directory resumable from the manifest's
 sequence (the worst case is a few orphaned ``ckpt-*`` files, which the
 next successful checkpoint removes).
+
+Every checkpoint is written by
+:meth:`~repro.runtime.sharded.ShardedEngine.checkpoint` (or re-cut by
+:func:`~repro.persistence.migrate.migrate_checkpoint`) as a ``sharded``
+manifest. Older builds also wrote ``single`` manifests for an in-process
+run; :func:`read_manifest` reads those as the one-shard layout they are.
 """
 
 from __future__ import annotations
@@ -37,9 +43,13 @@ MANIFEST_FORMAT = "repro-graph-checkpoint"
 MANIFEST_VERSION = 2
 READABLE_MANIFEST_VERSIONS = (2,)
 
-#: Checkpoint directory modes: one in-process engine vs a sharded layout.
+#: Checkpoint directory modes. Every write is ``sharded``; ``single`` is
+#: only read, from directories older builds wrote for an in-process run.
 MODE_SINGLE = "single"
 MODE_SHARDED = "sharded"
+#: ``ShardedEngine``'s default batch size, for a ``single`` manifest
+#: that recorded none.
+_LEGACY_BATCH_SIZE = 256
 
 
 def shard_filename(sequence: int, worker_id: int) -> str:
@@ -94,7 +104,12 @@ def _prune(root: Path, keep: set) -> None:
 
 
 def read_manifest(directory: Union[str, Path]) -> Dict:
-    """Load and validate ``manifest.json`` from a checkpoint directory."""
+    """Load and validate ``manifest.json`` from a checkpoint directory.
+
+    A legacy ``single`` manifest already has the one-shard layout; it is
+    returned as a ``sharded`` one, its missing partitioner read as
+    ``"cost"`` and its missing batch size as the engine default.
+    """
     path = Path(directory) / MANIFEST_NAME
     try:
         text = path.read_text(encoding="utf-8")
@@ -117,82 +132,11 @@ def read_manifest(directory: Union[str, Path]) -> Dict:
             raise CheckpointError(
                 f"checkpoint manifest {path} is missing the {key!r} field"
             )
+    if manifest["mode"] == MODE_SINGLE:
+        manifest["mode"] = MODE_SHARDED
+        manifest["partitioner"] = manifest.get("partitioner") or "cost"
+        manifest["batch_size"] = manifest.get("batch_size") or _LEGACY_BATCH_SIZE
     return manifest
-
-
-def write_single_checkpoint(
-    directory: Union[str, Path],
-    engine,
-    *,
-    sequence: int,
-    cursor: int,
-    batch_size: Optional[int] = None,
-) -> Dict:
-    """Checkpoint one in-process engine as a ``single``-mode directory.
-
-    The engine snapshot is written first, then the manifest is atomically
-    replaced — the same crash-safety dance as the sharded coordinator.
-    Returns the manifest.
-    """
-    from ..sjtree.serialize import edge_signature
-    from .snapshot import save_engine
-
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    filename = shard_filename(sequence, 0)
-    save_engine(engine, root / filename, cursor=cursor)
-    manifest = {
-        "mode": MODE_SINGLE,
-        "sequence": sequence,
-        "cursor": cursor,
-        "events_streamed": engine.graph.total_edges_seen,
-        "window": window_to_json(engine.graph.window.width),
-        "workers": 1,
-        "batch_size": batch_size,
-        "partitioner": None,
-        "queries": [
-            {
-                "position": position,
-                "name": registered.name,
-                "strategy": registered.strategy,
-                "signature": edge_signature(registered.query),
-                "shard": 0,
-            }
-            for position, registered in enumerate(engine.queries.values())
-        ],
-        "shards": [
-            {
-                "worker_id": 0,
-                "file": filename,
-                "positions": list(range(len(engine.queries))),
-            }
-        ],
-    }
-    write_manifest(root, manifest)
-    return manifest
-
-
-def load_single_checkpoint(directory: Union[str, Path], queries, *, config=None):
-    """Restore a ``single``-mode checkpoint; returns ``(engine, manifest)``.
-
-    ``queries`` are matched by name and validated structurally, and
-    ``config`` supplies every setting but the window, exactly as in
-    :meth:`ContinuousQueryEngine.restore`.
-    """
-    from .snapshot import load_engine
-
-    root = Path(directory)
-    manifest = read_manifest(root)
-    if manifest["mode"] != MODE_SINGLE:
-        raise CheckpointError(
-            f"checkpoint at {root} was written by a {manifest['mode']!r}-"
-            "mode run; resume it with ShardedEngine.resume / the CLI"
-        )
-    ordered = match_queries(manifest, queries)
-    engine, _ = load_engine(
-        root / manifest["shards"][0]["file"], ordered, config=config
-    )
-    return engine, manifest
 
 
 def query_entries(specs) -> List[Dict]:

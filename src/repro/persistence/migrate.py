@@ -16,9 +16,10 @@ snapshots plus a new manifest
 The rewritten directory is a first-class checkpoint: resuming it at the
 new layout emits records byte-identical to an uninterrupted
 single-process run (the bar ``tests/test_migration.py`` enforces for
-N→M at multiple cut points). Both checkpoint *modes* are accepted —
-``single`` directories migrate onto the sharded runtime and ``M=1``
-re-cuts a sharded checkpoint into one in-process engine.
+N→M at multiple cut points). ``M=1`` re-cuts a checkpoint into one
+shard, which :class:`~repro.runtime.sharded.ShardedEngine` runs
+in-process; a ``single``-mode directory from an older build reads as
+the one-shard layout it is (:func:`~repro.persistence.manifest.read_manifest`).
 
 Used by :meth:`~repro.runtime.sharded.ShardedEngine.resume` (``workers=``)
 and :meth:`~repro.runtime.sharded.ShardedEngine.rebalance`, and exposed
@@ -153,7 +154,7 @@ def migrate_checkpoint(
             )
         owner[query.name] = part_slot[worker_id]
 
-    partitioner = partitioner or manifest.get("partitioner") or "cost"
+    partitioner = partitioner or manifest["partitioner"]
     estimator = live_estimator(parts)
     costs = [estimate_query_cost(query, estimator) for query in ordered]
     plan = plan_layout(costs, workers, partitioner)
@@ -192,7 +193,7 @@ def migrate_checkpoint(
         events_streamed=manifest["events_streamed"],
         window=manifest["window"],
         workers=workers,
-        batch_size=manifest.get("batch_size") or 256,
+        batch_size=manifest["batch_size"],
         partitioner=partitioner,
         queries=[
             {

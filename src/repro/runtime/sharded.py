@@ -32,9 +32,11 @@ coordinator:
   ``MatchRecord`` objects built — record-identical output, enforced by
   ``tests/test_sharded_equivalence.py``.
 
-``workers=1`` short-circuits to an in-process engine (no subprocesses, no
-pickling — the zero-overhead serial fallback), so existing callers can
-adopt :class:`ShardedEngine` unconditionally.
+``workers=1`` (or a single query) short-circuits to an in-process engine
+(no subprocesses, no pickling — the zero-overhead serial fallback,
+reported by :attr:`ShardedEngine.in_process`), so callers can adopt
+:class:`ShardedEngine` unconditionally; the CLI drives every run
+through it.
 
 With ``supervise=True`` the coordinator runs under a
 :class:`~repro.runtime.supervisor.Supervisor`: worker death (crash,
@@ -666,6 +668,16 @@ class ShardedEngine:
         self._gather(Ready, timeout=READY_TIMEOUT)
         self._started = True
 
+    @property
+    def in_process(self) -> bool:
+        """Whether the started engine runs its shard in this process.
+
+        True at ``workers=1``, for a single query on any worker count,
+        and after a re-cut (or autoscale decision) onto one shard; False
+        before :meth:`start` and while worker processes serve the shards.
+        """
+        return self._serial_engine is not None
+
     def _spawn_worker(self, slot: int, restore_path: Optional[str], incarnation=0):
         """Spawn one shard worker process; returns ``(proc, task_queue)``.
 
@@ -1069,45 +1081,29 @@ class ShardedEngine:
         repartitioned from the statistics the checkpoint carries), then
         resumed normally. Emissions stay byte-identical to the
         uninterrupted run regardless of the N→M choice. A ``single``-
-        mode checkpoint directory (CLI ``run --workers 1``) is accepted
-        whenever a layout is requested explicitly.
+        mode directory from an older build resumes as the one-shard
+        layout it is (:func:`~repro.persistence.manifest.read_manifest`).
 
         The returned engine is already started; registration and warmup
         are closed (exactly as after a normal :meth:`start`).
         """
-        from ..errors import CheckpointError
         from ..persistence import manifest as manifest_mod
         from ..persistence.migrate import migrate_checkpoint
 
         queries = list(queries)
         root = Path(directory)
         manifest = manifest_mod.read_manifest(root)
-        if workers is not None or partitioner is not None:
-            target = workers if workers is not None else manifest["workers"]
-            if (
-                partitioner is not None
-                or target != manifest["workers"]
-                or manifest["mode"] != manifest_mod.MODE_SHARDED
-            ):
-                manifest = migrate_checkpoint(
-                    root, queries, workers=target, partitioner=partitioner
-                )
-        if manifest["mode"] != manifest_mod.MODE_SHARDED:
-            raise CheckpointError(
-                f"checkpoint at {root} was written by a "
-                f"{manifest['mode']!r}-mode run; resume it with the same "
-                "front door (ContinuousQueryEngine.restore / the CLI), or "
-                "pass workers= to migrate it onto the sharded runtime"
+        target = workers if workers is not None else manifest["workers"]
+        if partitioner is not None or target != manifest["workers"]:
+            manifest = migrate_checkpoint(
+                root, queries, workers=target, partitioner=partitioner
             )
         ordered = manifest_mod.match_queries(manifest, queries)
         entries = sorted(manifest["queries"], key=lambda e: e["position"])
         engine = cls(
             workers=manifest["workers"],
             batch_size=manifest["batch_size"],
-            # Single-mode manifests record partitioner=None; a resumed
-            # engine still needs a concrete active policy for later
-            # rebalance()/checkpoint() calls.
-            partitioner=manifest.get("partitioner") or "cost",
+            partitioner=manifest["partitioner"],
             mp_context=mp_context,
             supervise=supervise,
             restart_policy=restart_policy,
@@ -1179,7 +1175,6 @@ class ShardedEngine:
         removed once the new workers are up.
         """
         from ..errors import CheckpointError
-        from ..persistence import manifest as manifest_mod
         from ..persistence.migrate import migrate_checkpoint
 
         if not self._started or self._finished:
@@ -1195,19 +1190,15 @@ class ShardedEngine:
         )
         # Until the old workers are stopped, any failure leaves the engine
         # running on its current layout (the temp directory may leak, which
-        # beats losing state).
+        # beats losing state). The checkpoint records the active
+        # partitioner, which migrate keeps unless the caller overrides it,
+        # so controller-initiated re-cuts (autoscale) and manual ones agree.
         self.checkpoint(root, cursor=cursor)
-        # Thread the engine's *active* partitioner through explicitly when
-        # the caller does not override it. Relying on migrate's manifest
-        # fallback chain here re-reads whatever the checkpoint recorded —
-        # which for a single-mode manifest is None, silently re-cutting a
-        # round-robin engine with the "cost" default. Controller-initiated
-        # re-cuts (autoscale) and manual ones must agree on the policy.
         manifest = migrate_checkpoint(
             root,
             [spec.query for spec in self.specs],
             workers=workers if workers is not None else self.workers,
-            partitioner=partitioner if partitioner is not None else self.partitioner,
+            partitioner=partitioner,
         )
         self._shutdown_workers()
         self._serial_engine = None

@@ -154,7 +154,7 @@ class TestRunSharded:
                 "--query",
                 str(second_query_file),
                 "--strategy",
-                "Single",
+                "auto",
                 "--batch-size",
                 "100",
                 "--max-print",
@@ -167,6 +167,10 @@ class TestRunSharded:
         counts = _match_counts(out)
         assert set(counts) == {"query", "udp"}
         assert "profile:" in out and "[query]" in out and "[udp]" in out
+        # each strategy decision prints exactly once
+        decisions = [line for line in out.splitlines() if "xi = " in line]
+        assert len(decisions) == 2
+        assert all(out.count(line) == 1 for line in decisions)
 
     def test_workers_flag_matches_serial_output(
         self, stream_file, query_file, second_query_file, capsys
@@ -531,6 +535,38 @@ class TestCheckpointBoundaries:
         assert manifest["sequence"] == 3
         assert manifest["cursor"] == 1500
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoint_counter_counts_every_checkpoint(
+        self, stream_file, query_file, second_query_file, tmp_path, capsys, workers
+    ):
+        import json
+
+        ckpt = tmp_path / "ckpt"
+        metrics = tmp_path / "metrics.jsonl"
+        assert (
+            self._run(
+                stream_file,
+                [query_file, second_query_file],
+                "--workers",
+                str(workers),
+                "--checkpoint-every",
+                "400",
+                "--limit",
+                "1200",
+                "--checkpoint-dir",
+                str(ckpt),
+                "--metrics-out",
+                str(metrics),
+            )
+            == 0
+        )
+        capsys.readouterr()
+        # 1125 post-warmup events: cuts at 400 and 800, then end of stream
+        assert self._manifest(ckpt)["sequence"] == 3
+        final = json.loads(metrics.read_text().splitlines()[-1])
+        samples = final["families"]["repro_persistence_checkpoints_total"]["samples"]
+        assert sum(sample["value"] for sample in samples) == 3 * workers
+
     def test_limit_zero_still_writes_one_checkpoint(
         self, stream_file, query_file, tmp_path, capsys
     ):
@@ -725,6 +761,7 @@ class _RecordingEngine:
         self.checkpoints = []
         self.rebalances = []
         self.processed = 0
+        self.in_process = False
 
     def run(self, segment):
         from repro.search.engine import RunResult
@@ -899,6 +936,24 @@ class TestSupervise:
     def test_supervise_requires_workers(self, stream_file, query_file):
         with pytest.raises(ValueError, match="--workers >= 2"):
             main(self._run_args(stream_file, query_file, "--supervise"))
+
+    def test_resume_supervise_requires_workers(
+        self, stream_file, query_file, second_query_file, tmp_path, capsys
+    ):
+        # a 2-worker checkpoint re-cut onto one worker resumes in-process,
+        # so --supervise is refused on the resolved count, as for run
+        ckpt, one = tmp_path / "ckpt", tmp_path / "ckpt1"
+        queries = ["--query", str(query_file), "--query", str(second_query_file)]
+        run = self._run_args(stream_file, query_file, *queries[2:], "--workers", "2")
+        assert main(run + ["--limit", "300", "--checkpoint-dir", str(ckpt)]) == 0
+        rebalance = ["rebalance", "--checkpoint-dir", str(ckpt), *queries]
+        assert main(rebalance + ["--workers", "1", "--out", str(one)]) == 0
+        capsys.readouterr()
+        resume = ["resume", "--stream", str(stream_file), *queries, "--supervise"]
+        with pytest.raises(ValueError, match="--workers >= 2"):
+            main(resume + ["--checkpoint-dir", str(one)])
+        with pytest.raises(ValueError, match="--workers >= 2"):
+            main(resume + ["--checkpoint-dir", str(ckpt), "--workers", "1"])
 
     def test_max_restarts_requires_supervise(self, stream_file, query_file):
         with pytest.raises(ValueError, match="requires --supervise"):

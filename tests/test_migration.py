@@ -4,8 +4,8 @@ The keystone mirrors ``tests/test_persistence.py``'s kill/resume bar: a
 checkpoint taken at N workers and resumed at any M >= 1 — different
 worker count, different partitioner, even the single-process engine —
 must emit records byte-identical to a run that was never interrupted.
-Alongside it: online ``rebalance`` mid-stream, single-mode checkpoints
-migrating onto the sharded runtime, the rejection of version-1
+Alongside it: online ``rebalance`` mid-stream, legacy single-mode
+directories resuming as one shard, the rejection of version-1
 snapshots and manifests, the manifest v2 per-query slice index, and the
 split/merge/compose primitives behind all of it.
 """
@@ -199,32 +199,63 @@ def test_rebalance_requires_started_engine(workload):
 
 
 # ---------------------------------------------------------------------------
-# single-mode checkpoints migrate too
+# legacy single-mode directories resume as one shard
 # ---------------------------------------------------------------------------
+
+
+def _write_legacy_single_dir(directory, engine, queries, cursor):
+    """What older builds wrote for an in-process run: a ``single``
+    manifest (no partitioner, no batch size) over one shard file."""
+    from repro.sjtree.serialize import edge_signature
+
+    directory.mkdir()
+    filename = manifest_mod.shard_filename(1, 0)
+    engine.checkpoint(directory / filename, cursor=cursor)
+    manifest = {
+        "format": "repro-graph-checkpoint",
+        "version": 2,
+        "mode": "single",
+        "sequence": 1,
+        "cursor": cursor,
+        "events_streamed": engine.graph.total_edges_seen,
+        "window": engine.graph.window.width,
+        "workers": 1,
+        "batch_size": None,
+        "partitioner": None,
+        "queries": [
+            {
+                "position": i,
+                "name": query.name,
+                "strategy": STRATEGY_CYCLE[i % 4],
+                "signature": edge_signature(query),
+                "shard": 0,
+            }
+            for i, query in enumerate(queries)
+        ],
+        "shards": [
+            {"worker_id": 0, "file": filename, "positions": list(range(len(queries)))}
+        ],
+    }
+    (directory / manifest_mod.MANIFEST_NAME).write_text(
+        json.dumps(manifest), encoding="utf-8"
+    )
 
 
 def test_single_mode_checkpoint_resumes_sharded(tmp_path, workload, full_run):
     events, queries = workload
-    directory = tmp_path / "single"
     engine = _single_engine(events, queries)
     before = identities(engine.run(events[:300]).records)
-    manifest_mod.write_single_checkpoint(directory, engine, sequence=1, cursor=300)
-    resumed = ShardedEngine.resume(directory, queries, workers=3)
-    try:
-        after = identities(resumed.run(events[300:]).records)
-    finally:
-        resumed.close()
-    assert before + after == full_run
-
-
-def test_single_mode_without_layout_request_still_raises(tmp_path, workload):
-    events, queries = workload
-    directory = tmp_path / "single"
-    engine = _single_engine(events, queries)
-    engine.run(events[:100])
-    manifest_mod.write_single_checkpoint(directory, engine, sequence=1, cursor=100)
-    with pytest.raises(CheckpointError, match="single"):
-        ShardedEngine.resume(directory, queries)
+    for workers in (None, 3):
+        directory = tmp_path / f"single-{workers}"
+        _write_legacy_single_dir(directory, engine, queries, cursor=300)
+        resumed = ShardedEngine.resume(directory, queries, workers=workers)
+        try:
+            assert resumed.workers == (workers or 1)
+            assert resumed.partitioner == "cost"
+            after = identities(resumed.run(events[300:]).records)
+        finally:
+            resumed.close()
+        assert before + after == full_run, workers
 
 
 # ---------------------------------------------------------------------------

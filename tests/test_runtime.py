@@ -117,10 +117,11 @@ class TestShardedEngineAPI:
         engine = ShardedEngine(window=math.inf, workers=1)
         engine.warmup(warm_events)
         register_two(engine)
+        assert not engine.in_process  # known once started
         try:
             engine.run(warm_events)
             assert engine._procs == []
-            assert engine._serial_engine is not None
+            assert engine.in_process
         finally:
             engine.close()
 
@@ -132,6 +133,7 @@ class TestShardedEngineAPI:
         try:
             engine.run(warm_events)
             assert engine._procs == []
+            assert engine.in_process
         finally:
             engine.close()
 
@@ -195,6 +197,7 @@ class TestShardedEngineAPI:
         register_two(engine)
         try:
             result = engine.run(warm_events)
+            assert not engine.in_process
             stats = engine.last_worker_stats
             assert len(stats) == 2
             names = sorted(n for s in stats for n in s.query_names)
