@@ -9,7 +9,9 @@ budget and is linearly extrapolated when it exceeds it — flagged).
 
 The paper's qualitative claims checked here:
 * VF2 is the slowest strategy by a wide margin (10-100x at their scale);
-* the Lazy variants beat their track-everything counterparts;
+* the Lazy variants beat their track-everything counterparts: they keep
+  fewer partial matches and find fewer leaf matches (work counters, not
+  wall time);
 * runtime grows with query size fastest for the non-lazy strategies.
 """
 
@@ -34,16 +36,30 @@ def test_fig9a_runtimes(benchmark):
         speedup = assert_lazy_beats_vf2(group)
         benchmark.extra_info[f"speedup_size{group.size}"] = round(speedup, 1)
 
-    # lazy beats eager for the largest size (where state pressure matters)
+    # Lazy beats eager for the largest size, where state pressure matters.
+    # Stated on the work counters the runs record, which repeat exactly:
+    # the wall times of these sub-second runs are printed above but do not
+    # decide it (their lazy/eager ratio swung across 1.5x between runs).
     last = results[-1]
-    assert (
-        min(
-            last.mean_projected_seconds("SingleLazy"),
-            last.mean_projected_seconds("PathLazy"),
-        )
-        <= min(
-            last.mean_projected_seconds("Single"),
-            last.mean_projected_seconds("Path"),
-        )
-        * 1.5  # allow noise at small scale
-    )
+    best_lazy = min(mean_peak_partials(last, s) for s in ("SingleLazy", "PathLazy"))
+    best_eager = min(mean_peak_partials(last, s) for s in ("Single", "Path"))
+    print(f"size {last.size} mean peak partials: lazy {best_lazy} eager {best_eager}")
+    assert best_lazy <= best_eager
+    for lazy, eager in (("SingleLazy", "Single"), ("PathLazy", "Path")):
+        found = summed_counter(last, lazy, "leaf_matches")
+        found += summed_counter(last, lazy, "retro_matches")
+        eager_found = summed_counter(last, eager, "leaf_matches")
+        print(f"size {last.size} matches found: {lazy} {found} {eager} {eager_found}")
+        assert found <= eager_found
+
+
+def mean_peak_partials(group, strategy: str) -> float:
+    """Mean over the group's queries of the peak partial-match count."""
+    runs = group.per_strategy[strategy]
+    return sum(run.peak_partial_matches for run in runs) / len(runs)
+
+
+def summed_counter(group, strategy: str, name: str) -> int:
+    """One profile counter of a strategy, summed over the group's queries."""
+    runs = group.per_strategy[strategy]
+    return sum(run.profile.counters.get(name, 0) for run in runs)

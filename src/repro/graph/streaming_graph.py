@@ -8,17 +8,20 @@ order:
 2. **Type-indexed neighbourhood access** — the anchored subgraph
    isomorphism used by both the eager and lazy search only ever asks
    *"give me the edges of type t leaving/entering vertex v"*. Adjacency is
-   therefore a two-level index ``vertex -> etype code -> segment``, where
-   each segment is an append-only arrival-ordered ring
-   (:class:`collections.deque` — contiguous 64-slot blocks, O(1) append
-   and pop-front, dense C-level iteration with no hash-bucket hopping on
-   the compiled-plan scan path).
-3. **Amortised O(1) eviction** — edges live in a FIFO deque in arrival
-   order; because stream timestamps are non-decreasing, expired edges are
-   always at the head. Eviction is the *only* removal path, and it always
-   removes each segment's front element (arrival order within a segment
-   equals global arrival order), so segments never need keyed deletion —
-   the invariant that lets them be rings instead of dicts.
+   therefore a two-level index ``vertex -> etype code -> bucket``, each
+   bucket the arrival-ordered live edges of one (vertex, type). In a
+   sliding window most buckets hold one or two edges, so a bucket is a
+   plain ``list`` (a one-element list costs a fifth of a deque to build
+   and free).
+3. **Amortised O(1) eviction** — edges live in a FIFO deque (the arrival
+   ring) in arrival order; because stream timestamps are non-decreasing,
+   expired edges are always at the head. Eviction is the *only* removal
+   path, and it always removes each bucket's front element (arrival order
+   within a bucket equals global arrival order), so buckets never need
+   keyed deletion. An eviction that finds a list bucket longer than
+   :data:`PROMOTE_AT` turns it into a deque, so hub vertices keep O(1)
+   front deletion. Edge ids ascend along the ring (pinned ids too), so
+   the ring doubles as the id index: a bisection finds an edge by id.
 
 Edge and vertex types are interned through the shared
 :data:`~repro.graph.types.VOCABULARY` at ingest, so every per-edge index
@@ -26,25 +29,32 @@ is keyed by dense ints; the string-typed public accessors translate once
 per call. Compiled match plans hold codes directly and use the ``*_code``
 accessors, paying no translation at all on the per-candidate hot path.
 
-Vertices are typed on first sight (``λV``); a vertex is dropped when its
-last incident edge is evicted, mirroring REMOVE-SUBGRAPH's rule that a
-vertex disappears only when it becomes disconnected.
+Vertices are typed on first sight (``λV``) and live exactly while they
+have an out- or in-bucket: eviction deletes emptied buckets and per-vertex
+dicts, and drops a vertex with neither, mirroring REMOVE-SUBGRAPH's rule
+that a vertex disappears only when it becomes disconnected.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
-from typing import Dict, Iterable, Iterator, Optional
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, Optional, Union
 
 from ..errors import EdgeNotFoundError, GraphError, VertexNotFoundError
 from .types import DEFAULT_VERTEX_TYPE, VOCABULARY, Edge, EdgeEvent, VertexId
 from .window import TimeWindow
 
-# vertex -> etype code -> arrival-ordered edge segment
-_AdjIndex = Dict[VertexId, Dict[int, "deque[Edge]"]]
+# vertex -> etype code -> arrival-ordered bucket (list, or deque once promoted)
+_AdjIndex = Dict[VertexId, Dict[int, Union["list[Edge]", "deque[Edge]"]]]
+
+#: eviction turns a list bucket longer than this into a deque
+PROMOTE_AT = 64
 
 _EMPTY: tuple = ()
+_EDGE_ID = attrgetter("edge_id")
 
 
 class StreamingGraph:
@@ -70,7 +80,7 @@ class StreamingGraph:
             self._window = window
         else:
             self._window = TimeWindow(float(window))
-        self._edges: Dict[int, Edge] = {}
+        # live edges in arrival order; edge ids ascend along it
         self._arrival: deque[Edge] = deque()
         self._out: _AdjIndex = {}
         self._in: _AdjIndex = {}
@@ -80,7 +90,6 @@ class StreamingGraph:
         self._loops: Dict[int, int] = {}
         # vertex -> vtype code (λV, typed on first sight)
         self._vertex_types: Dict[VertexId, int] = {}
-        self._degrees: Dict[VertexId, int] = {}
         self._next_edge_id = 0
         self._total_inserted = 0
         self._last_timestamp = -math.inf
@@ -178,35 +187,30 @@ class StreamingGraph:
             timestamp=timestamp,
             etype_code=code,
         )
-        eid = edge.edge_id
-        self._next_edge_id = eid + 1
+        self._next_edge_id = edge.edge_id + 1
         self._total_inserted += 1
-        self._edges[eid] = edge
         self._arrival.append(edge)
-        degrees = self._degrees
+        # A vertex is new only if it has no bucket in either direction, so
+        # it is typed where its first per-vertex dict is made. First sight
+        # wins: re-typing an existing vertex is ignored, which matches how
+        # the paper's datasets type vertices once.
         vertex_types = self._vertex_types
-        if src not in vertex_types:
-            vertex_types[src] = VOCABULARY.vtype_code(src_type)
-            degrees[src] = 0
-        if dst not in vertex_types:
-            vertex_types[dst] = VOCABULARY.vtype_code(dst_type)
-            degrees[dst] = 0
-        # First sight wins: re-typing an existing vertex is ignored, which
-        # matches how the paper's datasets type vertices once.
         by_code = self._out.get(src)
         if by_code is None:
-            by_code = self._out[src] = {}
-        segment = by_code.get(code)
-        if segment is None:
-            by_code[code] = deque((edge,))
+            self._out[src] = {code: [edge]}
+            if src not in vertex_types:
+                vertex_types[src] = VOCABULARY.vtype_code(src_type)
+        elif (segment := by_code.get(code)) is None:
+            by_code[code] = [edge]
         else:
             segment.append(edge)
         by_code = self._in.get(dst)
         if by_code is None:
-            by_code = self._in[dst] = {}
-        segment = by_code.get(code)
-        if segment is None:
-            by_code[code] = deque((edge,))
+            self._in[dst] = {code: [edge]}
+            if dst not in vertex_types:
+                vertex_types[dst] = VOCABULARY.vtype_code(dst_type)
+        elif (segment := by_code.get(code)) is None:
+            by_code[code] = [edge]
         else:
             segment.append(edge)
         segment = self._by_type.get(code)
@@ -214,10 +218,7 @@ class StreamingGraph:
             self._by_type[code] = deque((edge,))
         else:
             segment.append(edge)
-        degrees[src] += 1
-        if dst != src:
-            degrees[dst] += 1
-        else:
+        if dst == src:
             self._loops[code] = self._loops.get(code, 0) + 1
         return edge
 
@@ -269,47 +270,40 @@ class StreamingGraph:
         return 0
 
     def _remove(self, edge: Edge) -> None:
-        # Only eviction calls this, in arrival order — the edge is still
-        # live, so it sits at the *front* of all three of its segments
-        # (every earlier segment member was already evicted) and both its
-        # endpoints still have live-degree entries. Segments are deleted
-        # the moment they empty, so the lookups below cannot miss. The
-        # engine's chunk loop (ContinuousQueryEngine._process_chunk) holds
-        # the one inline copy of this body and of add_prepared's insert.
+        """Unlink the oldest live edge (eviction only, in arrival order).
+
+        The edge sits at the *front* of its out-bucket, in-bucket and
+        ``_by_type`` segment: every earlier member is gone. A list bucket
+        longer than :data:`PROMOTE_AT` becomes a deque before its front
+        goes. An emptied bucket is deleted, and so is an emptied
+        per-vertex dict; a vertex left with neither is dropped (a
+        self-loop's vertex keeps its in-bucket until the second pass).
+        The engine's chunk loop (ContinuousQueryEngine._process_chunk)
+        holds the one inline copy of this body and of add_prepared's.
+        """
         src = edge.src
         dst = edge.dst
         code = edge.etype_code
-        del self._edges[edge.edge_id]
-        by_code = self._out[src]
-        segment = by_code[code]
-        segment.popleft()
-        if not segment:
-            del by_code[code]
-        by_code = self._in[dst]
-        segment = by_code[code]
-        segment.popleft()
-        if not segment:
-            del by_code[code]
+        out_idx, in_idx = self._out, self._in
+        for index, other, vertex in ((out_idx, in_idx, src), (in_idx, out_idx, dst)):
+            by_code = index[vertex]
+            segment = by_code[code]
+            if len(segment) > 1:
+                if len(segment) > PROMOTE_AT and type(segment) is list:
+                    segment = by_code[code] = deque(segment)
+                del segment[0]
+            elif len(by_code) > 1:
+                del by_code[code]
+            else:
+                del index[vertex]
+                if vertex not in other:
+                    del self._vertex_types[vertex]
         segment = self._by_type[code]
         segment.popleft()
         if not segment:
             del self._by_type[code]
-        degrees = self._degrees
-        degrees[src] -= 1
-        if dst != src:
-            degrees[dst] -= 1
-            if degrees[dst] == 0:
-                self._drop_vertex(dst)
-        else:
+        if dst == src:
             self._loops[code] -= 1
-        if degrees[src] == 0:
-            self._drop_vertex(src)
-
-    def _drop_vertex(self, vertex: VertexId) -> None:
-        del self._degrees[vertex]
-        del self._vertex_types[vertex]
-        self._out.pop(vertex, None)
-        self._in.pop(vertex, None)
 
     # ------------------------------------------------------------------
     # inspection
@@ -338,7 +332,7 @@ class StreamingGraph:
     @property
     def num_edges(self) -> int:
         """Number of live edges."""
-        return len(self._edges)
+        return len(self._arrival)
 
     @property
     def total_edges_seen(self) -> int:
@@ -356,27 +350,35 @@ class StreamingGraph:
         return self._evicted_count
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return len(self._arrival)
 
     def __contains__(self, vertex: VertexId) -> bool:
         return vertex in self._vertex_types
 
     def has_edge_id(self, edge_id: int) -> bool:
         """Return True if an edge with this id is still live."""
-        return edge_id in self._edges
+        return self._find(edge_id) is not None
 
     def edge_by_id(self, edge_id: int) -> Edge:
-        """Return the live edge with the given id.
+        """Return the live edge with the given id (a bisection of the
+        arrival ring; to resolve many ids, map the ring once).
 
         Raises :class:`EdgeNotFoundError` if the edge never existed or was
         evicted by the window.
         """
-        try:
-            return self._edges[edge_id]
-        except KeyError:
+        edge = self._find(edge_id)
+        if edge is None:
             raise EdgeNotFoundError(
                 f"edge {edge_id} not found (evicted or never inserted)"
-            ) from None
+            )
+        return edge
+
+    def _find(self, edge_id: int) -> Optional[Edge]:
+        arrival = self._arrival  # edge ids ascend along it
+        index = bisect_left(arrival, edge_id, key=_EDGE_ID)
+        if index < len(arrival) and arrival[index].edge_id == edge_id:
+            return arrival[index]
+        return None
 
     def vertex_type(self, vertex: VertexId) -> str:
         """Return ``λV(vertex)``."""
@@ -393,14 +395,19 @@ class StreamingGraph:
             raise VertexNotFoundError(f"vertex {vertex!r} not in graph") from None
 
     def degree(self, vertex: VertexId) -> int:
-        """Total (in + out) degree of a vertex; 0 if absent."""
-        return self._degrees.get(vertex, 0)
+        """Total (in + out) degree of a vertex, a self-loop counted once;
+        0 if absent. Counts bucket entries: O(degree)."""
+        out = self._out.get(vertex, {}).values()
+        in_degree = sum(map(len, self._in.get(vertex, {}).values()))
+        return in_degree + sum(e.dst != vertex for bucket in out for e in bucket)
 
     def average_degree(self) -> float:
-        """Average total degree across live vertices (``d̄`` in the paper)."""
-        if not self._degrees:
+        """Average total degree across live vertices (``d̄`` in the paper):
+        every live edge has two ends, a self-loop one."""
+        if not self._vertex_types:
             return 0.0
-        return sum(self._degrees.values()) / len(self._degrees)
+        ends = 2 * len(self._arrival) - sum(self._loops.values())
+        return ends / len(self._vertex_types)
 
     def vertices(self) -> Iterator[VertexId]:
         """Iterate over live vertex ids."""
@@ -419,9 +426,12 @@ class StreamingGraph:
     ) -> Iterable[Edge]:
         """Edges leaving ``vertex``, optionally restricted to one type.
 
-        With an ``etype`` this returns the live arrival-ordered adjacency
-        segment — no generator frames or copies on the matchers' hot
-        path. Callers must not mutate the graph while iterating.
+        With an ``etype`` this returns the live arrival-ordered bucket
+        itself (a list, or a deque once a hub bucket is promoted) — no
+        generator frames or copies on the matchers' hot path. Treat it as
+        read-only and do not keep it across an ingest: callers must not
+        mutate the graph while iterating, and eviction may replace a
+        bucket by its promoted deque.
         """
         return self._adj_view(self._out, vertex, etype)
 
@@ -439,18 +449,12 @@ class StreamingGraph:
         never touches a string.
         """
         by_code = self._out.get(vertex)
-        if by_code is None:
-            return _EMPTY
-        segment = by_code.get(code)
-        return segment if segment is not None else _EMPTY
+        return _EMPTY if by_code is None else by_code.get(code, _EMPTY)
 
     def in_edges_code(self, vertex: VertexId, code: int) -> Iterable[Edge]:
         """:meth:`in_edges` keyed by an interned edge-type code."""
         by_code = self._in.get(vertex)
-        if by_code is None:
-            return _EMPTY
-        segment = by_code.get(code)
-        return segment if segment is not None else _EMPTY
+        return _EMPTY if by_code is None else by_code.get(code, _EMPTY)
 
     @staticmethod
     def _adj_view(
@@ -461,11 +465,7 @@ class StreamingGraph:
             return _EMPTY
         if etype is None:
             return StreamingGraph._adj_iter(index, vertex, None)
-        code = VOCABULARY.etype_code_if_known(etype)
-        if code is None:
-            return _EMPTY
-        segment = by_code.get(code)
-        return segment if segment is not None else _EMPTY
+        return by_code.get(VOCABULARY.etype_code_if_known(etype), _EMPTY)
 
     def incident_edges(
         self, vertex: VertexId, etype: Optional[str] = None
@@ -491,21 +491,11 @@ class StreamingGraph:
             for segment in by_code.values():
                 yield from segment
         else:
-            code = VOCABULARY.etype_code_if_known(etype)
-            if code is None:
-                return
-            segment = by_code.get(code)
-            if segment:
-                yield from segment
+            yield from by_code.get(VOCABULARY.etype_code_if_known(etype), _EMPTY)
 
     def edges_of_type(self, etype: str) -> Iterator[Edge]:
         """All live edges of one type (insertion order)."""
-        code = VOCABULARY.etype_code_if_known(etype)
-        if code is None:
-            return
-        segment = self._by_type.get(code)
-        if segment:
-            yield from segment
+        yield from self._by_type.get(VOCABULARY.etype_code_if_known(etype), _EMPTY)
 
     def edges_of_type_code(self, code: int) -> Iterable[Edge]:
         """All live edges of one interned type code (insertion order).
@@ -513,8 +503,7 @@ class StreamingGraph:
         Hot-path twin of :meth:`edges_of_type` — skips the label
         interning lookup; an unknown code yields nothing.
         """
-        segment = self._by_type.get(code)
-        return segment if segment is not None else _EMPTY
+        return self._by_type.get(code, _EMPTY)
 
     def non_loop_count_code(self, code: int) -> int:
         """Live edges of one interned type that are not self-loops (O(1))."""
@@ -525,11 +514,7 @@ class StreamingGraph:
 
     def count_of_type(self, etype: str) -> int:
         """Number of live edges of one type (O(1))."""
-        code = VOCABULARY.etype_code_if_known(etype)
-        if code is None:
-            return 0
-        segment = self._by_type.get(code)
-        return len(segment) if segment else 0
+        return len(self._by_type.get(VOCABULARY.etype_code_if_known(etype), _EMPTY))
 
     def edge_types(self) -> Iterable[str]:
         """Distinct live edge types."""
@@ -578,23 +563,14 @@ class StreamingGraph:
         for edge in self._arrival:
             if edge.src in vertices and edge.dst in vertices:
                 code = edge.etype_code
-                copy._edges[edge.edge_id] = edge
                 copy._arrival.append(edge)
                 for vertex in (edge.src, edge.dst):
                     if vertex not in copy._vertex_types:
                         copy._vertex_types[vertex] = self._vertex_types[vertex]
-                        copy._degrees[vertex] = 0
-                copy._out.setdefault(edge.src, {}).setdefault(code, deque()).append(
-                    edge
-                )
-                copy._in.setdefault(edge.dst, {}).setdefault(code, deque()).append(
-                    edge
-                )
+                copy._out.setdefault(edge.src, {}).setdefault(code, []).append(edge)
+                copy._in.setdefault(edge.dst, {}).setdefault(code, []).append(edge)
                 copy._by_type.setdefault(code, deque()).append(edge)
-                copy._degrees[edge.src] += 1
-                if edge.dst != edge.src:
-                    copy._degrees[edge.dst] += 1
-                else:
+                if edge.dst == edge.src:
                     copy._loops[code] = copy._loops.get(code, 0) + 1
                 copy._last_timestamp = edge.timestamp
                 copy._total_inserted += 1

@@ -72,7 +72,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CheckpointError
-from ..graph.types import VOCABULARY, EdgeEvent
+from ..graph.types import VOCABULARY, Edge, EdgeEvent
 from ..isomorphism.match import Match
 from ..query.query_graph import QueryGraph
 from ..search.baseline import (
@@ -508,10 +508,12 @@ def engine_from_bytes(
     estimator_section = _section_reader(r, "estimator")
     _load_estimator(estimator_section, engine.estimator)
     estimator_section.expect_end("estimator state")
+    # every restored match edge resolves through one map, not a ring search
+    window_edges = {edge.edge_id: edge for edge in engine.graph.edges()}
     for _ in range(r.read_varint()):
         name = r.read_str()
         blob = _section_reader(r, f"query {name!r}")
-        _restore_query(blob, engine, by_name, matched, name)
+        _restore_query(blob, engine, by_name, matched, name, window_edges)
         blob.expect_end(f"query {name!r} state")
 
     extra = set(by_name) - matched
@@ -740,8 +742,12 @@ def _restore_query(
     by_name: Dict[str, QueryGraph],
     matched: set,
     name: str,
+    window_edges: Dict[int, Edge],
 ) -> RegisteredQuery:
-    """Parse one query-state blob and register it on ``engine``."""
+    """Parse one query-state blob and register it on ``engine``.
+
+    ``window_edges`` maps the restored window's edge ids to its edges.
+    """
     strategy = r.read_str()
     signature = r.read_str()
     options = {r.read_str(): r.read_value() for _ in range(r.read_varint())}
@@ -759,7 +765,7 @@ def _restore_query(
             f"has edges {signature!r}, provided query has {actual!r}"
         )
     matched.add(name)
-    algorithm = _load_algorithm(r, engine, query, strategy, options)
+    algorithm = _load_algorithm(r, engine, query, strategy, options, window_edges)
     algorithm.matches_emitted = matches_emitted
     algorithm.profile.enabled = engine.profile_phases
     registered = RegisteredQuery(
@@ -779,6 +785,7 @@ def _load_algorithm(
     query: QueryGraph,
     strategy: str,
     options: Dict[str, object],
+    window_edges: Dict[int, Edge],
 ):
     kind = r.read_u8()
     graph = engine.graph
@@ -787,7 +794,7 @@ def _load_algorithm(
         tree = _load_tree(r, graph, query)
         cls = LazySearch if kind == _KIND_TREE_LAZY else DynamicGraphSearch
         algorithm = cls(graph, tree, window, name=strategy, **options)
-        _load_tables(r, tree, graph)
+        _load_tables(r, tree, window_edges)
         if kind == _KIND_TREE_LAZY:
             rows = {r.read_value(): r.read_varint() for _ in range(r.read_varint())}
             algorithm.bitmap.load(rows)
@@ -830,7 +837,7 @@ def _leaf_selectivity(value) -> float:
     return 1.0 if value is None else float(value)
 
 
-def _load_tables(r: BinaryReader, tree: SJTree, graph) -> None:
+def _load_tables(r: BinaryReader, tree: SJTree, window_edges: Dict[int, Edge]) -> None:
     node_count = r.read_varint()
     if node_count != len(tree.nodes):
         raise CheckpointError(
@@ -848,12 +855,12 @@ def _load_tables(r: BinaryReader, tree: SJTree, graph) -> None:
         for _ in range(r.read_varint()):
             edge_ids = [r.read_varint() for _ in range(width)]
             try:
-                edges = tuple(graph.edge_by_id(eid) for eid in edge_ids)
-            except Exception as exc:
+                edges = tuple([window_edges[eid] for eid in edge_ids])
+            except KeyError as exc:
                 raise CheckpointError(
                     f"snapshot match references edge ids {edge_ids} not in "
-                    f"the restored window: {exc}"
-                ) from exc
+                    f"the restored window (edge {exc.args[0]} is missing)"
+                ) from None
             _check_fits(node, shape, edges)
             if graph_backed:
                 continue  # the restored window already holds the entry

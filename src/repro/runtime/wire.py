@@ -28,6 +28,7 @@ process-local one.
 
 from __future__ import annotations
 
+import gc
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -102,7 +103,26 @@ def decode_records(
     sorted); the stable sort then only interleaves workers. A batch that
     cannot be decoded raises :class:`ReproRuntimeError` naming its
     worker and collect sequence.
+
+    The cyclic collector is paused for the decode and restored in
+    ``finally`` (left off when the caller had it off), as the engine's
+    chunk loop does: decoding allocates no reference cycles (see
+    ``tests/test_collector.py``), so the collections its allocations
+    would trigger mid-decode could free nothing.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _decode(batches, shapes)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _decode(
+    batches: Sequence[SourcedBatch],
+    shapes: Mapping[int, Tuple[str, MatchShape]],
+) -> List[MatchRecord]:
     edges: Dict[int, Edge] = {}
     codes: Dict[str, int] = {}
     intern = VOCABULARY.etype_code

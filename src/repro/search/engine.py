@@ -34,7 +34,7 @@ from collections import deque
 from ..analysis.profiling import ProfileCounters
 from ..errors import GraphError, QueryError, StrategyError
 from ..graph.columnar import EdgeChunk, backend_name
-from ..graph.streaming_graph import StreamingGraph
+from ..graph.streaming_graph import PROMOTE_AT, StreamingGraph
 from ..graph.types import VOCABULARY, Edge, EdgeEvent
 from ..query.query_graph import QueryGraph
 from ..sjtree.builder import build_sj_tree
@@ -512,11 +512,15 @@ class ContinuousQueryEngine:
         stay the reference implementation, the equivalence suite drives
         both — with every index hoisted into a chunk-scope local, because
         at the targeted edge rates the ``self.``-attribute traffic and
-        call frame of a per-edge method are the dominant cost. The six
-        edge fields are read through a getter chosen once per chunk
-        (attributes of an :class:`EdgeEvent`, positions of a wire row),
-        and events take ids from ``range(next id, …)`` so the pinned-id
-        check runs unchanged in both modes. Graph scalar counters are
+        call frame of a per-edge method are the dominant cost. The copy
+        keeps the window's layout: list buckets, promoted to a deque by an
+        eviction past ``PROMOTE_AT``; a vertex dropped with its last
+        bucket; a new vertex typed with one dict lookup, interning only an
+        unseen type name. The six edge fields are read through a getter
+        chosen once per chunk (attributes of an :class:`EdgeEvent`,
+        positions of a wire row), and events take ids from
+        ``range(next id, …)`` so the pinned-id check runs unchanged in
+        both modes. Graph scalar counters are
         written back in ``finally`` so an exception mid-chunk (a pinned id
         going backwards) leaves the prefix fully ingested, exactly like
         the per-event path. Chunks the kernel does not take — profiled
@@ -554,16 +558,14 @@ class ContinuousQueryEngine:
         finite = not math.isinf(width)
         t_last = window.t_last
         cutoff = window.cutoff
-        edges = graph._edges
         arrival = graph._arrival
         out_idx = graph._out
         in_idx = graph._in
         by_type = graph._by_type
         vertex_types = graph._vertex_types
-        degrees = graph._degrees
         loops = graph._loops
+        known_vtype = VOCABULARY._vtype_codes.get
         vtype_code = VOCABULARY.vtype_code
-        drop_vertex = graph._drop_vertex
         next_eid = graph._next_edge_id
         if rows is None:
             items = chunk.events
@@ -580,6 +582,7 @@ class ContinuousQueryEngine:
         last_ts = graph._last_timestamp
         Edge_ = Edge
         deque_ = deque
+        promote_at = PROMOTE_AT
         collecting = gc.isenabled()
         try:
             if collecting:
@@ -602,57 +605,64 @@ class ContinuousQueryEngine:
                     osrc = old.src
                     odst = old.dst
                     ocode = old.etype_code
-                    del edges[old.edge_id]
                     by_code = out_idx[osrc]
                     segment = by_code[ocode]
-                    segment.popleft()
-                    if not segment:
+                    if len(segment) > 1:
+                        if len(segment) > promote_at and type(segment) is list:
+                            segment = by_code[ocode] = deque_(segment)
+                        del segment[0]
+                    elif len(by_code) > 1:
                         del by_code[ocode]
+                    else:
+                        del out_idx[osrc]
+                        if osrc not in in_idx:
+                            del vertex_types[osrc]
                     by_code = in_idx[odst]
                     segment = by_code[ocode]
-                    segment.popleft()
-                    if not segment:
+                    if len(segment) > 1:
+                        if len(segment) > promote_at and type(segment) is list:
+                            segment = by_code[ocode] = deque_(segment)
+                        del segment[0]
+                    elif len(by_code) > 1:
                         del by_code[ocode]
+                    else:
+                        del in_idx[odst]
+                        if odst not in out_idx:
+                            del vertex_types[odst]
                     segment = by_type[ocode]
                     segment.popleft()
                     if not segment:
                         del by_type[ocode]
-                    degrees[osrc] -= 1
-                    if odst != osrc:
-                        degrees[odst] -= 1
-                        if degrees[odst] == 0:
-                            drop_vertex(odst)
-                    else:
+                    if odst == osrc:
                         loops[ocode] -= 1
-                    if degrees[osrc] == 0:
-                        drop_vertex(osrc)
                     evicted += 1
                 next_eid = eid + 1
                 inserted += 1
                 last_ts = timestamp
                 edge = Edge_(eid, src, dst, etype, timestamp, code)
-                edges[eid] = edge
                 arrival.append(edge)
-                if src not in vertex_types:
-                    vertex_types[src] = vtype_code(src_type)
-                    degrees[src] = 0
-                if dst not in vertex_types:
-                    vertex_types[dst] = vtype_code(dst_type)
-                    degrees[dst] = 0
                 by_code = out_idx.get(src)
                 if by_code is None:
-                    by_code = out_idx[src] = {}
-                segment = by_code.get(code)
-                if segment is None:
-                    by_code[code] = deque_((edge,))
+                    out_idx[src] = {code: [edge]}
+                    if src not in vertex_types:
+                        vcode = known_vtype(src_type)  # code 0 is valid: no `or`
+                        if vcode is None:
+                            vcode = vtype_code(src_type)
+                        vertex_types[src] = vcode
+                elif (segment := by_code.get(code)) is None:
+                    by_code[code] = [edge]
                 else:
                     segment.append(edge)
                 by_code = in_idx.get(dst)
                 if by_code is None:
-                    by_code = in_idx[dst] = {}
-                segment = by_code.get(code)
-                if segment is None:
-                    by_code[code] = deque_((edge,))
+                    in_idx[dst] = {code: [edge]}
+                    if dst not in vertex_types:
+                        vcode = known_vtype(dst_type)  # code 0 is valid: no `or`
+                        if vcode is None:
+                            vcode = vtype_code(dst_type)
+                        vertex_types[dst] = vcode
+                elif (segment := by_code.get(code)) is None:
+                    by_code[code] = [edge]
                 else:
                     segment.append(edge)
                 segment = by_type.get(code)
@@ -660,10 +670,7 @@ class ContinuousQueryEngine:
                     by_type[code] = deque_((edge,))
                 else:
                     segment.append(edge)
-                degrees[src] += 1
-                if dst != src:
-                    degrees[dst] += 1
-                else:
+                if dst == src:
                     loops[code] = loops.get(code, 0) + 1
                 # --- ingest done; sweep when due, then dispatch via the LUT ---
                 if cutoff >= sweep_at:

@@ -1,11 +1,12 @@
-"""The per-edge path and the cyclic collector.
+"""The per-edge path, the record decoder and the cyclic collector.
 
-The chunk kernel pauses CPython's cyclic collector for each chunk. That
-is safe only while nothing collectable accumulates during the pause: the
+The chunk kernel pauses CPython's cyclic collector for each chunk, and
+the sharded coordinator's record decoder for each decode. That is safe
+only while nothing collectable accumulates during the pause: the
 per-edge path must allocate no reference cycles, for every strategy and
-on both ingest entry points. These tests guard that rule, and that the
-kernel leaves the collector as its caller had it — on, off, or after an
-error raised mid-chunk.
+on both ingest entry points, and neither may decoding. These tests guard
+that rule, and that both leave the collector as their caller had it —
+on, off, or after an error raised inside.
 """
 
 from __future__ import annotations
@@ -18,8 +19,11 @@ import pytest
 
 from repro import ContinuousQueryEngine
 from repro.errors import GraphError
+from repro.errors import ReproRuntimeError
 from repro.graph import EdgeEvent
+from repro.isomorphism.match import shape_for_fragment
 from repro.query import QueryGraph
+from repro.runtime import wire
 from repro.search import DynamicGraphSearch, LazySearch
 from repro.search.engine import algorithm_class
 from repro.search.strategy import STRATEGY_NAMES
@@ -189,3 +193,64 @@ class TestCollectorState:
         assert gc.isenabled()
         assert seen and not any(seen)  # the error came from inside the kernel
         assert engine.graph.total_edges_seen == at
+
+
+def _collected_batches():
+    """Two workers' record batches for one run, as the coordinator gets
+    them, and the shapes to decode them with."""
+    queries = [QueryGraph.path(["ESP", "TCP", "ICMP"]), QueryGraph.path(["TCP", "TCP"])]
+    engine = ContinuousQueryEngine(window=30.0)
+    engine.warmup(_events())
+    for position, query in enumerate(queries):
+        engine.register(query, strategy="Single", name=f"q{position}")
+    tagged = engine.process_rows(_rows(_events()))
+    positions = {f"q{i}": i for i in range(len(queries))}
+    batches = []
+    for worker in (0, 1):
+        edges, rows = {}, []
+        wire.encode_records(tagged[worker::2], positions, edges, rows)
+        batches.append((worker, 1, (list(edges.values()), rows)))
+    shapes = {i: (f"q{i}", shape_for_fragment(q)) for i, q in enumerate(queries)}
+    return batches, shapes
+
+
+class TestDecode:
+    def test_decode_is_cycle_free(self):
+        batches, shapes = _collected_batches()
+        gc.collect()
+        gc.disable()
+        try:
+            records = wire.decode_records(batches, shapes)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert len(records) > 100
+        assert unreachable == 0
+
+    @pytest.mark.parametrize("caller_had_it_on", [True, False])
+    def test_paused_inside_and_restored_after(self, caller_had_it_on, monkeypatch):
+        batches, shapes = _collected_batches()
+        seen: list[bool] = []
+        decode = wire._decode
+
+        def spying_decode(*args):
+            seen.append(gc.isenabled())
+            return decode(*args)
+
+        monkeypatch.setattr(wire, "_decode", spying_decode)
+        if not caller_had_it_on:
+            gc.disable()
+        try:
+            assert wire.decode_records(batches, shapes)
+            assert gc.isenabled() == caller_had_it_on
+        finally:
+            gc.enable()
+        assert seen == [False]
+
+    def test_back_on_after_a_malformed_batch(self):
+        batches, shapes = _collected_batches()
+        rows = batches[0][2][1]
+        rows[0] = rows[0][:-1]  # a record row one edge id short
+        with pytest.raises(ReproRuntimeError, match="malformed"):
+            wire.decode_records(batches, shapes)
+        assert gc.isenabled()

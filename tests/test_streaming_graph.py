@@ -1,11 +1,15 @@
 """Unit tests for the streaming graph store."""
 
 import math
+from collections import deque
 
 import pytest
 
+from repro import ContinuousQueryEngine
 from repro.errors import EdgeNotFoundError, GraphError, VertexNotFoundError
-from repro.graph import EdgeEvent, StreamingGraph
+from repro.graph import EdgeEvent, StreamingGraph, streaming_graph
+from repro.query import QueryGraph
+from repro.search import engine as engine_module
 
 from .util import graph_from_tuples
 
@@ -179,3 +183,57 @@ class TestInducedCopy:
         graph = graph_from_tuples([("a", "b", "T"), ("b", "c", "U")])
         sub = graph.induced_copy({"a", "b", "c"})
         assert {e.dst for e in sub.out_edges("b", "U")} == {"c"}
+
+
+class TestHubBucket:
+    """An eviction that finds a list bucket longer than ``PROMOTE_AT``
+    turns it into a deque, so a hub vertex keeps O(1) eviction; nothing a
+    caller can observe depends on which kind a bucket is."""
+
+    WINDOW = 100.0
+
+    def _hub_stream(self) -> list:
+        """``hub -A-> v_i`` every tick, ``w_i -B-> hub`` every tenth: the
+        hub's A bucket holds ~100 edges once the window is full."""
+        events = []
+        for i in range(400):
+            events.append(EdgeEvent("hub", f"v{i}", "A", float(i)))
+            if i % 10 == 0:
+                events.append(EdgeEvent(f"w{i}", "hub", "B", float(i)))
+        return events
+
+    def test_bucket_is_a_deque_once_promoted(self):
+        at = streaming_graph.PROMOTE_AT
+        graph = StreamingGraph(window=self.WINDOW)
+        for i in range(at + 1):
+            graph.add_edge("hub", f"v{i}", "A", float(i))
+        assert type(graph.out_edges("hub", "A")) is list
+        graph.add_edge("x", "y", "B", self.WINDOW + 0.5)  # evicts the t=0 edge
+        bucket = graph.out_edges("hub", "A")
+        assert type(bucket) is deque
+        assert [e.edge_id for e in bucket] == list(range(1, at + 1))
+
+    @pytest.mark.parametrize("per_event", [False, True], ids=["chunk", "event"])
+    def test_records_identical_across_the_promotion(self, per_event, monkeypatch):
+        def run():
+            events = self._hub_stream()
+            engine = ContinuousQueryEngine(window=self.WINDOW, chunk_size=64)
+            engine.warmup(events)
+            # joined on the hub: the A leaf reads the hub's out-bucket
+            engine.register(QueryGraph.path(["B", "A"]), strategy="Single", name="q")
+            if per_event:
+                records = [r for e in events for r in engine.process_event(e)]
+            else:
+                records = engine.process_events(events)
+            bucket = engine.graph.out_edges("hub", "A")
+            projected = [(r.match.fingerprint, r.completed_at) for r in records]
+            return projected, type(bucket)
+
+        promoted, kind = run()
+        assert kind is deque
+        for module in (streaming_graph, engine_module):
+            monkeypatch.setattr(module, "PROMOTE_AT", math.inf)
+        unpromoted, kind = run()
+        assert kind is list
+        assert len(promoted) > 1000
+        assert promoted == unpromoted
