@@ -47,8 +47,9 @@ def mixed_etype_stream(
 ) -> List[EdgeEvent]:
     """Uniform random stream over a wide, sparse edge-type alphabet.
 
-    The multi-query benchmark workload (and its sharded-equivalence
-    acceptance test — single definition so they cannot drift): each edge
+    The multi-query workload of the seed/fast and collect floors
+    (``tools/check_perf_floors.py``) and the sharded-equivalence
+    acceptance test — single definition so they cannot drift: each edge
     type lands on only a couple of registered query alphabets, the
     type-dispatch/shard-routing target regime. ``population`` defaults to
     a square-root-sized vertex set so density grows with stream length.
@@ -104,9 +105,10 @@ def skewed_etype_stream(
 ) -> List[EdgeEvent]:
     """Two-phase stream: uniform mix that pivots onto a hot-type set.
 
-    The autoscaling workload (bench ``autoscaling`` section, CI
-    ``autoscale-smoke``): events before ``skew_from`` (a fraction of the
-    stream) draw edge types uniformly, exactly like
+    The autoscaling workload (the autoscale floor in
+    ``tools/check_perf_floors.py``, CI ``autoscale-smoke``): events
+    before ``skew_from`` (a fraction of the stream) draw edge types
+    uniformly, exactly like
     :func:`mixed_etype_stream`; from there on, ``hot_fraction`` of the
     events land on ``hot_etypes`` and the rest stay uniform. A shard
     layout cut on the uniform phase goes badly skewed in the hot phase —

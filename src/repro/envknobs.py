@@ -36,10 +36,6 @@ KNOWN_KNOBS: Dict[str, str] = {
         "benchmark/experiment size preset: smoke|small|medium|large "
         "(analysis.experiments, benchmarks/)"
     ),
-    "REPRO_BENCH_WORKERS": (
-        "comma list of worker counts for the benchmark scaling sweep; "
-        "empty disables the sweep (benchmarks/bench_throughput)"
-    ),
 }
 
 

@@ -8,8 +8,8 @@ timestamps, and (rows mode) pinned edge ids — that the per-chunk kernels
 share:
 
 * the **monotonicity kernel** (:meth:`EdgeChunk.presorted`) validates the
-  whole chunk's timestamp order against the graph clock in one vectorized
-  pass, replacing the per-edge comparison in ``StreamingGraph.add_event``
+  whole chunk's timestamp order against the graph clock in one pass,
+  replacing the per-edge comparison in ``StreamingGraph.add_event``
   (a chunk that fails is replayed through the exact per-event path so the
   ``GraphError`` raises at the same element with the same prefix state —
   as is every chunk of a profiling engine);
@@ -29,12 +29,15 @@ vectorize over without a global vertex interner (future work).
 
 Backend selection
 -----------------
-numpy is **optional**. When importable (and not disabled via the
-``REPRO_NO_NUMPY=1`` environment variable, which CI exercises), the
-timestamp/code kernels run vectorized; otherwise they fall back to pure
-Python over ``array``/list buffers with identical results.
-:func:`set_backend` force-switches at runtime so the equivalence tests can
-exercise both paths in one process.
+numpy is **optional**, and only :func:`pair_sums` (the selectivity
+statistics' count-matrix kernel) uses it. When numpy is importable (and
+not disabled via the ``REPRO_NO_NUMPY=1`` environment variable, which CI
+exercises), wide and full count matrices are squared vectorized;
+otherwise the pure-Python loop runs, with identical results. The chunk
+kernels are pure Python under either backend: building a numpy buffer
+costs more than the whole ``set`` or comparison sweep over a column, at
+64 codes as at 1 024. :func:`set_backend` force-switches at runtime so
+the equivalence tests can exercise both paths in one process.
 """
 
 from __future__ import annotations
@@ -70,10 +73,6 @@ if not envknobs.read("REPRO_NO_NUMPY"):
 #: the active kernel backend module (numpy or None = pure Python).
 _active = _NUMPY
 
-#: chunks smaller than this skip numpy even when available: buffer
-#: construction overhead beats the vectorization win on tiny batches.
-MIN_VECTOR_CHUNK = 32
-
 #: :func:`pair_sums` — cells per dense block of the count matrix (bounds
 #: the kernel's working memory whatever the number of rows) ...
 PAIR_BLOCK_CELLS = 1 << 18
@@ -90,7 +89,7 @@ def backend_name() -> str:
 
 
 def using_numpy() -> bool:
-    """True when the vectorized kernels are active."""
+    """True when the numpy backend is active."""
     return _active is not None
 
 
@@ -149,7 +148,6 @@ class EdgeChunk:
         "full_rows",
         "_srcs",
         "_dsts",
-        "_times_buf",
     )
 
     def __init__(self) -> None:
@@ -165,7 +163,6 @@ class EdgeChunk:
         self.full_rows = True
         self._srcs: Optional[list] = None
         self._dsts: Optional[list] = None
-        self._times_buf = None
 
     # ------------------------------------------------------------------
     # construction
@@ -229,14 +226,6 @@ class EdgeChunk:
                 self._dsts = [row[2] for row in self.rows or ()]
         return self._dsts
 
-    def _times_f64(self):
-        """The timestamp column as a dense float64 buffer (numpy only)."""
-        if self._times_buf is None:
-            self._times_buf = _active.fromiter(
-                self.times, dtype=_active.float64, count=self.n
-            )
-        return self._times_buf
-
     # ------------------------------------------------------------------
     # kernels
     # ------------------------------------------------------------------
@@ -250,17 +239,13 @@ class EdgeChunk:
         non-decreasing. Every comparison is a ``>=``, which NaN fails, so
         a chunk holding a NaN timestamp is never presorted; nor is one
         ending in ``+inf`` (a sorted column holds ``+inf`` only at its
-        end), which the graph rejects. Vectorized under numpy;
-        pure-Python loop otherwise.
+        end), which the graph rejects.
         """
         times = self.times
         if not times:
             return True
         if not (times[0] >= last_timestamp and times[-1] < math.inf):
             return False
-        if _active is not None and self.n >= MIN_VECTOR_CHUNK:
-            buf = self._times_f64()
-            return bool((buf[1:] >= buf[:-1]).all())
         prev = last_timestamp
         for timestamp in times:
             if not timestamp >= prev:
@@ -272,12 +257,8 @@ class EdgeChunk:
         """The distinct interned etype codes present in the chunk.
 
         The dispatch kernel resolves routing once per value yielded here
-        instead of once per edge. numpy path: a vectorized ``unique`` over
-        the code column; fallback: a set sweep.
+        instead of once per edge.
         """
-        if _active is not None and self.n >= MIN_VECTOR_CHUNK:
-            buf = _active.fromiter(self.codes, dtype=_active.int64, count=self.n)
-            return iter(_active.unique(buf).tolist())
         return iter(set(self.codes))
 
     def __len__(self) -> int:

@@ -619,7 +619,7 @@ class ShardedEngine:
 
         Called implicitly by :meth:`run`; call it explicitly to exclude
         process startup and SJ-Tree construction from run timing (as the
-        throughput benchmark does).
+        autoscale floor in ``tools/check_perf_floors.py`` does).
         """
         if self._started:
             return

@@ -14,7 +14,8 @@ leaf is searched with its compiled
 :class:`~repro.isomorphism.plan.MatchPlan`s instead of the interpretive
 backtracker. ``compiled_plans=False`` restores the seed behaviour — full
 leaf scan through ``find_anchored_matches`` — which the equivalence tests
-and the throughput benchmark use as the reference path.
+and the seed/fast floor (``tools/check_perf_floors.py``) use as the
+reference path.
 
 Unconstrained single-edge leaves keep no table of their own: their
 matches are the window's live edges of one type, which the graph already

@@ -486,10 +486,11 @@ class ContinuousQueryEngine:
         The batched loop compiles programs lazily, on the first chunk that
         contains a code — correct, but it books the one-time compilation
         cost against the first chunk's wall time. Latency-sensitive
-        callers (and the throughput bench, which times the stream section
-        in isolation) can call this after registration to hoist the work
-        out of the measured path. Codes interned later still compile
-        lazily. Returns the number of programs compiled.
+        callers (and the seed/fast floor in ``tools/check_perf_floors.py``,
+        which times the stream section alone) can call this after
+        registration to hoist the work out of the measured path. Codes
+        interned later still compile lazily. Returns the number of
+        programs compiled.
         """
         lut = self._program_lut
         unseen = [

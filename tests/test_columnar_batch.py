@@ -295,7 +295,6 @@ def test_nan_timestamp_raises_at_its_position(
     ingested exactly as the per-event path ingests it ("profiled": the
     per-event path with stage timers, which advances the window before
     the insert)."""
-    assert 8 < columnar.MIN_VECTOR_CHUNK < 256
     columnar.set_backend(backend)
     rng = random.Random(7)
     events = []

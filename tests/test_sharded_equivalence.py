@@ -91,8 +91,9 @@ def test_sharded_engine_is_record_identical(events, query_list, window_choice):
 
 
 def _mixed_workload(num_events=700, num_queries=10, num_etypes=24, seed=11):
-    """The throughput bench's exact workload shape — same generator
-    (:func:`mixed_etype_workload`), denser vertex population."""
+    """The seed/fast floor's workload shape (``tools/check_perf_floors.py``):
+    same generator (:func:`mixed_etype_workload`), denser vertex
+    population."""
     return mixed_etype_workload(
         num_events,
         num_queries=num_queries,
