@@ -463,8 +463,10 @@ def _run_sharded_and_describe(
         for spec in engine.specs:
             if spec.decision is not None:
                 print(spec.decision.explain())
+        # every multi-process run has a Supervisor (the worker transport);
+        # only a supervised one reports restarts
         supervisor = engine._supervisor
-        if supervisor is not None:
+        if engine.supervise and supervisor is not None:
             restarts = supervisor.total_restarts
             detail = ""
             if restarts:

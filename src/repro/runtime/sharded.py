@@ -38,13 +38,16 @@ reported by :attr:`ShardedEngine.in_process`), so callers can adopt
 :class:`ShardedEngine` unconditionally; the CLI drives every run
 through it.
 
-With ``supervise=True`` the coordinator runs under a
-:class:`~repro.runtime.supervisor.Supervisor`: worker death (crash,
-OOM kill, injected fault) is detected, the worker is respawned from its
-last recovery checkpoint, the since-checkpoint delta is replayed from a
+Worker processes and their queues belong to a
+:class:`~repro.runtime.supervisor.Supervisor`, the one transport every
+multi-process run puts tasks and reads replies through. With
+``supervise=True`` it also heals: worker death (crash, OOM kill,
+injected fault) is detected, the worker is respawned from its last
+recovery checkpoint, the since-checkpoint delta is replayed from a
 bounded buffer, and the merged output stays record-identical to an
-uninterrupted run. ``fault_plan`` arms deterministic fault injection
-(:mod:`repro.runtime.faults`) for chaos testing.
+uninterrupted run. Without it a death raises
+:class:`~repro.errors.WorkerError`. ``fault_plan`` arms deterministic
+fault injection (:mod:`repro.runtime.faults`) for chaos testing.
 
 Correctness of type filtering
 -----------------------------
@@ -65,7 +68,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import queue as queue_module
 import shutil
 import sys
 import tempfile
@@ -75,7 +77,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from ..errors import QueryError, ReproRuntimeError, WorkerError
+from ..errors import QueryError, ReproRuntimeError
 from ..graph.types import EdgeEvent
 from ..isomorphism.match import MatchShape, shape_for_fragment
 from ..query.query_graph import QueryGraph
@@ -93,8 +95,6 @@ from .autoscale import AutoscaleController, AutoscalePolicy
 from .faults import FaultPlan
 from .partition import ShardPlan, estimate_query_cost, greedy_balanced, round_robin
 from .protocol import (
-    READY_TIMEOUT,
-    TASKS,
     Batch,
     Checkpoint,
     CheckpointDone,
@@ -113,13 +113,6 @@ from .protocol import (
 )
 from .supervisor import RestartPolicy, Supervisor
 from .wire import EdgeRow, RecordRow, SourcedBatch, decode_records, encode_records
-
-#: Bound on queued-but-unprocessed batches per worker. Keeps coordinator
-#: memory at O(batch_size x queue depth) per shard on arbitrarily long
-#: streams — put() blocks (backpressure) instead of buffering the whole
-#: stream in the queue feeders. Safe: workers always drain their task
-#: queue, so a blocked put can only wait, never deadlock.
-_TASK_QUEUE_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -464,15 +457,11 @@ class ShardedEngine:
         self._finished = False
         self._serial_engine: Optional[ContinuousQueryEngine] = None
         self._shards: List[ShardPlan] = []
-        self._procs: list = []
-        self._task_queues: list = []
-        self._result_queue = None
         self._routes: Dict[str, Tuple[int, ...]] = {}
         self._default_route: Tuple[int, ...] = ()
         # position -> (query name, full-query MatchShape): what the merge
         # needs to rebuild a record from its wire row; resolved at start().
         self._record_shapes: Dict[int, Tuple[str, MatchShape]] = {}
-        self._collect_seq = 0
         # Global stream position across run() calls — doubles as the edge
         # id every worker graph assigns (matching the single-process ids).
         self._events_streamed = 0
@@ -482,19 +471,17 @@ class ShardedEngine:
         self._checkpoint_seq = 0
         self._restore_shards: Optional[List[ShardPlan]] = None
         self._restore_files: Dict[int, str] = {}
-        # Self-healing: the supervisor is attached by start() (multi-
-        # worker path only) and mediates every queue interaction so it
-        # can recover dead workers mid-protocol.
+        # The worker transport: built by start() on the multi-process
+        # path, it owns the workers and their queues and mediates every
+        # queue interaction; supervise arms its recovery.
         self.supervise = supervise
         self.restart_policy = restart_policy
         self._fault_plan = fault_plan
         self._supervisor: Optional[Supervisor] = None
-        self._ctx = None
         # Coordinator-side telemetry (repro_runtime_* family). All plain
         # single-writer slots, maintained off the per-edge path: batch
         # granularity for the put latency/batch tallies, collect
-        # granularity for records, reply granularity for heartbeats.
-        self._last_heartbeat: Dict[int, float] = {}
+        # granularity for records.
         self._batch_put = HistogramSlot(SECONDS_BUCKETS)
         self._routed_total: Dict[int, int] = {}
         self._records_total: Dict[int, int] = {}
@@ -618,8 +605,7 @@ class ShardedEngine:
         """Spawn and initialise workers (idempotent).
 
         Called implicitly by :meth:`run`; call it explicitly to exclude
-        process startup and SJ-Tree construction from run timing (as the
-        autoscale floor in ``tools/check_perf_floors.py`` does).
+        process startup and SJ-Tree construction from run timing.
         """
         if self._started:
             return
@@ -647,25 +633,29 @@ class ShardedEngine:
         if ctx is None:
             methods = multiprocessing.get_all_start_methods()
             ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        self._ctx = ctx
-        self._result_queue = ctx.Queue()
-        for slot, shard in enumerate(self._shards):
-            proc, task_queue = self._spawn_worker(
-                slot, restore_path=self._restore_files.get(shard.worker_id)
-            )
-            self._task_queues.append(task_queue)
-            self._procs.append(proc)
         self._compile_routes()
         self._record_shapes = {
             spec.position: (spec.name, shape_for_fragment(spec.query))
             for spec in self.specs
         }
-        if self.supervise:
-            # Attached before the ready handshake so even startup
-            # failures (a torn restore snapshot, an OOM-killed spawn)
-            # are recovered under the restart policy.
-            self._supervisor = Supervisor(self, self.restart_policy)
-        self._gather(Ready, timeout=READY_TIMEOUT)
+        inits = [
+            _WorkerInit(
+                worker_id=shard.worker_id,
+                config=self.config,
+                estimator=self.estimator,
+                specs=tuple(self.specs[position] for position in shard.positions),
+                restore_path=self._restore_files.get(shard.worker_id),
+                fault_plan=self._fault_plan,
+            )
+            for shard in self._shards
+        ]
+        policy = (self.restart_policy or RestartPolicy()) if self.supervise else None
+        # Attached before the workers spawn, so close() reaps a pool whose
+        # ready handshake failed.
+        self._supervisor = Supervisor(
+            ctx, _worker_main, inits, policy, cursor=self._events_streamed - 1
+        )
+        self._supervisor.start()
         self._started = True
 
     @property
@@ -677,33 +667,6 @@ class ShardedEngine:
         before :meth:`start` and while worker processes serve the shards.
         """
         return self._serial_engine is not None
-
-    def _spawn_worker(self, slot: int, restore_path: Optional[str], incarnation=0):
-        """Spawn one shard worker process; returns ``(proc, task_queue)``.
-
-        Shared by :meth:`start` and the supervisor's recovery loop — a
-        respawn differs only in its restore path (the latest recovery
-        snapshot) and its incarnation number.
-        """
-        shard = self._shards[slot]
-        init = _WorkerInit(
-            worker_id=shard.worker_id,
-            config=self.config,
-            estimator=self.estimator,
-            specs=tuple(self.specs[position] for position in shard.positions),
-            restore_path=restore_path,
-            fault_plan=self._fault_plan,
-            incarnation=incarnation,
-        )
-        task_queue = self._ctx.Queue(maxsize=_TASK_QUEUE_DEPTH)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(init, task_queue, self._result_queue),
-            daemon=True,
-            name=f"repro-shard-{shard.worker_id}",
-        )
-        proc.start()
-        return proc, task_queue
 
     def close(self) -> None:
         """Shut workers down; idempotent and safe after worker failure.
@@ -719,67 +682,14 @@ class ShardedEngine:
         self._started = False
 
     def _shutdown_workers(self) -> None:
-        """Stop worker processes and drop the queues (engine flags untouched).
+        """Stop the worker processes (engine flags untouched).
 
         Shared by :meth:`close` and :meth:`rebalance` (which respawns a
-        new layout afterwards). The shutdown message is delivered through
-        :meth:`_post_poison_pill`, which cannot lose the pill to a full
-        task queue; ``terminate()`` stays as the backstop for a worker
-        that is wedged rather than merely backlogged.
+        new layout afterwards).
         """
         if self._supervisor is not None:
-            self._supervisor.close()
+            self._supervisor.shutdown()
             self._supervisor = None
-        for slot in range(len(self._task_queues)):
-            self._post_poison_pill(slot)
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-        for task_queue in self._task_queues:
-            task_queue.close()
-            task_queue.cancel_join_thread()
-        if self._result_queue is not None:
-            self._result_queue.close()
-            self._result_queue.cancel_join_thread()
-        self._procs = []
-        self._task_queues = []
-        self._result_queue = None
-
-    def _post_poison_pill(self, slot: int, deadline_seconds: float = 5.0) -> None:
-        """Deliver :class:`Close` to one worker without ever blocking.
-
-        ``put_nowait`` on a task queue at capacity raises ``Full``;
-        silently swallowing that (the pre-fix behaviour) dropped the
-        close message, leaving a healthy-but-backlogged worker waiting
-        on its queue until the join timeout killed it. Instead, make
-        room by draining queued messages ourselves — the engine is
-        shutting down, so unprocessed batches can no longer contribute
-        records a caller could collect — until the pill lands or the
-        worker is observed dead.
-        """
-        task_queue = self._task_queues[slot]
-        proc = self._procs[slot] if slot < len(self._procs) else None
-        deadline = time.monotonic() + deadline_seconds
-        while True:
-            try:
-                task_queue.put_nowait(Close())
-                return
-            except (ValueError, OSError):
-                return  # queue already closed/broken; terminate() backstop
-            except queue_module.Full:
-                pass
-            if proc is not None and not proc.is_alive():
-                return  # dead worker; nothing left to deliver to
-            if time.monotonic() >= deadline:
-                return  # wedged queue; terminate() backstop
-            try:
-                task_queue.get_nowait()
-            except queue_module.Empty:
-                time.sleep(0.005)  # the worker drained it first; retry
-            except (ValueError, OSError):
-                return
 
     def __enter__(self) -> "ShardedEngine":
         self.start()
@@ -877,11 +787,12 @@ class ShardedEngine:
             return result
 
         started = time.perf_counter()
+        supervisor = self._supervisor
         batch_size = self.batch_size
         routes = self._routes
         default_route = self._default_route
-        pending: List[List[tuple]] = [[] for _ in self._procs]
-        routed_counts = [0] * len(self._procs)
+        pending: List[List[tuple]] = [[] for _ in self._shards]
+        routed_counts = [0] * len(self._shards)
         processed = 0
         if limit is not None:
             events = itertools.islice(events, limit)
@@ -908,15 +819,12 @@ class ShardedEngine:
             if batch:
                 self._put_batch(slot, batch)
                 routed_counts[slot] += len(batch)
-        self._collect_seq += 1
-        seq = self._collect_seq
-        replies = self._request(lambda slot: Collect(seq))
+        seq = supervisor.next_seq()
+        replies = supervisor.request(lambda slot: Collect(seq))
         # Records drained by the supervisor's recovery checkpoints are
         # part of this segment's output: the final collect only returns
         # what each worker produced since its last recovery cut.
-        stash = (
-            self._supervisor.drain_stash() if self._supervisor is not None else {}
-        )
+        stash = supervisor.drain_stash()
 
         batches: List[SourcedBatch] = []
         stats: List[WorkerStats] = []
@@ -1005,7 +913,9 @@ class ShardedEngine:
                 manifest_mod.shard_filename(sequence, shard.worker_id)
                 for shard in self._shards
             ]
-            replies = self._request(lambda slot: Checkpoint(str(root / files[slot])))
+            replies = self._supervisor.request(
+                lambda slot: Checkpoint(str(root / files[slot]))
+            )
             for shard, filename in zip(self._shards, files):
                 shards_entry.append(
                     {
@@ -1124,10 +1034,23 @@ class ShardedEngine:
             )
             for entry, query in zip(entries, ordered)
         ]
-        engine._events_streamed = manifest["events_streamed"]
-        engine._checkpoint_seq = manifest["sequence"]
+        engine._adopt_manifest(manifest, root)
+        engine.start()
+        return engine
+
+    def _adopt_manifest(self, manifest: dict, root: Path) -> None:
+        """Take a checkpoint's layout and stream position as this engine's.
+
+        The next :meth:`start` then restores every shard from its
+        snapshot file under ``root``.
+        """
+        self.workers = manifest["workers"]
+        self.partitioner = manifest["partitioner"]
+        self.batch_size = manifest["batch_size"]
+        self._events_streamed = manifest["events_streamed"]
+        self._checkpoint_seq = manifest["sequence"]
         shards = sorted(manifest["shards"], key=lambda e: e["worker_id"])
-        engine._restore_shards = [
+        self._restore_shards = [
             ShardPlan(
                 worker_id=entry["worker_id"],
                 positions=tuple(entry["positions"]),
@@ -1135,11 +1058,9 @@ class ShardedEngine:
             )
             for entry in shards
         ]
-        engine._restore_files = {
+        self._restore_files = {
             entry["worker_id"]: str(root / entry["file"]) for entry in shards
         }
-        engine.start()
-        return engine
 
     def rebalance(
         self,
@@ -1203,23 +1124,7 @@ class ShardedEngine:
         self._shutdown_workers()
         self._serial_engine = None
         self._started = False
-        self.workers = manifest["workers"]
-        self.partitioner = manifest["partitioner"]
-        self.batch_size = manifest["batch_size"]
-        self._events_streamed = manifest["events_streamed"]
-        self._checkpoint_seq = manifest["sequence"]
-        shards = sorted(manifest["shards"], key=lambda e: e["worker_id"])
-        self._restore_shards = [
-            ShardPlan(
-                worker_id=entry["worker_id"],
-                positions=tuple(entry["positions"]),
-                cost=0.0,
-            )
-            for entry in shards
-        ]
-        self._restore_files = {
-            entry["worker_id"]: str(root / entry["file"]) for entry in shards
-        }
+        self._adopt_manifest(manifest, root)
         try:
             self.start()
         except BaseException as exc:
@@ -1261,7 +1166,7 @@ class ShardedEngine:
         if self._serial_engine is not None:
             lines.append(self._serial_engine.describe())
         elif self._started:
-            replies = self._request(lambda slot: Describe())
+            replies = self._supervisor.request(lambda slot: Describe())
             for shard in self._shards:
                 lines.append(f"  worker {shard.worker_id}:")
                 lines.extend(
@@ -1307,26 +1212,21 @@ class ShardedEngine:
             }
             snapshots = [self._serial_engine.metrics().collect()]
         else:
-            depths: Dict[int, int] = {}
-            for slot, shard in enumerate(self._shards):
-                # Depth before posting the request: counts pending batches,
-                # not the metrics message itself. qsize() is unimplemented
-                # on some platforms (macOS sem_getvalue) — report -1 there.
-                try:
-                    depths[shard.worker_id] = self._task_queues[slot].qsize()
-                except NotImplementedError:
-                    depths[shard.worker_id] = -1
-            replies = self._request(lambda slot: Metrics())
+            supervisor = self._supervisor
+            # Depth before posting the request: counts pending batches,
+            # not the metrics message itself.
+            depths = supervisor.queue_depths()
+            replies = supervisor.request(lambda slot: Metrics())
             now = time.monotonic()
             rows = {}
             snapshots = []
             for slot, shard in enumerate(self._shards):
                 snapshot = replies[shard.worker_id]
                 snapshots.append(snapshot.families)
-                heartbeat = self._last_heartbeat.get(shard.worker_id, now)
+                heartbeat = supervisor.heartbeats.get(shard.worker_id, now)
                 rows[shard.worker_id] = {
-                    "alive": self._procs[slot].is_alive(),
-                    "queue_depth": depths[shard.worker_id],
+                    "alive": supervisor.procs[slot].is_alive(),
+                    "queue_depth": depths[slot],
                     "heartbeat_age_seconds": max(now - heartbeat, 0.0),
                     "events_routed": self._routed_total.get(shard.worker_id, 0),
                     "records": self._records_total.get(shard.worker_id, 0),
@@ -1363,39 +1263,6 @@ class ShardedEngine:
     # internals
     # ------------------------------------------------------------------
 
-    def _put(self, slot: int, message) -> None:
-        """Blocking put to one worker's bounded task queue.
-
-        Backpressure by design — the queue bound is what keeps coordinator
-        memory flat on long streams — but never a hang: a worker that died
-        (and thus stopped draining) is detected on the next poll. Under
-        supervision the dead worker is recovered (respawn + replay of its
-        buffered delta) and the put retries against the replacement's
-        fresh queue; unsupervised, death raises
-        :class:`~repro.errors.WorkerError`.
-        """
-        while True:
-            # Re-fetched each attempt: a recovery swaps in a fresh queue.
-            task_queue = self._task_queues[slot]
-            try:
-                task_queue.put(message, timeout=1.0)
-                return
-            except queue_module.Full:
-                proc = self._procs[slot]
-                if not proc.is_alive():
-                    if self._supervisor is not None:
-                        self._supervisor.recover(
-                            slot, reason="exit", exitcode=proc.exitcode
-                        )
-                        continue
-                    raise WorkerError(
-                        f"shard worker {self._shards[slot].worker_id} died "
-                        f"(exitcode={proc.exitcode})",
-                        worker_id=self._shards[slot].worker_id,
-                        context="dispatch",
-                        exitcode=proc.exitcode,
-                    ) from None
-
     def _put_batch(self, slot: int, batch: list) -> None:
         """Timed batch dispatch: a long put means the worker is saturated.
 
@@ -1407,89 +1274,7 @@ class ShardedEngine:
         """
         worker_id = self._shards[slot].worker_id
         started = time.perf_counter()
-        self._put(slot, Batch(batch))
+        self._supervisor.put(slot, Batch(batch))
         self._batch_put.observe(time.perf_counter() - started)
         self._batches_total[worker_id] = self._batches_total.get(worker_id, 0) + 1
-        if self._supervisor is not None:
-            self._supervisor.note_batch(slot, batch)
-
-    def _request(self, make_task) -> Dict[int, ReplyBody]:
-        """Post ``make_task(slot)`` to every worker; gather the replies.
-
-        Each reply is of the class :data:`~repro.runtime.protocol.TASKS`
-        pairs with the task; under supervision a worker recovered
-        mid-request is sent its task again.
-        """
-        tasks = [make_task(slot) for slot in range(len(self._task_queues))]
-        for slot, task in enumerate(tasks):
-            self._put(slot, task)
-        return self._gather(TASKS[type(tasks[0])], tasks=tasks)
-
-    def _gather(
-        self,
-        expected: type,
-        timeout: Optional[float] = None,
-        tasks: Optional[list] = None,
-    ) -> Dict[int, ReplyBody]:
-        """Collect one ``expected`` reply from every worker, surfacing failures.
-
-        With ``timeout=None`` (every request) this waits as long as the
-        workers are alive — a long stream legitimately takes long to
-        drain, exactly as it would in-process; a worker that dies without
-        replying is detected on the next poll and raises. The hard
-        deadline is only used for the bounded startup handshake.
-
-        Under supervision the gather is delegated to the supervisor,
-        which recovers dead workers mid-gather and re-posts their entry
-        of ``tasks`` to each replacement.
-        """
-        if self._supervisor is not None:
-            return self._supervisor.gather(expected, timeout=timeout, tasks=tasks)
-        replies: Dict[int, ReplyBody] = {}
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while len(replies) < len(self._procs):
-            poll = 1.0
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    missing = [
-                        s.worker_id
-                        for s in self._shards
-                        if s.worker_id not in replies
-                    ]
-                    raise ReproRuntimeError(
-                        f"timed out waiting for {expected.__name__} from "
-                        f"workers {missing}"
-                    )
-                poll = min(remaining, poll)
-            try:
-                reply: Reply = self._result_queue.get(timeout=poll)
-            except queue_module.Empty:
-                self._ensure_workers_alive(replies)
-                continue
-            # Liveness heartbeat, piggybacked on every reply: any worker
-            # that answers the protocol is demonstrably draining its
-            # queue. metrics() turns the age of this stamp into the
-            # per-worker heartbeat gauge.
-            self._last_heartbeat[reply.worker_id] = time.monotonic()
-            body = reply.body
-            if isinstance(body, Failed):
-                raise body.to_error()
-            if not isinstance(body, expected):
-                raise ReproRuntimeError(
-                    f"protocol error: expected {expected.__name__} from worker "
-                    f"{reply.worker_id}, got {type(body).__name__}"
-                )
-            replies[reply.worker_id] = body
-        return replies
-
-    def _ensure_workers_alive(self, replies: Dict[int, object]) -> None:
-        for shard, proc in zip(self._shards, self._procs):
-            if shard.worker_id not in replies and not proc.is_alive():
-                raise WorkerError(
-                    f"shard worker {shard.worker_id} died "
-                    f"(exitcode={proc.exitcode})",
-                    worker_id=shard.worker_id,
-                    context="gather",
-                    exitcode=proc.exitcode,
-                )
+        self._supervisor.note_batch(slot, batch)

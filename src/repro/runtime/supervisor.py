@@ -1,13 +1,19 @@
-"""Supervised worker recovery for the sharded runtime.
+"""The sharded runtime's worker transport, and supervised recovery.
 
-The sharded coordinator (:mod:`repro.runtime.sharded`) historically
-treated a dead worker as fatal: any crash surfaced as an error and the
-whole engine was lost, along with every worker's window state. This
-module adds the self-healing layer: a :class:`Supervisor` that detects
-worker death (process exitcode, ``Failed`` replies, heartbeat-age
-stalls) and — under a :class:`RestartPolicy` — respawns the dead shard
-and replays exactly the events it lost, so the merged output stays
-**byte-identical to an uninterrupted run**.
+A :class:`Supervisor` owns one shard layout's worker processes, their
+bounded task queues, the shared result queue and the heartbeat stamps;
+every multi-process :class:`~repro.runtime.sharded.ShardedEngine` puts
+its tasks and reads its replies through one. Without a
+:class:`RestartPolicy` (``supervise=False``) a worker death raises at
+once: the worker's own ``Failed`` report as
+:class:`~repro.errors.WorkerError`, drained from the result queue's pipe
+first however the death was noticed, else a ``WorkerError`` with
+context ``dispatch`` or ``gather``.
+
+With a policy it is the self-healing layer: it detects worker death
+(process exitcode, ``Failed`` replies, heartbeat-age stalls), respawns
+the dead shard and replays exactly the events it lost, so the merged
+output stays **byte-identical to an uninterrupted run**.
 
 Recovery protocol
 -----------------
@@ -22,9 +28,8 @@ The supervisor shadows the coordinator's dispatch loop:
   worker), then a ``Checkpoint`` task snapshots its engine into the
   supervisor's scratch directory. Each is posted on its own and its
   declared reply (:data:`~repro.runtime.protocol.TASKS`) awaited before
-  the next. On success the buffer is cleared and the recovery
-  cursor advances to the last dispatched stream index — bounding both
-  the buffer and the replay work a crash can cost.
+  the next. On success the buffer is cleared, bounding both the buffer
+  and the replay work a crash can cost.
 * On death, the replacement worker restores from the newest recovery
   snapshot (or starts cold and re-registers when none exists yet, e.g.
   restoring the original resume checkpoint) and the buffered delta is
@@ -61,11 +66,11 @@ import random
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import WorkerError
+from ..errors import ReproRuntimeError, WorkerError
 from ..telemetry.registry import HistogramSlot
 from ..telemetry.schema import SECONDS_BUCKETS
 from .protocol import (
@@ -73,6 +78,7 @@ from .protocol import (
     TASKS,
     Batch,
     Checkpoint,
+    Close,
     Collect,
     Collected,
     Failed,
@@ -161,8 +167,22 @@ def backoff_delay(
     return max(delay, 0.0)
 
 
+#: Bound on queued-but-unprocessed batches per worker. Keeps coordinator
+#: memory at O(batch_size x queue depth) per shard on arbitrarily long
+#: streams — put() blocks (backpressure) instead of buffering the whole
+#: stream in the queue feeders. Safe: workers always drain their task
+#: queue, so a blocked put can only wait, never deadlock.
+_TASK_QUEUE_DEPTH = 8
+
+#: How long a blocked put waits before checking that its worker lives.
+_PUT_POLL = 0.5
+
+#: Grace for a dead worker's last reply to leave the result queue's pipe.
+_DEATH_GRACE = 0.5
+
+
 class _WorkerDied(Exception):
-    """Internal signal: one worker needs recovery (never escapes module)."""
+    """Internal signal: one worker is dead or wedged (never escapes module)."""
 
     def __init__(
         self, reason: str, failure: Optional[Failed] = None, exitcode=None
@@ -173,43 +193,64 @@ class _WorkerDied(Exception):
         self.exitcode = exitcode
 
 
-class Supervisor:
-    """Self-healing layer over one :class:`ShardedEngine`'s worker pool.
+def _close_queue(channel) -> None:
+    """Close a queue without waiting for its feeder thread to flush."""
+    try:
+        channel.close()
+        channel.cancel_join_thread()
+    except (OSError, ValueError):
+        pass
 
-    Owned by the engine (``supervise=True``) and driven entirely from the
-    coordinator thread — the engine's queue protocol stays single-
-    threaded. The supervisor mediates every result-queue read so it can
-    intercept error replies, drop stale chatter from dead incarnations
-    (replies carry the worker's incarnation number) and recover workers
-    mid-``gather`` without the caller noticing beyond latency.
+
+class Supervisor:
+    """Owner of one shard layout's worker processes and queues.
+
+    ``target(init, task_queue, result_queue)`` runs each worker; ``inits``
+    holds one frozen dataclass per slot with ``worker_id``,
+    ``restore_path`` and ``incarnation`` fields (a respawn replaces the
+    last two). ``cursor`` is the last stream index the workers' state
+    covers. ``policy`` arms recovery; ``None`` makes any death fatal.
+    Driven from the coordinator thread only. :attr:`heartbeats` maps
+    worker id to the monotonic time of its last reply.
     """
 
-    def __init__(self, engine, policy: Optional[RestartPolicy] = None) -> None:
-        self._engine = engine
-        self._policy = policy if policy is not None else RestartPolicy()
+    def __init__(
+        self,
+        ctx,
+        target: Callable,
+        inits: Sequence,
+        policy: Optional[RestartPolicy],
+        cursor: int,
+    ) -> None:
+        self._ctx = ctx
+        self._target = target
+        self._inits = list(inits)
+        self._policy = policy
         self._rng = random.Random(_JITTER_SEED)
-        n = len(engine._procs)
-        base_cursor = engine._events_streamed - 1
+        n = len(self._inits)
+        self.procs: list = []
+        self.task_queues: list = []
+        self.result_queue = ctx.Queue()
+        self.heartbeats: Dict[int, float] = {}
+        self._collect_seq = 0
         #: batches dispatched since the last recovery checkpoint, per slot
         self._replay: List[List[list]] = [[] for _ in range(n)]
         #: last stream index dispatched to each slot
-        self._tip: List[int] = [base_cursor] * n
-        #: highest stream index covered by the slot's restore snapshot
-        self._cursor: List[int] = [base_cursor] * n
+        self._tip: List[int] = [cursor] * n
         #: highest stream index whose records were stashed or already
         #: returned to the caller — the replay-dedup threshold
-        self._stash_cursor: List[int] = [base_cursor] * n
+        self._stash_cursor: List[int] = [cursor] * n
         #: restore path for the next respawn (recovery snapshot, or the
         #: engine's original resume snapshot, or None = cold re-register)
         self._snapshots: List[Optional[str]] = [
-            engine._restore_files.get(shard.worker_id) for shard in engine._shards
+            init.restore_path for init in self._inits
         ]
         #: record batches drained by recovery checkpoints (wire form, each
         #: with its own edge dictionary), merged into the next run() result
         self._stash: List[List[SourcedBatch]] = [[] for _ in range(n)]
         self._incarnations: List[int] = [0] * n
         self._slot_of: Dict[int, int] = {
-            shard.worker_id: slot for slot, shard in enumerate(engine._shards)
+            init.worker_id: slot for slot, init in enumerate(self._inits)
         }
         #: replies received while awaiting something else
         self._pending: List[Reply] = []
@@ -223,15 +264,145 @@ class Supervisor:
         self._dir: Optional[Path] = None
 
     # ------------------------------------------------------------------
-    # dispatch shadowing
+    # lifecycle
     # ------------------------------------------------------------------
 
+    def start(self) -> None:
+        """Spawn every worker and await its :class:`Ready`; under a policy
+        a startup failure (a torn restore snapshot, an OOM-killed spawn)
+        is recovered like any other death."""
+        for slot in range(len(self._inits)):
+            proc, task_queue = self._spawn(slot, self._snapshots[slot], 0)
+            self.procs.append(proc)
+            self.task_queues.append(task_queue)
+        self.gather(Ready, timeout=READY_TIMEOUT)
+
+    def _spawn(self, slot: int, restore_path: Optional[str], incarnation: int):
+        """Start one incarnation of ``slot``'s worker; ``(proc, task_queue)``."""
+        init = replace(
+            self._inits[slot], restore_path=restore_path, incarnation=incarnation
+        )
+        task_queue = self._ctx.Queue(maxsize=_TASK_QUEUE_DEPTH)
+        proc = self._ctx.Process(
+            target=self._target,
+            args=(init, task_queue, self.result_queue),
+            daemon=True,
+            name=f"repro-shard-{init.worker_id}",
+        )
+        proc.start()
+        return proc, task_queue
+
+    def shutdown(self) -> None:
+        """Stop the workers, drop the queues and the recovery scratch;
+        ``terminate()`` backs up a pill a wedged worker never reads."""
+        for slot in range(len(self.task_queues)):
+            self._post_poison_pill(slot)
+        for proc in self.procs:
+            proc.join(timeout=5.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5.0)
+        for task_queue in self.task_queues:
+            _close_queue(task_queue)
+        _close_queue(self.result_queue)
+        self.procs = []
+        self.task_queues = []
+        if self._dir is not None:
+            shutil.rmtree(self._dir, ignore_errors=True)
+            self._dir = None
+
+    def _post_poison_pill(self, slot: int, deadline_seconds: float = 5.0) -> None:
+        """Deliver :class:`Close` to one worker without ever blocking.
+
+        ``put_nowait`` on a task queue at capacity raises ``Full``;
+        silently swallowing that dropped the close message, leaving a
+        healthy-but-backlogged worker waiting on its queue until the join
+        timeout killed it. Instead, make room by draining queued messages
+        ourselves — the engine is shutting down, so unprocessed batches
+        can no longer contribute records a caller could collect — until
+        the pill lands or the worker is observed dead.
+        """
+        task_queue = self.task_queues[slot]
+        proc = self.procs[slot]
+        deadline = time.monotonic() + deadline_seconds
+        while True:
+            try:
+                task_queue.put_nowait(Close())
+                return
+            except (ValueError, OSError):
+                return  # queue already closed/broken; terminate() backstop
+            except queue_module.Full:
+                pass
+            if not proc.is_alive():
+                return  # dead worker; nothing left to deliver to
+            if time.monotonic() >= deadline:
+                return  # wedged queue; terminate() backstop
+            try:
+                task_queue.get_nowait()
+            except queue_module.Empty:
+                time.sleep(0.005)  # the worker drained it first; retry
+            except (ValueError, OSError):
+                return
+
+    # ------------------------------------------------------------------
+    # dispatch
+    # ------------------------------------------------------------------
+
+    def put(self, slot: int, task: Task, *, heal: bool = True) -> None:
+        """Blocking put to one worker's bounded task queue.
+
+        Backpressure by design, but never a hang: a worker that died is
+        noticed on the next poll, then recovered and the put retried
+        against its replacement's queue, or the death raises. With
+        ``heal=False`` (inside recovery) it raises :class:`_WorkerDied`.
+        """
+        while True:
+            # Re-fetched each attempt: a recovery swaps in a fresh queue.
+            try:
+                self.task_queues[slot].put(task, timeout=_PUT_POLL)
+                return
+            except queue_module.Full:
+                proc = self.procs[slot]
+                if proc.is_alive():
+                    continue
+            died = _WorkerDied("exit", exitcode=proc.exitcode)
+            if not heal:
+                raise died
+            self._handle(slot, died, "dispatch")
+
     def note_batch(self, slot: int, rows: list) -> None:
-        """Record one dispatched batch; trim the buffer when it fills."""
+        """Buffer one dispatched batch for replay (under a policy only);
+        trim the buffer when it fills."""
+        if self._policy is None:
+            return
         self._replay[slot].append(rows)
         self._tip[slot] = rows[-1][0]
         if len(self._replay[slot]) >= self._policy.replay_buffer_batches:
             self._trim(slot)
+
+    def next_seq(self) -> int:
+        """A fresh ``Collect`` sequence number."""
+        self._collect_seq += 1
+        return self._collect_seq
+
+    def request(self, make_task: Callable[[int], Task]) -> Dict[int, ReplyBody]:
+        """Post ``make_task(slot)`` to every worker; gather the replies
+        of the class :data:`~repro.runtime.protocol.TASKS` pairs with it."""
+        tasks = [make_task(slot) for slot in range(len(self._inits))]
+        for slot, task in enumerate(tasks):
+            self.put(slot, task)
+        return self.gather(TASKS[type(tasks[0])], tasks=tasks)
+
+    def queue_depths(self) -> List[int]:
+        """Tasks waiting per slot; -1 where ``qsize()`` is unimplemented
+        (macOS ``sem_getvalue``)."""
+        depths = []
+        for task_queue in self.task_queues:
+            try:
+                depths.append(task_queue.qsize())
+            except NotImplementedError:
+                depths.append(-1)
+        return depths
 
     def _trim(self, slot: int) -> None:
         """Cut a recovery checkpoint of one worker and clear its buffer.
@@ -239,24 +410,20 @@ class Supervisor:
         A targeted collect drains finished records into the stash (all
         have indices above the previous stash cursor — anything at or
         below it is a replay duplicate and dropped), then the worker
-        snapshots its engine. The cursor, snapshot pointer and buffer
-        only move on *confirmed* checkpoint success: a death or write
-        failure anywhere in the dance leaves the previous snapshot and
-        the full buffer intact, so recovery stays possible. Each
-        checkpoint gets a fresh sequence-numbered file — repointing
-        after the write, never overwriting the file a respawn would
-        restore from.
+        snapshots its engine. The snapshot pointer and buffer only move
+        on *confirmed* checkpoint success: a death or write failure
+        anywhere in the dance leaves the previous snapshot and the full
+        buffer intact, so recovery stays possible. Each checkpoint gets
+        a fresh sequence-numbered file — repointing after the write,
+        never overwriting the file a respawn would restore from.
         """
-        engine = self._engine
-        engine._collect_seq += 1
-        seq = engine._collect_seq
-        tip = self._tip[slot]
+        seq = self.next_seq()
         self._recovery_checkpoints += 1
         path = self._snapshot_path(slot)
         try:
             collected = self._filter_collect(slot, self._ask(slot, Collect(seq)))
             if collected.record_rows:
-                worker_id = engine._shards[slot].worker_id
+                worker_id = self._inits[slot].worker_id
                 batch = (collected.edge_rows, collected.record_rows)
                 self._stash[slot].append((worker_id, seq, batch))
             done = self._ask(slot, Checkpoint(str(path)))
@@ -267,7 +434,6 @@ class Supervisor:
             return
         if done.error is None:
             previous = self._snapshots[slot]
-            self._cursor[slot] = tip
             self._snapshots[slot] = str(path)
             del self._replay[slot][:]
             if previous is not None and self._dir is not None:
@@ -286,7 +452,7 @@ class Supervisor:
     def _snapshot_path(self, slot: int) -> Path:
         if self._dir is None:
             self._dir = Path(tempfile.mkdtemp(prefix="repro-supervise-"))
-        worker_id = self._engine._shards[slot].worker_id
+        worker_id = self._inits[slot].worker_id
         return self._dir / (
             f"recover-{self._recovery_checkpoints:06d}-shard-{worker_id}.bin"
         )
@@ -294,14 +460,14 @@ class Supervisor:
     def drain_stash(self) -> Dict[int, List[SourcedBatch]]:
         """Stashed batches per worker id, cleared — call once per run()."""
         out: Dict[int, List[SourcedBatch]] = {}
-        for slot, shard in enumerate(self._engine._shards):
+        for slot, init in enumerate(self._inits):
             if self._stash[slot]:
-                out[shard.worker_id] = self._stash[slot]
+                out[init.worker_id] = self._stash[slot]
                 self._stash[slot] = []
         return out
 
     # ------------------------------------------------------------------
-    # supervised result-queue protocol
+    # the result-queue protocol
     # ------------------------------------------------------------------
 
     def gather(
@@ -313,50 +479,47 @@ class Supervisor:
     ) -> Dict[int, ReplyBody]:
         """Collect one ``expected`` reply per worker, recovering as needed.
 
+        With ``timeout=None`` (every request) this waits as long as the
+        workers are alive — a long stream legitimately takes long to
+        drain. The deadline is only used for the startup handshake.
+
         A freshly recovered worker is sent its entry of ``tasks`` again
         (queue contents die with a worker, so the request must be
         re-issued); :class:`Ready` needs none — recovery itself completes
         the handshake. :class:`Collected` bodies are filtered against the
         stash cursor (replay dedup) and advance it.
         """
+        deadline = None if timeout is None else time.monotonic() + timeout
         replies: Dict[int, ReplyBody] = {}
-        for slot, shard in enumerate(self._engine._shards):
-            replies[shard.worker_id] = self._await_recovering(
-                slot, expected, timeout=timeout, tasks=tasks
-            )
-        return replies
-
-    def _await_recovering(
-        self,
-        slot: int,
-        expected: type,
-        *,
-        timeout: Optional[float],
-        tasks: Optional[Sequence[Task]],
-    ) -> ReplyBody:
-        while True:
-            try:
-                body = self._await(slot, expected, timeout=timeout)
-            except _WorkerDied as died:
-                self.recover(
-                    slot,
-                    reason=died.reason,
-                    failure=died.failure,
-                    exitcode=died.exitcode,
-                )
+        for slot, init in enumerate(self._inits):
+            while True:
+                try:
+                    body = self._await(slot, expected, deadline)
+                    break
+                except _WorkerDied as caught:
+                    died = caught
+                if died.reason == "timeout" and self._policy is None:
+                    missing = [later.worker_id for later in self._inits[slot:]]
+                    raise ReproRuntimeError(
+                        f"timed out waiting for {expected.__name__} from "
+                        f"workers {missing}"
+                    )
+                self._handle(slot, died, "gather")
                 if tasks is None:
-                    return Ready()  # recovery already completed the handshake
-                self._engine._put(slot, tasks[slot])
-                continue
+                    body = Ready()  # recovery already completed the handshake
+                    break
+                self.put(slot, tasks[slot])
             if isinstance(body, Collected):
                 body = self._filter_collect(slot, body)
-            return body
+            replies[init.worker_id] = body
+        return replies
 
     def _filter_collect(self, slot: int, collected: Collected) -> Collected:
         """Drop replay-duplicate records; advance the stash cursor.
 
         Only column 0 (the stream index) of the record rows is read; the
-        edge dictionary rides along untouched.
+        edge dictionary rides along untouched. Without a policy nothing
+        is replayed, the cursor never moves and nothing is dropped.
         """
         cutoff = self._stash_cursor[slot]
         record_rows = collected.record_rows
@@ -369,23 +532,25 @@ class Supervisor:
     def _ask(self, slot: int, task: Task) -> ReplyBody:
         """Post one task to one worker and await its declared reply,
         reporting death instead of recovering."""
-        self._raw_put(slot, task)
+        self.put(slot, task, heal=False)
         return self._await(slot, TASKS[type(task)])
 
     def _await(
-        self, slot: int, expected: type, *, timeout: Optional[float] = None
+        self, slot: int, expected: type, deadline: Optional[float] = None
     ) -> ReplyBody:
         """One ``expected`` reply body from ``slot``'s *current* incarnation.
 
         Replies from other workers are parked in the pending buffer for
         their own awaits; stale replies from dead incarnations are
-        dropped. Raises :class:`_WorkerDied` on a :class:`Failed` reply,
-        observed process death (after a short grace drain for replies
-        still in the queue's pipe), heartbeat stall, or deadline expiry.
+        dropped. Raises :class:`_WorkerDied` on a :class:`Failed` reply
+        (from any worker when there is no policy: every failure is then
+        fatal), observed process death (after a short grace drain for
+        replies still in the queue's pipe), heartbeat stall, or the
+        ``deadline`` (a :func:`time.monotonic` instant) passing.
         """
-        engine = self._engine
-        worker_id = engine._shards[slot].worker_id
-        deadline = None if timeout is None else time.monotonic() + timeout
+        worker_id = self._inits[slot].worker_id
+        fatal = self._policy is None
+        stall = None if fatal else self._policy.stall_timeout
         wait_start = time.monotonic()
         death_grace = None
         while True:
@@ -396,42 +561,45 @@ class Supervisor:
             if deadline is not None:
                 poll = min(poll, max(deadline - time.monotonic(), 0.01))
             try:
-                reply: Optional[Reply] = engine._result_queue.get(timeout=poll)
+                reply: Optional[Reply] = self.result_queue.get(timeout=poll)
             except queue_module.Empty:
                 reply = None
             now = time.monotonic()
             if reply is not None:
-                engine._last_heartbeat[reply.worker_id] = now
+                # Liveness heartbeat, piggybacked on every reply: a worker
+                # that answers the protocol is demonstrably draining its
+                # queue.
+                self.heartbeats[reply.worker_id] = now
                 if self._is_stale(reply):
                     continue
-                if reply.worker_id == worker_id:
-                    if isinstance(reply.body, Failed):
-                        raise _WorkerDied("error", failure=reply.body)
-                    if isinstance(reply.body, expected):
-                        return reply.body
+                body = reply.body
+                mine = reply.worker_id == worker_id
+                if isinstance(body, Failed) and (mine or fatal):
+                    raise _WorkerDied("error", failure=body)
+                if mine and isinstance(body, expected):
+                    return body
                 self._pending.append(reply)
                 continue
-            proc = engine._procs[slot]
+            proc = self.procs[slot]
             if not proc.is_alive():
                 # Grace drain: a worker that errored and exited flushes
                 # its reply through the queue's feeder thread at
                 # interpreter exit — give the pipe a beat to deliver it
                 # before declaring an unexplained death.
                 if death_grace is None:
-                    death_grace = now + 0.5
+                    death_grace = now + _DEATH_GRACE
                 elif now >= death_grace:
                     raise _WorkerDied("exit", exitcode=proc.exitcode)
                 continue
-            stall = self._policy.stall_timeout
             if stall is not None:
-                last = max(engine._last_heartbeat.get(worker_id, 0.0), wait_start)
+                last = max(self.heartbeats.get(worker_id, 0.0), wait_start)
                 if now - last > stall:
                     raise _WorkerDied("stall")
             if deadline is not None and now >= deadline:
                 raise _WorkerDied("timeout")
 
     def _take_pending(self, slot: int, expected: type) -> Optional[ReplyBody]:
-        worker_id = self._engine._shards[slot].worker_id
+        worker_id = self._inits[slot].worker_id
         for index, reply in enumerate(self._pending):
             if reply.worker_id != worker_id or self._is_stale(reply):
                 continue
@@ -446,23 +614,32 @@ class Supervisor:
         slot = self._slot_of.get(reply.worker_id)
         return slot is not None and reply.incarnation != self._incarnations[slot]
 
-    def _raw_put(self, slot: int, message) -> None:
-        """Queue put that reports death instead of recovering (used from
-        inside the recovery machinery itself, where the engine-level
-        recovering put would recurse)."""
-        engine = self._engine
-        while True:
-            try:
-                engine._task_queues[slot].put(message, timeout=0.5)
-                return
-            except queue_module.Full:
-                proc = engine._procs[slot]
-                if not proc.is_alive():
-                    raise _WorkerDied("exit", exitcode=proc.exitcode) from None
+    # ------------------------------------------------------------------
+    # death and recovery
+    # ------------------------------------------------------------------
 
-    # ------------------------------------------------------------------
-    # recovery
-    # ------------------------------------------------------------------
+    def _handle(self, slot: int, died: _WorkerDied, context: str) -> None:
+        """Recover ``slot`` under the policy; without one, raise the
+        worker's own ``Failed`` report (drained from the pipe when only
+        the dead process was seen), else a :class:`WorkerError` naming
+        ``context``, where the death was noticed."""
+        if self._policy is not None:
+            self.recover(
+                slot, reason=died.reason, failure=died.failure, exitcode=died.exitcode
+            )
+            return
+        failure = died.failure
+        if failure is None and died.reason == "exit":
+            failure = self._drain_final_error(slot)
+        if failure is not None:
+            raise failure.to_error()
+        worker_id = self._inits[slot].worker_id
+        raise WorkerError(
+            f"shard worker {worker_id} died (exitcode={died.exitcode})",
+            worker_id=worker_id,
+            context=context,
+            exitcode=died.exitcode,
+        )
 
     def recover(
         self, slot: int, *, reason: str, failure: Optional[Failed] = None, exitcode=None
@@ -475,33 +652,27 @@ class Supervisor:
         budget. Exhausting the budget raises
         :class:`~repro.errors.WorkerError` describing the *last* failure.
         """
-        engine = self._engine
-        shard = engine._shards[slot]
-        worker_id = shard.worker_id
+        policy = self._policy
+        worker_id = self._inits[slot].worker_id
         started = time.perf_counter()
         while True:
             if reason == "exit" and failure is None:
-                failure = self._drain_final_error(slot, worker_id)
+                failure = self._drain_final_error(slot)
                 if failure is not None:
                     reason = "error"
             count = self._restarts.get(worker_id, 0) + 1
-            if count > self._policy.max_restarts:
+            if count > policy.max_restarts:
                 raise self._budget_exhausted(worker_id, reason, failure, exitcode)
             self._restarts[worker_id] = count
             key = (worker_id, reason)
             self._restart_reasons[key] = self._restart_reasons.get(key, 0) + 1
-            old = engine._procs[slot]
+            old = self.procs[slot]
             if old.is_alive():
                 old.terminate()  # the stall path: wedged but not dead
             old.join(timeout=5.0)
             if exitcode is None:
                 exitcode = old.exitcode
-            old_queue = engine._task_queues[slot]
-            try:
-                old_queue.close()
-                old_queue.cancel_join_thread()
-            except (OSError, ValueError):
-                pass
+            _close_queue(self.task_queues[slot])
             incarnation = self._incarnations[slot]
             self._pending = [
                 reply
@@ -510,24 +681,20 @@ class Supervisor:
                     reply.worker_id == worker_id and reply.incarnation == incarnation
                 )
             ]
-            time.sleep(backoff_delay(self._policy, count, self._rng))
+            time.sleep(backoff_delay(policy, count, self._rng))
             self._incarnations[slot] = incarnation + 1
-            proc, task_queue = engine._spawn_worker(
-                slot,
-                restore_path=self._snapshots[slot],
-                incarnation=self._incarnations[slot],
+            self.procs[slot], self.task_queues[slot] = self._spawn(
+                slot, self._snapshots[slot], self._incarnations[slot]
             )
-            engine._procs[slot] = proc
-            engine._task_queues[slot] = task_queue
             try:
-                self._await(slot, Ready, timeout=READY_TIMEOUT)
+                self._await(slot, Ready, time.monotonic() + READY_TIMEOUT)
             except _WorkerDied as died:
                 reason = "startup"
                 failure, exitcode = died.failure, died.exitcode
                 continue
             try:
                 for rows in self._replay[slot]:
-                    self._raw_put(slot, Batch(rows))
+                    self.put(slot, Batch(rows), heal=False)
                     self._replayed_batches += 1
                     self._replayed_events += len(rows)
             except _WorkerDied as died:
@@ -537,20 +704,20 @@ class Supervisor:
             break
         self._recovery_seconds.observe(time.perf_counter() - started)
 
-    def _drain_final_error(self, slot: int, worker_id: int) -> Optional[Failed]:
+    def _drain_final_error(self, slot: int) -> Optional[Failed]:
         """The dying incarnation's :class:`Failed` report, if it left one.
 
         A worker that fails *in-protocol* replies :class:`Failed` and
         returns; the reply is flushed through the result queue's feeder
         thread at interpreter exit. When the death is instead detected on
         the dispatch path — task queue full, process gone — that reply is
-        still in the pipe, and without it the restart would be recorded
-        as an unexplained ``exit`` and a budget-exhaustion error would
-        lose the remote traceback. Give the pipe the same grace period
-        as :meth:`_await`'s death drain; a hard kill (``os._exit``,
-        OOM) leaves nothing and times out quietly.
+        still in the pipe, and without it the death would be reported as
+        an unexplained ``exit`` that loses the remote traceback. Give the
+        pipe the same grace period as :meth:`_await`'s death drain; a
+        hard kill (``os._exit``, OOM) leaves nothing and times out
+        quietly.
         """
-        engine = self._engine
+        worker_id = self._inits[slot].worker_id
         incarnation = self._incarnations[slot]
 
         def mine(reply: Reply) -> bool:
@@ -560,13 +727,13 @@ class Supervisor:
             if mine(reply) and isinstance(reply.body, Failed):
                 self._pending.pop(index)
                 return reply.body
-        deadline = time.monotonic() + 0.5
+        deadline = time.monotonic() + _DEATH_GRACE
         while time.monotonic() < deadline:
             try:
-                reply = engine._result_queue.get(timeout=0.05)
+                reply = self.result_queue.get(timeout=0.05)
             except queue_module.Empty:
                 continue
-            engine._last_heartbeat[reply.worker_id] = time.monotonic()
+            self.heartbeats[reply.worker_id] = time.monotonic()
             if mine(reply):
                 if isinstance(reply.body, Failed):
                     return reply.body
@@ -589,7 +756,7 @@ class Supervisor:
         return WorkerError(lead, worker_id=worker_id, context=reason, exitcode=exitcode)
 
     # ------------------------------------------------------------------
-    # introspection / lifecycle
+    # introspection
     # ------------------------------------------------------------------
 
     @property
@@ -600,8 +767,11 @@ class Supervisor:
     def restarts_by_worker(self) -> Dict[int, int]:
         return dict(self._restarts)
 
-    def telemetry(self) -> dict:
-        """Snapshot for :func:`~repro.telemetry.instrument.runtime_registry`."""
+    def telemetry(self) -> Optional[dict]:
+        """Snapshot for :func:`~repro.telemetry.instrument.runtime_registry`;
+        ``None`` without a policy (no recovery families to report)."""
+        if self._policy is None:
+            return None
         return {
             "restarts": dict(self._restart_reasons),
             "recovery_seconds": self._recovery_seconds,
@@ -610,13 +780,7 @@ class Supervisor:
             "recovery_checkpoints": self._recovery_checkpoints,
             "checkpoint_failures": self._checkpoint_failures,
             "replay_depth": {
-                shard.worker_id: len(self._replay[slot])
-                for slot, shard in enumerate(self._engine._shards)
+                init.worker_id: len(self._replay[slot])
+                for slot, init in enumerate(self._inits)
             },
         }
-
-    def close(self) -> None:
-        """Remove the recovery-snapshot scratch directory."""
-        if self._dir is not None:
-            shutil.rmtree(self._dir, ignore_errors=True)
-            self._dir = None

@@ -997,6 +997,37 @@ class TestSupervise:
         assert "supervision: 2 worker restart(s)" in chaos
         assert "supervision: 0 worker restart(s)" in clean
 
+    def test_unsupervised_run_reports_no_supervision(
+        self, stream_file, query_file, second_query_file, tmp_path, capsys
+    ):
+        """Worker processes of an unsupervised run are owned by the same
+        transport as a supervised run's, yet neither its summary nor its
+        metrics carry the supervision line or the recovery families."""
+        import json
+
+        metrics = tmp_path / "metrics.jsonl"
+        args = self._run_args(
+            stream_file,
+            query_file,
+            "--query",
+            str(second_query_file),
+            "--workers",
+            "2",
+            "--metrics-out",
+            str(metrics),
+        )
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "workers=2 (2 shard(s))" in out
+        lines = out.splitlines()
+        assert not [line for line in lines if line.startswith("supervision:")]
+        snapshots = [json.loads(line) for line in metrics.read_text().splitlines()]
+        assert snapshots
+        for snapshot in snapshots:
+            assert "repro_runtime_worker_alive" in snapshot["families"]
+            assert "repro_runtime_worker_restarts_total" not in snapshot["families"]
+            assert "repro_runtime_recovery_seconds" not in snapshot["families"]
+
 
 class TestAutoscaleCLI:
     """--autoscale wiring: validation, summary line, output identity."""

@@ -133,7 +133,7 @@ def _live_engine(method: str) -> ShardedEngine:
         (index, e.src, e.dst, e.etype, e.timestamp, e.src_type, e.dst_type)
         for index, e in enumerate(events)
     ]
-    for task_queue in engine._task_queues:
+    for task_queue in engine._supervisor.task_queues:
         task_queue.put(Batch(rows))
     return engine
 
@@ -142,7 +142,7 @@ def _live_engine(method: str) -> ShardedEngine:
 def test_live_worker_answers_each_task_with_its_declared_reply(method, tmp_path):
     engine = _live_engine(method)
     try:
-        assert len(engine._procs) == 2, "test needs real worker processes"
+        assert len(engine._supervisor.procs) == 2, "test needs real worker processes"
         worker_ids = {shard.worker_id for shard in engine._shards}
         answered = [
             lambda slot: Collect(7),
@@ -155,9 +155,10 @@ def test_live_worker_answers_each_task_with_its_declared_reply(method, tmp_path)
         }
         for make_task in answered:
             task = make_task(0)
-            for slot, task_queue in enumerate(engine._task_queues):
+            for slot, task_queue in enumerate(engine._supervisor.task_queues):
                 task_queue.put(make_task(slot))
-            replies = [engine._result_queue.get(timeout=60) for _ in worker_ids]
+            result_queue = engine._supervisor.result_queue
+            replies = [result_queue.get(timeout=60) for _ in worker_ids]
             assert {reply.worker_id for reply in replies} == worker_ids
             for reply in replies:
                 assert type(reply) is Reply
@@ -165,11 +166,11 @@ def test_live_worker_answers_each_task_with_its_declared_reply(method, tmp_path)
                 assert type(reply.body) is TASKS[type(task)], (task, reply)
                 if isinstance(reply.body, Collected):
                     assert reply.body.seq == 7 and reply.body.record_rows
-        for task_queue in engine._task_queues:
+        for task_queue in engine._supervisor.task_queues:
             task_queue.put(Close())
-        for proc in engine._procs:
+        for proc in engine._supervisor.procs:
             proc.join(timeout=30)
             assert proc.exitcode == 0
-        assert engine._result_queue.empty()
+        assert engine._supervisor.result_queue.empty()
     finally:
         engine.close()

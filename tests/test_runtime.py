@@ -120,7 +120,7 @@ class TestShardedEngineAPI:
         assert not engine.in_process  # known once started
         try:
             engine.run(warm_events)
-            assert engine._procs == []
+            assert engine._supervisor is None
             assert engine.in_process
         finally:
             engine.close()
@@ -132,7 +132,7 @@ class TestShardedEngineAPI:
         engine.register(QueryGraph.path(["A"], name="a"), strategy="Single")
         try:
             engine.run(warm_events)
-            assert engine._procs == []
+            assert engine._supervisor is None
             assert engine.in_process
         finally:
             engine.close()
@@ -254,7 +254,11 @@ class TestShardedEngineAPI:
         with pytest.raises(StrategyError, match="unknown strategy"):
             engine.register(QueryGraph.path(["A"], name="q"), strategy="Magic")
 
-    def test_worker_failure_surfaces(self, warm_events):
+    # 200 repeats overflow the failed worker's bounded task queue, so its
+    # death is seen by a blocked put before any reply is read: the
+    # worker's own report must still be the error raised
+    @pytest.mark.parametrize("repeats", [10, 200])
+    def test_worker_failure_surfaces(self, warm_events, repeats):
         engine = ShardedEngine(window=5.0, workers=2, batch_size=4)
         engine.warmup(warm_events)
         register_two(engine)
@@ -267,7 +271,7 @@ class TestShardedEngineAPI:
                 EdgeEvent("x", "y", "A", 100.0),
                 EdgeEvent("x", "y", "B", 1.0),
                 EdgeEvent("y", "z", "C", 1.0),
-            ] * 10
+            ] * repeats
             with pytest.raises(RuntimeError, match="worker") as excinfo:
                 engine.run(bad)
         finally:
@@ -316,11 +320,11 @@ class TestCloseUnderFullQueue:
         engine.warmup(warm_events)
         register_two(engine)
         engine.start()
-        procs = list(engine._procs)
+        procs = list(engine._supervisor.procs)
         assert len(procs) == 2, "test needs real worker processes"
         # Fill every bounded task queue to capacity while the workers
         # crawl: close() must still deliver its pill and join cleanly.
-        for task_queue in engine._task_queues:
+        for task_queue in engine._supervisor.task_queues:
             while True:
                 try:
                     task_queue.put_nowait(Describe())

@@ -346,7 +346,7 @@ def test_merge_buffer_depth_counts_records():
         engine.start()
         # batches without a collect: every worker gets the whole stream
         # (types outside its alphabet are inert), records stay buffered
-        for slot in range(len(engine._task_queues)):
+        for slot in range(len(engine._shards)):
             engine._put_batch(slot, stream_rows(events))
         snapshot = engine.metrics().collect()
         depth = snapshot["repro_runtime_merge_buffer_records"]["samples"]

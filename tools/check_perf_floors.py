@@ -23,8 +23,14 @@ workload, so a slow runner and a fast one are held to the same number:
   engine, per metric family: a collect that starts walking per-match
   state crosses it.
 * **autoscale** — a 3-worker engine with the controller armed faces the
-  two-phase skewed stream; its steady-phase throughput per worker must
-  beat the fixed layout's, best of three, and every armed run must scale.
+  two-phase skewed stream; its modelled steady-phase throughput per
+  worker must beat the fixed layout's, and the armed run must scale. The
+  model is work, not wall time: a segment takes as long as its busiest
+  worker, so throughput per worker is steady events / (workers × the
+  busiest worker's routed events), read from the coordinator's
+  ``repro_runtime_worker_events_routed_total`` counters. It repeats
+  exactly run to run; a wall-time quotient would judge a 3→2 scale-down
+  on a 2-vCPU host by scheduler noise.
 
 The allocation floor (fast-path peak traced bytes at most the seed
 path's) is deterministic, so it is a tier-1 test on the same workload
@@ -43,7 +49,7 @@ import gc
 import math
 import sys
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import ContinuousQueryEngine, QueryGraph, ShardedEngine
 from repro.analysis.experiments import (
@@ -83,7 +89,6 @@ COLLECT_SAMPLES = 25
 #: autoscale: the steady phase is a few hundred events at this size
 AUTOSCALE_WORKERS = 3
 AUTOSCALE_HOT_ETYPES = ("T00", "T01", "T02")
-AUTOSCALE_REPEATS = 3
 WORKER_BATCH = 256
 
 
@@ -227,13 +232,21 @@ def collect_us_per_family() -> Measured:
 # ----------------------------------------------------------------------
 
 
+def routed_by_worker(engine: ShardedEngine) -> Dict[str, float]:
+    """Events the coordinator has routed to each worker id so far."""
+    family = engine.metrics().collect()["repro_runtime_worker_events_routed_total"]
+    return {sample["labels"][0]: sample["value"] for sample in family["samples"]}
+
+
 def autoscale_recovery() -> Measured:
-    """Steady-phase throughput per worker, armed over fixed.
+    """Modelled steady-phase throughput per worker, armed over fixed.
 
     The stream runs in three segments — uniform, hot pivot, steady (still
     hot) — once with a fixed 3-worker layout and once with the controller
     armed (``min_workers=1``). Both runs must stay record-identical to a
-    one-worker reference, and every armed run must scale.
+    one-worker reference, and the armed run must scale. Each run's
+    steady segment is scored as ``workers x busiest``, the worker-events
+    it occupies when it lasts as long as its busiest worker's share.
     """
     full = skewed_etype_stream(
         EVENTS, num_etypes=NUM_ETYPES, hot_etypes=AUTOSCALE_HOT_ETYPES
@@ -249,7 +262,7 @@ def autoscale_recovery() -> Measured:
     steady_events = len(segments[2])
     # four evaluation ticks inside the skew segment (the controller reacts
     # at the first hot one), then a cooldown long enough that no further
-    # action (each a checkpoint and respawn) lands in the timed segment
+    # action (each a re-cut of the layout) lands in the steady segment
     evaluate_every = max((steady_from - pivot) // 4, 1)
     cooldown = (len(stream) - pivot) // evaluate_every + 1
 
@@ -263,29 +276,18 @@ def autoscale_recovery() -> Measured:
         records: list = []
         try:
             engine.start()
-            steady_seconds = 0.0
-            for index, segment in enumerate(segments):
-                # the armed engine slices run() into evaluation-sized
-                # sub-runs itself; the fixed one gets the same slices, so
-                # both pay the same flush/merge barriers and the ratio
-                # compares layouts, not batching
-                if policy is None:
-                    slices = [
-                        segment[at : at + evaluate_every]
-                        for at in range(0, len(segment), evaluate_every)
-                    ]
-                else:
-                    slices = [segment]
-                started = time.perf_counter()
-                results = [engine.run(part) for part in slices]
-                if index == len(segments) - 1:
-                    steady_seconds = time.perf_counter() - started
-                for result in results:
-                    records += result.records
+            for segment in segments[:-1]:
+                records += engine.run(segment).records
+            before = routed_by_worker(engine)
+            records += engine.run(segments[-1]).records
+            after = routed_by_worker(engine)
+            busiest = max(
+                routed - before.get(worker, 0.0) for worker, routed in after.items()
+            )
             controller = engine.autoscaler
             outcome = (
-                steady_seconds,
                 engine.workers,
+                int(busiest),
                 controller.actions() if controller else [],
             )
         finally:
@@ -299,28 +301,23 @@ def autoscale_recovery() -> Measured:
         evaluate_every=evaluate_every,
         cooldown=cooldown,
     )
-    best_fixed = math.inf
-    best_armed = -math.inf
-    for _ in range(AUTOSCALE_REPEATS):
-        for armed in (None, policy):
-            records, (seconds, workers, actions) = run(AUTOSCALE_WORKERS, armed)
-            label = "fixed" if armed is None else "autoscaled"
-            if records != reference:
-                raise FloorError(
-                    f"{label} run diverged from the one-worker reference: "
-                    f"{len(records)} vs {len(reference)} records"
-                )
-            if armed is None:
-                best_fixed = min(best_fixed, seconds)
-            elif not actions:
-                raise FloorError("the controller never scaled on the skewed stream")
-            else:
-                best_armed = max(best_armed, steady_events / seconds / workers)
-    fixed = steady_events / best_fixed / AUTOSCALE_WORKERS
+    occupied = []
+    for armed in (None, policy):
+        records, (workers, busiest, actions) = run(AUTOSCALE_WORKERS, armed)
+        label = "fixed" if armed is None else "autoscaled"
+        if records != reference:
+            raise FloorError(
+                f"{label} run diverged from the one-worker reference: "
+                f"{len(records)} vs {len(reference)} records"
+            )
+        if armed is not None and not actions:
+            raise FloorError("the controller never scaled on the skewed stream")
+        occupied.append((workers, busiest))
+    (fixed_workers, fixed_busiest), (armed_workers, armed_busiest) = occupied
     return (
-        best_armed / fixed,
-        f"{best_armed:.0f} vs {fixed:.0f} events/s per worker "
-        f"over {steady_events} steady events",
+        (fixed_workers * fixed_busiest) / (armed_workers * armed_busiest),
+        f"busiest worker {armed_busiest} of {armed_workers} vs "
+        f"{fixed_busiest} of {fixed_workers} over {steady_events} steady events",
     )
 
 
