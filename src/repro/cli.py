@@ -129,7 +129,7 @@ def _load_queries(paths: Sequence[str]) -> List[QueryGraph]:
 def _print_match(record, shown: int, max_print: int) -> None:
     if shown < max_print:
         mapping = ", ".join(
-            f"v{qv}={dv}" for qv, dv in sorted(record.match.vertex_map.items())
+            f"v{qv}={dv}" for qv, dv in sorted(record.vertex_map.items())
         )
         print(f"match @t={record.completed_at:.4f}: {mapping}")
 

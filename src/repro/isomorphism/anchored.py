@@ -88,8 +88,9 @@ def find_vertex_anchored_matches(
                 found: List[Match] = []
                 _extend(graph, fragment, assignment, vertex_map, found, limit)
                 for match in found:
-                    if match.fingerprint not in seen:
-                        seen.add(match.fingerprint)
+                    fingerprint = match.fingerprint
+                    if fingerprint not in seen:
+                        seen.add(fingerprint)
                         results.append(match)
                         if limit is not None and len(results) >= limit:
                             return results

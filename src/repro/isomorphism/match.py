@@ -17,12 +17,14 @@ at the same tuple object) plus a parallel tuple of data edges. Everything
 else is derived:
 
 * the *fingerprint* (sorted ``(query_edge_id, data_edge_id)`` pairs, the
-  canonical identity SJ-Tree nodes dedupe on) is computed lazily and
-  cached;
-* the *vertex map* is materialized lazily from the fragment's
-  :class:`MatchShape` — per-edge matching and hash joins never build it;
-  only emission-time consumers (CLI printing, tests, the generic
-  :meth:`Match.join`) pay for the dict.
+  canonical identity matches compare and hash on) is computed on each
+  read and never cached: the SJ-Tree tables dedupe on packed edge-id
+  tuples instead, and a cache slot would cost every retained match;
+* the *vertex map* of a shape-backed match is derived from the
+  fragment's :class:`MatchShape` on each read — per-edge matching and
+  hash joins never build it; only emission-time consumers (CLI
+  printing, tests, the generic :meth:`Match.join`) pay for the dict.
+  Only the interpretive matchers' *map-backed* matches store one.
 
 :class:`MatchShape` is the per-fragment static layout: where each query
 vertex's data binding lives inside the flat edge tuple. :class:`JoinPlan`
@@ -80,6 +82,14 @@ class MatchShape:
         """``role -> (slot, is_src)`` lookup (plan-compile helper)."""
         return {role: (slot, is_src) for role, slot, is_src in self.role_sources}
 
+    def vertex_map(self, edges: Sequence[Edge]) -> Dict[int, VertexId]:
+        """The query-vertex → data-vertex map of an edge tuple laid out
+        by this shape (a fresh dict per call)."""
+        return {
+            role: (edges[slot].src if is_src else edges[slot].dst)
+            for role, slot, is_src in self.role_sources
+        }
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MatchShape(qeids={self.qeids})"
 
@@ -97,10 +107,19 @@ def shape_for_fragment(fragment) -> MatchShape:
     return shape
 
 
+def fingerprint_of(
+    qeids: Sequence[int], edges: Sequence[Edge]
+) -> Tuple[Tuple[int, int], ...]:
+    """Sorted ``(query_edge_id, data_edge_id)`` pairs of aligned
+    ``qeids`` / ``edges`` — the identity :class:`Match` and
+    :class:`~repro.search.base.MatchRecord` compare and hash on."""
+    return tuple(zip(qeids, [edge.edge_id for edge in edges]))
+
+
 class Match:
     """An immutable (partial) match: query-edge → data-edge pairs."""
 
-    __slots__ = ("qeids", "edges", "min_time", "max_time", "_shape", "_vm", "_fp")
+    __slots__ = ("qeids", "edges", "min_time", "max_time", "_shape", "_vm")
 
     def __init__(
         self,
@@ -121,7 +140,6 @@ class Match:
         self.max_time = max_time
         self._shape = shape
         self._vm = vertex_map
-        self._fp: Optional[Tuple[Tuple[int, int], ...]] = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -205,26 +223,18 @@ class Match:
 
     @property
     def vertex_map(self) -> Dict[int, VertexId]:
-        """Induced query-vertex → data-vertex mapping (lazy, cached)."""
+        """Induced query-vertex → data-vertex mapping: the stored map of
+        a map-backed match, else derived from the shape on each read."""
         vm = self._vm
         if vm is None:
-            edges = self.edges
-            sources = self._shape.role_sources  # type: ignore[union-attr]
-            vm = self._vm = {
-                role: (edges[slot].src if is_src else edges[slot].dst)
-                for role, slot, is_src in sources
-            }
+            return self._shape.vertex_map(self.edges)  # type: ignore[union-attr]
         return vm
 
     @property
     def fingerprint(self) -> Tuple[Tuple[int, int], ...]:
-        """Canonical identity: sorted ``(query_edge_id, data_edge_id)``."""
-        fp = self._fp
-        if fp is None:
-            fp = self._fp = tuple(
-                (qeid, edge.edge_id) for qeid, edge in zip(self.qeids, self.edges)
-            )
-        return fp
+        """Canonical identity: sorted ``(query_edge_id, data_edge_id)``,
+        computed on each read."""
+        return fingerprint_of(self.qeids, self.edges)
 
     @property
     def num_edges(self) -> int:

@@ -1093,7 +1093,8 @@ class ShardedEngine:
         :meth:`checkpoint`. Returns the new checkpoint manifest; when
         ``directory`` is given the checkpoint is left on disk as a
         normal resumable directory, otherwise the temp directory is
-        removed once the new workers are up.
+        removed when the new workers shut down (at once when the new
+        layout runs in-process).
         """
         from ..errors import CheckpointError
         from ..persistence.migrate import migrate_checkpoint
@@ -1137,7 +1138,12 @@ class ShardedEngine:
                 "recover it with ShardedEngine.resume(directory, queries)"
             ) from exc
         if not keep:
-            shutil.rmtree(root, ignore_errors=True)
+            if self._supervisor is None:
+                shutil.rmtree(root, ignore_errors=True)
+            else:
+                # the shard files stay each worker's respawn snapshot
+                # until its first recovery checkpoint
+                self._supervisor.adopt_scratch(root)
         self._rebalances_total += 1
         return manifest
 

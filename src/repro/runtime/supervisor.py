@@ -179,6 +179,9 @@ _PUT_POLL = 0.5
 
 #: Grace for a dead worker's last reply to leave the result queue's pipe.
 _DEATH_GRACE = 0.5
+#: How long recovery waits for a worker that is exiting on its own (it
+#: replied ``Failed``) before terminating it.
+_EXIT_GRACE = 5.0
 
 
 class _WorkerDied(Exception):
@@ -310,6 +313,14 @@ class Supervisor:
         if self._dir is not None:
             shutil.rmtree(self._dir, ignore_errors=True)
             self._dir = None
+
+    def adopt_scratch(self, directory: Path) -> None:
+        """Own ``directory``, which holds the workers' restore snapshots
+        (a re-cut layout's checkpoint), as the recovery scratch directory:
+        each worker's file there is deleted once its first recovery
+        checkpoint supersedes it, and the directory at :meth:`shutdown`.
+        Call right after :meth:`start`, before any recovery checkpoint."""
+        self._dir = directory
 
     def _post_poison_pill(self, slot: int, deadline_seconds: float = 5.0) -> None:
         """Deliver :class:`Close` to one worker without ever blocking.
@@ -667,8 +678,15 @@ class Supervisor:
             key = (worker_id, reason)
             self._restart_reasons[key] = self._restart_reasons.get(key, 0) + 1
             old = self.procs[slot]
+            if reason != "stall":
+                # A worker that replied Failed is exiting on its own, its
+                # feeder thread still flushing into the shared result
+                # queue: a SIGTERM now can land while that thread holds
+                # the queue's cross-process write lock, orphan it, and
+                # wedge every later writer (the respawn's Ready included).
+                old.join(timeout=_EXIT_GRACE)
             if old.is_alive():
-                old.terminate()  # the stall path: wedged but not dead
+                old.terminate()  # wedged (the stall path) or not exiting
             old.join(timeout=5.0)
             if exitcode is None:
                 exitcode = old.exitcode

@@ -2,7 +2,7 @@
 
 A complete match is nothing more than its lineage — the ordered data
 edges that produced it — so that is what a worker sends back, not the
-``MatchRecord -> Match -> Edge`` object graph. One ``Collected`` reply
+pickled ``MatchRecord -> Edge`` object graph. One ``Collected`` reply
 carries a *record batch* of two flat tables:
 
 * an **edge dictionary**: one ``(edge_id, src, dst, etype, timestamp)``
@@ -19,11 +19,11 @@ state; it only ever reads column 0 of the record rows.
 :func:`encode_records` runs in the worker as records come out of the
 engine; :func:`decode_records` runs once per ``ShardedEngine.run`` on
 the coordinator and turns every batch of the run into the merged,
-single-process-ordered record list. Edge ids are global stream
-positions, identical in every worker, so the decoder materialises each
-data edge once and every record referencing it shares that ``Edge`` —
-stamped with the *coordinator's* vocabulary code, never the worker's
-process-local one.
+single-process-ordered record list, one :class:`MatchRecord` per row.
+Edge ids are global stream positions, identical in every worker, so
+the decoder materialises each data edge once and every record
+referencing it shares that ``Edge`` — stamped with the
+*coordinator's* vocabulary code, never the worker's process-local one.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ReproRuntimeError
 from ..graph.types import VOCABULARY, Edge, VertexId
-from ..isomorphism.match import Match, MatchShape
+from ..isomorphism.match import MatchShape
 from ..search.base import MatchRecord
 
 EdgeRow = Tuple[int, VertexId, VertexId, str, float]
@@ -68,16 +68,15 @@ def encode_records(
     """
     append = rows.append
     for index, record in tagged:
-        match = record.match
         row = [
             index,
             positions[record.query_name],
             record.strategy,
             record.completed_at,
-            match.min_time,
-            match.max_time,
+            record.min_time,
+            record.max_time,
         ]
-        for edge in match.edges:
+        for edge in record.edges:
             edge_id = edge.edge_id
             if edge_id not in edges:
                 edges[edge_id] = (
@@ -144,22 +143,22 @@ def _decode(
             ) from exc
 
     layout = {
-        position: (name, shape.qeids, shape, _HEADER + len(shape.qeids))
+        position: (name, shape, _HEADER + len(shape.qeids))
         for position, (name, shape) in shapes.items()
     }
     lookup = edges.__getitem__
+    make = MatchRecord.from_row
     records: List[MatchRecord] = []
     append = records.append
     row: Optional[RecordRow] = None
     try:
         merged.sort(key=_MERGE_KEY)
         for row in merged:
-            name, qeids, shape, width = layout[row[1]]
+            name, shape, width = layout[row[1]]
             if len(row) != width:
                 raise ValueError(f"expected {width} columns, got {len(row)}")
             data_edges = tuple(map(lookup, row[_HEADER:]))
-            match = Match(qeids, data_edges, row[4], row[5], shape)
-            append(MatchRecord(name, row[2], match, row[3]))
+            append(make(name, row[2], row[3], shape, data_edges, row[4], row[5]))
     except _MALFORMED as exc:
         raise _malformed(batches, row, exc) from exc
     return records

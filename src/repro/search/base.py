@@ -10,13 +10,13 @@ returning the *incremental* set of complete matches —
 from __future__ import annotations
 
 import abc
-from typing import FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..analysis.profiling import ProfileCounters
 from ..graph.streaming_graph import StreamingGraph
-from ..graph.types import Edge
+from ..graph.types import Edge, VertexId
 from ..graph.window import TimeWindow
-from ..isomorphism.match import Match
+from ..isomorphism.match import Match, MatchShape, fingerprint_of
 from ..query.query_graph import QueryGraph
 
 #: Profile phase names shared by all algorithms (the §6.4.1 split).
@@ -27,6 +27,17 @@ PHASE_JOIN = "join"
 class MatchRecord:
     """A complete match together with its reporting context.
 
+    One compact object per emitted match: the query name, the strategy,
+    ``completed_at``, the match's query-edge ids, its ordered data edges
+    (the match's lineage) and their time bounds, plus its layout — the
+    :class:`~repro.isomorphism.match.MatchShape` of a shape-backed match
+    or the vertex-map dict of a map-backed one. Everything else is
+    derived when asked: :attr:`match` builds a fresh
+    :class:`~repro.isomorphism.match.Match` on each access, and
+    :attr:`fingerprint` / :attr:`vertex_map` are computed on each read
+    (a stored map-backed vertex map excepted), so a retained record
+    costs the same whether or not they were read.
+
     Hand-written value class rather than a frozen dataclass, as
     :class:`~repro.graph.types.Edge` is: one record is allocated per
     emitted match, and the frozen-dataclass ``__init__`` (one guarded
@@ -34,15 +45,76 @@ class MatchRecord:
     are measurable at that rate. Treat instances as immutable.
     """
 
-    __slots__ = ("query_name", "strategy", "match", "completed_at")
+    __slots__ = (
+        "query_name",
+        "strategy",
+        "completed_at",
+        "qeids",
+        "edges",
+        "min_time",
+        "max_time",
+        "_layout",
+    )
 
     def __init__(
         self, query_name: str, strategy: str, match: Match, completed_at: float
     ) -> None:
         self.query_name = query_name
         self.strategy = strategy
-        self.match = match
         self.completed_at = completed_at
+        self.qeids = match.qeids
+        self.edges = match.edges
+        self.min_time = match.min_time
+        self.max_time = match.max_time
+        self._layout = match._shape or match._vm
+
+    @classmethod
+    def from_row(
+        cls,
+        query_name: str,
+        strategy: str,
+        completed_at: float,
+        shape: MatchShape,
+        edges: Tuple[Edge, ...],
+        min_time: float,
+        max_time: float,
+    ) -> "MatchRecord":
+        """A record of a shape-backed match from its parts, with no
+        intermediate :class:`Match` (the sharded wire decoder's path).
+        ``edges`` must be aligned slot-for-slot with ``shape.qeids``."""
+        record = cls.__new__(cls)
+        record.query_name = query_name
+        record.strategy = strategy
+        record.completed_at = completed_at
+        record.qeids = shape.qeids
+        record.edges = edges
+        record.min_time = min_time
+        record.max_time = max_time
+        record._layout = shape
+        return record
+
+    @property
+    def match(self) -> Match:
+        """The complete match, built on each access and never cached."""
+        layout = self._layout
+        if type(layout) is dict:
+            return Match(
+                self.qeids, self.edges, self.min_time, self.max_time, vertex_map=layout
+            )
+        return Match(self.qeids, self.edges, self.min_time, self.max_time, layout)
+
+    @property
+    def fingerprint(self) -> Tuple[Tuple[int, int], ...]:
+        """``record.match.fingerprint`` without building the match."""
+        return fingerprint_of(self.qeids, self.edges)
+
+    @property
+    def vertex_map(self) -> Dict[int, VertexId]:
+        """``record.match.vertex_map`` without building the match."""
+        layout = self._layout
+        if type(layout) is dict:
+            return layout
+        return layout.vertex_map(self.edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatchRecord):
@@ -50,12 +122,15 @@ class MatchRecord:
         return (
             self.query_name == other.query_name
             and self.strategy == other.strategy
-            and self.match == other.match
+            and self.fingerprint == other.fingerprint
             and self.completed_at == other.completed_at
         )
 
     def __hash__(self) -> int:
-        return hash((self.query_name, self.strategy, self.match, self.completed_at))
+        # equal to hashing the match: Match.__hash__ is its fingerprint's
+        return hash(
+            (self.query_name, self.strategy, self.fingerprint, self.completed_at)
+        )
 
     def __repr__(self) -> str:
         return (
@@ -64,11 +139,30 @@ class MatchRecord:
             f"completed_at={self.completed_at!r})"
         )
 
+    # Pickled as the compact fields themselves: no Match is built.
     def __getstate__(self):
-        return (self.query_name, self.strategy, self.match, self.completed_at)
+        return (
+            self.query_name,
+            self.strategy,
+            self.completed_at,
+            self.qeids,
+            self.edges,
+            self.min_time,
+            self.max_time,
+            self._layout,
+        )
 
     def __setstate__(self, state) -> None:
-        self.query_name, self.strategy, self.match, self.completed_at = state
+        (
+            self.query_name,
+            self.strategy,
+            self.completed_at,
+            self.qeids,
+            self.edges,
+            self.min_time,
+            self.max_time,
+            self._layout,
+        ) = state
 
 
 class SearchAlgorithm(abc.ABC):

@@ -71,8 +71,9 @@ class IncIsoMatchSearch(SearchAlgorithm):
             matches = find_isomorphisms(local, self.query, window=self.window)
         fresh = []
         for match in matches:
-            if match.fingerprint not in self._seen:
-                self._seen.add(match.fingerprint)
+            fingerprint = match.fingerprint
+            if fingerprint not in self._seen:
+                self._seen.add(fingerprint)
                 fresh.append(match)
         return self._emit(fresh)
 
@@ -121,8 +122,9 @@ class PeriodicVF2Search(SearchAlgorithm):
             matches = find_isomorphisms(self.graph, self.query, window=self.window)
         fresh = []
         for match in matches:
-            if match.fingerprint not in self._seen:
-                self._seen.add(match.fingerprint)
+            fingerprint = match.fingerprint
+            if fingerprint not in self._seen:
+                self._seen.add(fingerprint)
                 fresh.append(match)
         return self._emit(fresh)
 

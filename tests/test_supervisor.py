@@ -6,22 +6,32 @@ writes) mid-stream must emit records *identical* to the uninterrupted
 single-process run — same records, same order. Alongside it: the
 restart-policy/backoff unit behaviour, restart-budget exhaustion
 surfacing a :class:`~repro.errors.WorkerError` that carries the remote
-traceback, replay-buffer bounding via recovery checkpoints, and the
+traceback, replay-buffer bounding via recovery checkpoints, recovery
+of a worker that is already exiting, a kill right after a rebalance,
+the CLI's supervised autoscale run under a deadline, and the
 supervision metric families.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ContinuousQueryEngine, ShardedEngine
-from repro.analysis.experiments import mixed_etype_workload
+from repro.analysis.experiments import mixed_etype_workload, skewed_etype_stream
+from repro.datasets.io import write_stream
 from repro.errors import WorkerError
 from repro.runtime import Fault, FaultPlan, RestartPolicy, backoff_delay
+from repro.runtime.faults import FAULTS_ENV
 
 requires_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -365,6 +375,145 @@ class TestRestartBudget:
                 engine.run(events)
         finally:
             engine.close()
+
+
+# ---------------------------------------------------------------------------
+# recovery leaves the shared result queue usable
+# ---------------------------------------------------------------------------
+
+
+def _poisoned_once(threshold, flag):
+    """``process_rows`` that fails the first batch reaching ``threshold``
+    in whichever worker gets there first, and never again (``flag`` is
+    a file every forked worker sees). The failing worker then takes a
+    second to exit: a non-daemon thread it leaves behind is joined at
+    interpreter exit, after its ``Failed`` reply has been sent."""
+    original = ContinuousQueryEngine.process_rows
+
+    def poisoned(self, rows):
+        rows = list(rows)
+        if rows and rows[-1][0] >= threshold:
+            try:
+                os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                threading.Thread(target=time.sleep, args=(1.0,)).start()
+                raise RuntimeError(f"one-off failure at edge {threshold}")
+        return original(self, rows)
+
+    return poisoned
+
+
+@requires_fork
+class TestExitingWorker:
+    def test_worker_that_reported_failure_exits_unsignalled(
+        self, workload, baseline, monkeypatch, tmp_path
+    ):
+        """A worker that replied Failed is exiting on its own, its feeder
+        thread still writing to the result queue every worker shares.
+        Recovery waits for that exit instead of sending SIGTERM, which
+        could orphan the queue's write lock and wedge the respawn. The
+        failure lands in the stream's last batches, so the coordinator
+        is awaiting the final collect when the report arrives."""
+        monkeypatch.setattr(
+            ContinuousQueryEngine,
+            "process_rows",
+            _poisoned_once(680, str(tmp_path / "fired")),
+        )
+        terminated = []
+        terminate = multiprocessing.process.BaseProcess.terminate
+
+        def spy(proc):
+            terminated.append(proc.name)
+            terminate(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate", spy)
+        got, engine = supervised_run(
+            workload, workers=3, policy=RestartPolicy(**FAST)
+        )
+        try:
+            assert got == baseline
+            reasons = set(engine._supervisor.telemetry()["restarts"])
+            assert {reason for (_, reason) in reasons} == {"error"}
+        finally:
+            engine.close()
+        assert terminated == []
+
+
+class TestRebalanceRecovery:
+    def test_kill_after_rebalance_restores_from_the_recut(
+        self, workload, baseline
+    ):
+        """After rebalance() each new worker's respawn snapshot is its
+        shard file in the re-cut checkpoint until its first recovery
+        checkpoint: a worker killed in that gap must come back from it."""
+        events, queries = workload
+        cut = 350
+        engine = ShardedEngine(
+            window=30.0,
+            workers=2,
+            batch_size=16,
+            supervise=True,
+            restart_policy=RestartPolicy(replay_buffer_batches=1000, **FAST),
+            fault_plan=FaultPlan((Fault(kind="kill", worker=0, at_event=500),)),
+        )
+        engine.warmup(events)
+        for query in queries:
+            engine.register(query, strategy="Single", name=query.name)
+        try:
+            records = engine.run(events[:cut]).records
+            engine.rebalance()
+            records += engine.run(events[cut:]).records
+            assert identities(records) == baseline
+            assert engine._supervisor.restarts_by_worker == {0: 1}
+            assert engine._supervisor.telemetry()["recovery_checkpoints"] == 0
+        finally:
+            engine.close()
+
+
+def _cli_matches(argv, env, deadline):
+    """The ``match`` lines of one CLI run in a fresh interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "run", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=deadline,
+    )
+    assert result.returncode == 0, result.stderr
+    return [line for line in result.stdout.splitlines() if line.startswith("match ")]
+
+
+def test_cli_autoscaled_kill_is_invisible(tmp_path):
+    """The CI autoscale-smoke run, supervised, with worker 0 killed at
+    event 600, prints the fault-free run's match lines. A re-cut
+    layout's worker restores from the re-cut checkpoint, and a SIGTERM
+    to a worker mid-flush can wedge the shared result queue until the
+    respawn's Ready times out; the deadline turns such a hang into a
+    failure."""
+    stream = tmp_path / "skew.tsv"
+    write_stream(
+        str(stream), skewed_etype_stream(4000, num_etypes=18, skew_from=0.5, seed=11)
+    )
+    argv = ["--stream", str(stream)]
+    for i in range(6):
+        query = tmp_path / f"aq{i}.txt"
+        etypes = [f"T{(2 * i + k):02d}" for k in range(3)]
+        query.write_text(
+            f"v1 -{etypes[0]}-> v2\nv2 -{etypes[1]}-> v3\nv3 -{etypes[2]}-> v4\n"
+        )
+        argv += ["--query", str(query)]
+    argv += ["--window", "40", "--workers", "3", "--max-print", "200000"]
+    argv += ["--autoscale", "--autoscale-min", "1", "--autoscale-every", "400"]
+    argv += ["--autoscale-cooldown", "1", "--supervise"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    env.pop(FAULTS_ENV, None)
+    clean = _cli_matches(argv, env, 60)
+    env[FAULTS_ENV] = '[{"kind": "kill", "worker": 0, "at_event": 600}]'
+    assert clean
+    assert _cli_matches(argv, env, 90) == clean
 
 
 # ---------------------------------------------------------------------------
